@@ -44,7 +44,6 @@ from .filtration import (
     chain_betti,
     chain_complexes,
     enumerate_chains,
-    level,
     level_profile,
     prefix_leq,
     trace_for_chains,
@@ -53,7 +52,6 @@ from .homology import (
     BoundaryMatrix,
     Gf2Basis,
     betti,
-    betti_of_cells,
     betti_sum,
     boundary_matrix,
     boundary_squares_to_zero,
@@ -85,7 +83,6 @@ from .mcomplex import (
     clique_multicomplex,
     complex_merge,
     duplications,
-    multiboundary,
 )
 from .mgraph import (
     Color,

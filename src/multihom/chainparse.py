@@ -6,7 +6,9 @@
 
 Atoms are identifiers.  Parentheses are accepted only where the result
 still flattens to a chain: a tensor nested under a merge has no chain
-form and is rejected with UnsupportedShape.
+form and is rejected with UnsupportedShape.  They may nest at most
+MAX_DEPTH deep, so the recursive descent stays well inside Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .chainlat import ChainExpr, Connective
 from .errors import ChainSyntaxError, UnsupportedShape
 
 __all__ = ["parse_chain"]
+
+MAX_DEPTH = 100
 
 _TOKEN = re.compile(r"\s*(?:(?P<atom>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[|.()]))")
 
@@ -52,6 +56,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -87,7 +92,13 @@ class _Parser:
         if tok.kind == "atom":
             return ChainExpr((tok.value,), ())
         if tok.kind == "(":
+            if self.depth == MAX_DEPTH:
+                raise ChainSyntaxError(
+                    f"parentheses nested deeper than {MAX_DEPTH}", tok.pos
+                )
+            self.depth += 1
             inner = self.chain()
+            self.depth -= 1
             closing = self.take()
             if closing.kind != ")":
                 raise ChainSyntaxError("expected ')'", closing.pos)

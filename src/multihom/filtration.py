@@ -16,16 +16,16 @@ general; consumers decide what to make of that.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .chainlat import (
     ChainEnv,
     ChainExpr,
     Connective,
+    all_chains,
     evaluate,
     merge_count,
 )
@@ -39,7 +39,6 @@ __all__ = [
     "FiltrationPoset",
     "enumerate_chains",
     "build_filtration",
-    "level",
     "betti_trace",
     "trace_for_chains",
     "level_profile",
@@ -59,10 +58,6 @@ def chain_complexes(
 def chain_betti(x: ChainExpr, env: ChainEnv, policy: str = CANONICAL) -> BettiVector:
     """Betti vector of a chain: layers are disjoint, so vectors add."""
     return betti_sum(betti(c) for c in chain_complexes(x, env, policy))
-
-
-def _canonical_blocks(blocks: Iterable[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
 def _chain_of_blocks(blocks: Sequence[tuple[str, ...]]) -> ChainExpr:
@@ -173,26 +168,24 @@ def build_filtration(
 
     def node_from_blocks(
         blocks: tuple[tuple[str, ...], ...], layers: tuple[Multigraph, ...]
-    ) -> FiltrationNode:
+    ) -> tuple[FiltrationNode, tuple[tuple[str, ...], ...], tuple[Multigraph, ...]]:
+        """The node of some blocks and their layers, and both in block order."""
         order = sorted(range(len(blocks)), key=lambda i: blocks[i])
         blocks = tuple(blocks[i] for i in order)
         layers = tuple(layers[i] for i in order)
         complexes = tuple(clique_multicomplex(g, policy) for g in layers)
-        return FiltrationNode(
+        node = FiltrationNode(
             chain=_chain_of_blocks(blocks),
             level=k - len(blocks),
             complexes=complexes,
             betti=betti_sum(betti(c) for c in complexes),
         )
+        return node, blocks, layers
 
-    start_blocks = tuple(tuple(sorted(b)) for b in x.blocks())
-    start_layers = tuple(
-        reduce(merge, [env.resolve(a) for a in block]) for block in x.blocks()
+    first, start_blocks, start_layers = node_from_blocks(
+        tuple(tuple(sorted(b)) for b in x.blocks()),
+        tuple(reduce(merge, [env.resolve(a) for a in block]) for block in x.blocks()),
     )
-    order0 = sorted(range(len(start_blocks)), key=lambda i: start_blocks[i])
-    start_blocks = tuple(start_blocks[i] for i in order0)
-    start_layers = tuple(start_layers[i] for i in order0)
-    first = node_from_blocks(start_blocks, start_layers)
 
     seen: dict[tuple, int] = {first.key: 0}
     nodes: list[FiltrationNode] = [first]
@@ -215,10 +208,7 @@ def build_filtration(
                 new_layers = tuple(
                     l for t, l in enumerate(layers) if t not in (i, j)
                 ) + (merge(layers[i], layers[j]),)
-                order = sorted(range(len(new_blocks)), key=lambda t: new_blocks[t])
-                new_blocks = tuple(new_blocks[t] for t in order)
-                new_layers = tuple(new_layers[t] for t in order)
-                succ = node_from_blocks(new_blocks, new_layers)
+                succ, new_blocks, new_layers = node_from_blocks(new_blocks, new_layers)
                 if succ.key in seen:
                     dst = seen[succ.key]
                 else:
@@ -245,10 +235,6 @@ def build_filtration(
     return FiltrationPoset(
         k=k, start=x, nodes=nodes_sorted, covers=covers_sorted, env=env, policy=policy
     )
-
-
-def level(p: FiltrationPoset, j: int) -> tuple[FiltrationNode, ...]:
-    return p.level(j)
 
 
 def betti_trace(p: FiltrationPoset, dim: int = 0) -> list[dict]:
@@ -318,20 +304,11 @@ def enumerate_chains(
     (each merge block becomes a sorted group), i.e. ordered set
     partitions of the atoms — 13 of them for k = 3.
     """
-    atoms = tuple(atoms)
     if not include_permutations:
-        out = []
-        for conns in itertools.product(
-            (Connective.TENSOR, Connective.MERGE), repeat=len(atoms) - 1
-        ):
-            out.append(ChainExpr(atoms, conns))
-        return tuple(out)
+        return all_chains(atoms)
     seen: set[ChainExpr] = set()
     for perm in itertools.permutations(atoms):
-        for conns in itertools.product(
-            (Connective.TENSOR, Connective.MERGE), repeat=len(atoms) - 1
-        ):
-            x = ChainExpr(perm, conns)
+        for x in all_chains(perm):
             blocks = tuple(tuple(sorted(b)) for b in x.blocks())
             seen.add(_chain_of_blocks(blocks))
     return tuple(sorted(seen, key=lambda c: (merge_count(c), c.text())))

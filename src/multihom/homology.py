@@ -12,11 +12,9 @@ boundaries differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-import networkx as nx
-
-from .mcomplex import CellKey, Multicell, Multicomplex
+from .mcomplex import CellKey, Multicomplex
 from .mgraph import Multigraph, Multilayer
 
 __all__ = [
@@ -25,7 +23,6 @@ __all__ = [
     "BoundaryMatrix",
     "boundary_matrix",
     "betti",
-    "betti_of_cells",
     "betti_sum",
     "euler_characteristic",
     "boundary_squares_to_zero",
@@ -92,27 +89,12 @@ class BoundaryMatrix:
         ]
 
 
-def _grade(cells: Iterable[Multicell]) -> list[tuple[Multicell, ...]]:
-    by_dim: dict[int, list[Multicell]] = {}
-    for c in cells:
-        by_dim.setdefault(c.dim, []).append(c)
-    top = max(by_dim) if by_dim else -1
-    return [tuple(sorted(by_dim.get(d, ()))) for d in range(top + 1)]
-
-
-def _cells_of(x: Multicomplex | Iterable[Multicell]) -> list[tuple[Multicell, ...]]:
-    if isinstance(x, Multicomplex):
-        return [x.cells(d) for d in range(x.dimension + 1)]
-    return _grade(x)
-
-
-def boundary_matrix(x: Multicomplex | Iterable[Multicell], d: int) -> BoundaryMatrix:
-    """Boundary matrix for dimension d >= 1 (columns from multiboundaries)."""
+def boundary_matrix(x: Multicomplex, d: int) -> BoundaryMatrix:
+    """Boundary matrix for dimension d >= 1 (columns from glued faces)."""
     if d < 1:
         raise ValueError(f"boundary matrices are defined for d >= 1, got {d}")
-    grades = _cells_of(x)
-    rows = grades[d - 1] if d - 1 < len(grades) else ()
-    cols = grades[d] if d < len(grades) else ()
+    rows = x.cells(d - 1)
+    cols = x.cells(d)
     index = {c.key: i for i, c in enumerate(rows)}
     columns = []
     for c in cols:
@@ -122,21 +104,6 @@ def boundary_matrix(x: Multicomplex | Iterable[Multicell], d: int) -> BoundaryMa
         columns.append(col)
     return BoundaryMatrix(
         tuple(c.key for c in rows), tuple(c.key for c in cols), tuple(columns)
-    )
-
-
-def betti_of_cells(cells: Iterable[Multicell]) -> BettiVector:
-    """Betti vector of an explicit, downward-closed cell list."""
-    grades = _grade(cells)
-    if not grades:
-        return ()
-    ranks = [0] * (len(grades) + 1)
-    for d in range(1, len(grades)):
-        ranks[d] = boundary_matrix(
-            [c for grade in grades for c in grade], d
-        ).rank()
-    return tuple(
-        len(grades[d]) - ranks[d] - ranks[d + 1] for d in range(len(grades))
     )
 
 
@@ -180,7 +147,14 @@ def connected_components(g: Multigraph | Multilayer) -> int:
     """Components of the underlying simple graph; layers add up."""
     if isinstance(g, Multilayer):
         return sum(connected_components(layer) for layer in g.layers)
-    simple = nx.Graph()
-    simple.add_nodes_from(g.nodes)
-    simple.add_edges_from({e.pair for e in g.edges})
-    return nx.number_connected_components(simple)
+    parent = {v: v for v in g.nodes}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in g.multiplicities():
+        parent[find(u)] = find(v)
+    return sum(1 for v, p in parent.items() if v == p)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import NegativeBetti
-from .homology import BettiVector, Gf2Basis, betti
+from .homology import BettiVector, Gf2Basis, betti, boundary_matrix
 from .mcomplex import (
     CANONICAL,
     Multicell,
@@ -72,25 +72,19 @@ def incremental_step(beta: BettiVector, d: int, closes_cycle: bool) -> BettiVect
     return tuple(out)
 
 
-def _column(cell: Multicell, index: dict) -> int:
-    col = 0
-    for face_key in cell.faces:
-        col ^= 1 << index[face_key]
-    return col
+def _columns(x: Multicomplex, d: int) -> tuple[int, ...]:
+    """Boundary columns of the d-cells; 0-cells have the zero column."""
+    return boundary_matrix(x, d).columns if d >= 1 else (0,) * x.cell_count(0)
 
 
 def replay_betti(x: Multicomplex) -> BettiVector:
     """Add every cell in canonical order through incremental_step, with
     cycle classification by incremental GF(2) rank."""
-    indexes = [
-        {c.key: i for i, c in enumerate(x.cells(d))} for d in range(x.dimension + 1)
-    ]
-    bases = [Gf2Basis() for _ in range(x.dimension + 1)]
     beta: BettiVector = ()
     for d in range(x.dimension + 1):
-        for cell in x.cells(d):
-            col = _column(cell, indexes[d - 1]) if d >= 1 else 0
-            grew = bases[d].add(col)
+        basis = Gf2Basis()
+        for col in _columns(x, d):
+            grew = basis.add(col)
             beta = incremental_step(beta, d, closes_cycle=not grew)
     return beta + (0,) * (x.dimension + 1 - len(beta))
 
@@ -153,11 +147,9 @@ def _directional_counts(
 ) -> tuple[int, int]:
     """Feed base d-cells into a rank basis silently, then classify the
     rest in canonical order: (closing, non-closing)."""
-    index = {c.key: i for i, c in enumerate(merged.cells(d - 1))} if d >= 1 else {}
     basis = Gf2Basis()
     arriving = []
-    for cell in merged.cells(d):
-        col = _column(cell, index) if d >= 1 else 0
+    for cell, col in zip(merged.cells(d), _columns(merged, d)):
         if base(tags[cell.key]):
             basis.add(col)
         else:
@@ -203,13 +195,13 @@ def extract_params(
     # cl: replay only the interaction-created (d+1)-cells over the union
     cl = 0
     if d + 1 <= km.dimension:
-        index = {c.key: i for i, c in enumerate(km.cells(d))}
+        columns = list(zip(km.cells(d + 1), _columns(km, d + 1)))
         basis = Gf2Basis()
-        for cell in km.cells(d + 1):
+        for cell, col in columns:
             if tags[cell.key] != "new":
-                basis.add(_column(cell, index))
-        for cell in km.cells(d + 1):
-            if tags[cell.key] == "new" and basis.add(_column(cell, index)):
+                basis.add(col)
+        for cell, col in columns:
+            if tags[cell.key] == "new" and basis.add(col):
                 cl += 1
 
     dup = 0

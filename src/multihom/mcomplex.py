@@ -19,13 +19,11 @@ Cells are identified by (vertex tuple, copy); the copy index is the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
-
-import networkx as nx
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ComplexStructureError, PaletteMismatch
-from .mgraph import EdgeCopy, Multigraph, canonical, merge
+from .mgraph import EdgeCopy, Multigraph, merge
 
 __all__ = [
     "CANONICAL",
@@ -35,7 +33,6 @@ __all__ = [
     "Multicomplex",
     "clique_multicomplex",
     "complex_merge",
-    "multiboundary",
     "cell_coloring",
     "duplications",
 ]
@@ -86,11 +83,6 @@ class Multicell:
     @property
     def key(self) -> CellKey:
         return (self.vertices, self.copy)
-
-
-def multiboundary(c: Multicell) -> frozenset[CellKey]:
-    """The set of glued boundary cells; empty for 0-cells."""
-    return frozenset(c.faces)
 
 
 @dataclass(eq=False)
@@ -330,6 +322,36 @@ def _pairs_within(vertices: Sequence[int]) -> list[tuple[int, int]]:
     return [tuple(p) for p in itertools.combinations(sorted(vertices), 2)]
 
 
+def _cliques(
+    nodes: Iterable[int], pairs: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, ...]]:
+    """Every clique of the simple graph on ``nodes`` and ``pairs``, as a
+    sorted vertex tuple.
+
+    Nodes are indexed by bit in sorted order and ``up[i]`` is the bitset
+    of i's higher neighbours, so a clique grows depth-first only by its
+    common higher neighbours (ordered-neighbour expansion, as in Bron &
+    Kerbosch 1973) and each clique is reached exactly once.
+    """
+    order = sorted(nodes)
+    bit = {v: i for i, v in enumerate(order)}
+    up = [0] * len(order)
+    for u, v in pairs:
+        i, j = sorted((bit[u], bit[v]))
+        up[i] |= 1 << j
+
+    def grow(clique: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            tau = clique + (order[i],)
+            yield tau
+            yield from grow(tau, cand & up[i])
+
+    return grow((), (1 << len(order)) - 1)
+
+
 def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
     """Build the clique multicomplex of a multigraph.
 
@@ -340,14 +362,6 @@ def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     mult = g.multiplicities()
-
-    simple = nx.Graph()
-    simple.add_nodes_from(g.nodes)
-    simple.add_edges_from(mult.keys())
-    cliques_by_size: dict[int, list[tuple[int, ...]]] = {}
-    for clique in nx.enumerate_all_cliques(simple):
-        cliques_by_size.setdefault(len(clique), []).append(tuple(sorted(clique)))
-
     cells: list[Multicell] = []
     coloring: dict[CellKey, str] = {}
 
@@ -376,39 +390,39 @@ def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
         cells.append(cell)
         coloring[cell.key] = e.color
 
-    for size in sorted(cliques_by_size):
-        d = size - 1
+    # from_cells sorts every grade, so the clique order does not matter
+    for tau in _cliques(g.nodes, mult):
+        d = len(tau) - 1
         if d < 2:
             continue
-        for tau in sorted(cliques_by_size[size]):
-            pairs = _pairs_within(tau)
-            single = d >= 3 and policy == CANONICAL
-            if single:
-                choices = [tuple(first_copy[p] for p in pairs)]
-            else:
-                choices = itertools.product(*(range(1, mult[p] + 1) for p in pairs))
-            for combo in choices:
-                amap = dict(zip(pairs, combo))
-                faces = []
-                for drop in tau:
-                    sigma = tuple(v for v in tau if v != drop)
-                    if len(sigma) == 1:
-                        faces.append((sigma, 1))
-                    elif single and len(sigma) >= 4:
-                        # faces above dimension 2 are themselves unique
-                        # per clique under this policy
-                        faces.append((sigma, 1))
-                    else:
-                        spairs = _pairs_within(sigma)
-                        faces.append((sigma, _copy_rank(spairs, mult, amap)))
-                cells.append(
-                    Multicell(
-                        tau,
-                        1 if single else _copy_rank(pairs, mult, amap),
-                        faces=tuple(sorted(faces)),
-                        edge_copies=tuple(sorted(amap.items())),
-                    )
+        pairs = _pairs_within(tau)
+        single = d >= 3 and policy == CANONICAL
+        if single:
+            choices = [tuple(first_copy[p] for p in pairs)]
+        else:
+            choices = itertools.product(*(range(1, mult[p] + 1) for p in pairs))
+        for combo in choices:
+            amap = dict(zip(pairs, combo))
+            faces = []
+            for drop in tau:
+                sigma = tuple(v for v in tau if v != drop)
+                if len(sigma) == 1:
+                    faces.append((sigma, 1))
+                elif single and len(sigma) >= 4:
+                    # faces above dimension 2 are themselves unique
+                    # per clique under this policy
+                    faces.append((sigma, 1))
+                else:
+                    spairs = _pairs_within(sigma)
+                    faces.append((sigma, _copy_rank(spairs, mult, amap)))
+            cells.append(
+                Multicell(
+                    tau,
+                    1 if single else _copy_rank(pairs, mult, amap),
+                    faces=tuple(sorted(faces)),
+                    edge_copies=tuple(sorted(amap.items())),
                 )
+            )
 
     return Multicomplex.from_cells(g.palette, cells, coloring, policy, validate=False)
 

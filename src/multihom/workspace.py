@@ -44,6 +44,11 @@ def _expect(cond: bool, msg: str) -> None:
         raise WorkspaceError(msg)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_workspace(data: dict) -> Workspace:
     _expect(isinstance(data, dict), "workspace must be a JSON object")
     _expect("colors" in data, "workspace needs a 'colors' list")
@@ -62,17 +67,27 @@ def parse_workspace(data: dict) -> Workspace:
         _expect("nodes" in entry and "edges" in entry, f"graph {name!r} needs 'nodes' and 'edges'")
         nodes = entry["nodes"]
         _expect(
-            isinstance(nodes, list) and all(isinstance(v, int) for v in nodes),
+            isinstance(nodes, list) and all(_is_int(v) for v in nodes),
             f"graph {name!r}: 'nodes' must be a list of integers",
         )
+        _expect(isinstance(entry["edges"], list), f"graph {name!r}: 'edges' must be a list")
         rows = []
         for i, edge in enumerate(entry["edges"]):
             _expect(isinstance(edge, dict), f"graph {name!r}: edge #{i} must be an object")
             for field in ("u", "v", "color"):
                 _expect(field in edge, f"graph {name!r}: edge #{i} missing {field!r}")
+            for field in ("u", "v"):
+                _expect(
+                    _is_int(edge[field]),
+                    f"graph {name!r}: edge #{i} endpoint {field!r} must be an integer",
+                )
+            _expect(
+                isinstance(edge["color"], str),
+                f"graph {name!r}: edge #{i} colour must be a string",
+            )
             mult = edge.get("mult", 1)
             _expect(
-                isinstance(mult, int) and mult >= 1,
+                _is_int(mult) and mult >= 1,
                 f"graph {name!r}: edge #{i} multiplicity must be an integer >= 1",
             )
             rows.append((edge["u"], edge["v"], edge["color"], mult))

@@ -29,10 +29,17 @@ WORKSPACES = REPO_ROOT / "workspaces"
 
 
 @st.composite
-def multigraphs(draw, max_nodes: int = 6, max_mult: int = 3):
-    """Small edge-coloured multigraphs with hypothesis-controlled shape."""
-    n = draw(st.integers(1, max_nodes))
-    nodes = list(range(1, n + 1))
+def multigraphs(draw, max_nodes: int = 6, max_mult: int = 3, sparse_labels: bool = False):
+    """Small edge-coloured multigraphs with hypothesis-controlled shape.
+
+    Nodes are 1..n, or with ``sparse_labels`` n distinct ids drawn from
+    -20..100.
+    """
+    if sparse_labels:
+        nodes = sorted(draw(st.sets(st.integers(-20, 100), min_size=1, max_size=max_nodes)))
+    else:
+        n = draw(st.integers(1, max_nodes))
+        nodes = list(range(1, n + 1))
     rows = []
     for i, u in enumerate(nodes):
         for v in nodes[i + 1 :]:

@@ -12,6 +12,7 @@ from multihom import (
     merge_count,
     parse_chain,
 )
+from multihom.chainparse import MAX_DEPTH
 
 from conftest import chain_exprs
 
@@ -78,6 +79,13 @@ class TestRejections:
     def test_unexpected_character(self):
         with pytest.raises(ChainSyntaxError):
             parse_chain("G + H")
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        # a recursive descent this deep would overflow Python's stack
+        with pytest.raises(ChainSyntaxError) as exc_info:
+            parse_chain("(" * 3000 + "G" + ")" * 3000)
+        assert exc_info.value.position == MAX_DEPTH
+        assert parse_chain("(" * MAX_DEPTH + "G" + ")" * MAX_DEPTH).atoms == ("G",)
 
     def test_error_carries_position(self):
         with pytest.raises(ChainSyntaxError) as exc_info:

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import multihom
 
 from multihom import (
     PaletteMismatch,
@@ -60,6 +65,14 @@ class TestWorkspaceSchema:
             lambda d: d["graphs"]["G"]["edges"][0].pop("color"),
             lambda d: d["graphs"]["G"]["edges"][0].update(mult=0),
             lambda d: d.update(chain=7),
+            # JSON true loads as a bool, which Python counts as an int
+            lambda d: d["graphs"]["G"].update(nodes=[True, 2]),
+            lambda d: d["graphs"]["G"]["edges"][0].update(mult=True),
+            lambda d: d["graphs"]["G"]["edges"][0].update(u=True),
+            lambda d: d["graphs"]["G"]["edges"][0].update(u="1"),
+            lambda d: d["graphs"]["G"]["edges"][0].update(v="2"),
+            lambda d: d["graphs"]["G"]["edges"][0].update(color=["red"]),
+            lambda d: d["graphs"]["G"].update(edges=5),
         ],
     )
     def test_malformed_rejected(self, mutate):
@@ -114,6 +127,8 @@ class TestCliParse:
     def test_syntax_error_is_domain_exit(self, capsys):
         assert main(["parse", "G |"]) == EXIT_DOMAIN
         assert "error" in capsys.readouterr().err
+        assert main(["parse", "(" * 3000 + "G" + ")" * 3000]) == EXIT_DOMAIN
+        assert "nested deeper" in capsys.readouterr().err
 
     def test_unsupported_shape_is_domain_exit(self, capsys):
         assert main(["parse", "(G | H) . K"]) == EXIT_DOMAIN
@@ -156,6 +171,22 @@ class TestCliMergeBetti:
         )
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["betti"] == [1, 0, 0]
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            {"u": 1, "v": 2, "color": "red", "mult": True},
+            {"u": "1", "v": 2, "color": "red"},
+        ],
+        ids=["bool-mult", "string-endpoint"],
+    )
+    def test_bad_edge_is_domain_exit(self, tmp_path, capsys, edge):
+        data = ws_variant()
+        data["graphs"]["G"]["edges"] = [edge]
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(data))
+        assert main(["--workspace", str(path), "betti", "G"]) == EXIT_DOMAIN
+        assert "error" in capsys.readouterr().err
 
     def test_betti_without_any_chain(self, tmp_path, capsys):
         path = tmp_path / "ws.json"
@@ -281,3 +312,17 @@ class TestCliWiring:
 
     def test_bad_policy_value_is_usage(self, capsys):
         assert main(["--policy", "nope", "parse", "G"]) == EXIT_USAGE
+
+    def test_cli_import_needs_no_networkx(self):
+        # the package has no runtime dependency; a fresh interpreter
+        # shows what importing the CLI really pulls in
+        src = str(Path(multihom.__file__).resolve().parents[1])
+        probe = "import sys, multihom.cli; print('networkx' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": src},
+        )
+        assert done.stdout.strip() == "False"
