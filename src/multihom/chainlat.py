@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import IncomparableAtoms, IndexOutOfRange, UnknownAtom
 from .mgraph import Multigraph, Multilayer, merge

@@ -13,9 +13,9 @@ import sys
 from pathlib import Path
 
 from . import chainlat, filtration, homology, incremental, mcomplex
-from .chainlat import ChainEnv, ChainExpr
+from .chainlat import ChainExpr
 from .chainparse import parse_chain
-from .errors import LawViolation, MultihomError, WorkspaceError
+from .errors import LawViolation, MultihomError
 from .mgraph import Multigraph, merge
 from .workspace import Workspace, load_workspace
 

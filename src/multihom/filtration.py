@@ -166,6 +166,20 @@ def build_filtration(
         env.resolve(name)  # fail early on unbound atoms
     k = x.k
 
+    # Each distinct layer graph is built once per call.  The key is the
+    # exact edge tuple, copy indices included: a block's graph depends on
+    # its merge path, and graphs equal up to copy numbering still give
+    # other ``layers`` JSON, so neither the block nor ``Multigraph`` (whose
+    # equality ignores copy indices) can be the key.
+    built: dict[tuple, tuple[Multicomplex, BettiVector]] = {}
+
+    def layer(g: Multigraph) -> tuple[Multicomplex, BettiVector]:
+        key = (g.nodes, g.edges)
+        if key not in built:
+            c = clique_multicomplex(g, policy)
+            built[key] = (c, betti(c))
+        return built[key]
+
     def node_from_blocks(
         blocks: tuple[tuple[str, ...], ...], layers: tuple[Multigraph, ...]
     ) -> tuple[FiltrationNode, tuple[tuple[str, ...], ...], tuple[Multigraph, ...]]:
@@ -173,12 +187,12 @@ def build_filtration(
         order = sorted(range(len(blocks)), key=lambda i: blocks[i])
         blocks = tuple(blocks[i] for i in order)
         layers = tuple(layers[i] for i in order)
-        complexes = tuple(clique_multicomplex(g, policy) for g in layers)
+        parts = [layer(g) for g in layers]
         node = FiltrationNode(
             chain=_chain_of_blocks(blocks),
             level=k - len(blocks),
-            complexes=complexes,
-            betti=betti_sum(betti(c) for c in complexes),
+            complexes=tuple(c for c, _ in parts),
+            betti=betti_sum(b for _, b in parts),
         )
         return node, blocks, layers
 
@@ -209,11 +223,12 @@ def build_filtration(
                     l for t, l in enumerate(layers) if t not in (i, j)
                 ) + (merge(layers[i], layers[j]),)
                 succ, new_blocks, new_layers = node_from_blocks(new_blocks, new_layers)
-                if succ.key in seen:
-                    dst = seen[succ.key]
+                key = succ.key
+                if key in seen:
+                    dst = seen[key]
                 else:
                     dst = len(nodes)
-                    seen[succ.key] = dst
+                    seen[key] = dst
                     nodes.append(succ)
                     node_blocks.append(new_blocks)
                     node_layers.append(new_layers)

@@ -22,7 +22,7 @@ import io
 import json
 import random
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import NegativeBetti
 from .homology import BettiVector, Gf2Basis, betti, boundary_matrix
@@ -143,13 +143,17 @@ def _provenance(cell: Multicell, g: Multigraph, h: Multigraph, g_mult: dict) -> 
 
 
 def _directional_counts(
-    merged: Multicomplex, d: int, base: Callable[[str], bool], tags: dict
+    merged: Multicomplex,
+    d: int,
+    columns: Sequence[int],
+    base: Callable[[str], bool],
+    tags: dict,
 ) -> tuple[int, int]:
     """Feed base d-cells into a rank basis silently, then classify the
     rest in canonical order: (closing, non-closing)."""
     basis = Gf2Basis()
     arriving = []
-    for cell, col in zip(merged.cells(d), _columns(merged, d)):
+    for cell, col in zip(merged.cells(d), columns):
         if base(tags[cell.key]):
             basis.add(col)
         else:
@@ -177,55 +181,70 @@ def extract_params(
     """
     if d < 1:
         raise ValueError(f"extraction is defined for d >= 1, got {d}")
-    kg = clique_multicomplex(g, policy)
-    kh = clique_multicomplex(h, policy)
-    km = clique_multicomplex(merge(g, h), policy)
+    kg, kh, km = (clique_multicomplex(x, policy) for x in (g, h, merge(g, h)))
+    (params,) = _extract(g, h, kg, kh, km, dims=(d,))
+    return params
+
+
+def _extract(
+    g: Multigraph,
+    h: Multigraph,
+    kg: Multicomplex,
+    kh: Multicomplex,
+    km: Multicomplex,
+    dims: Sequence[int],
+) -> tuple[IncrementalParams, ...]:
+    """``extract_params`` at each of ``dims`` over complexes built once."""
     g_mult = g.multiplicities()
-    tags = {
-        c.key: _provenance(c, g, h, g_mult) for c in km.all_cells()
-    }
-
-    n_g, p_g = _directional_counts(
-        km, d, base=lambda t: t in ("h", "shared"), tags=tags
-    )
-    n_h, p_h = _directional_counts(
-        km, d, base=lambda t: t in ("g", "shared"), tags=tags
-    )
-
-    # cl: replay only the interaction-created (d+1)-cells over the union
-    cl = 0
-    if d + 1 <= km.dimension:
-        columns = list(zip(km.cells(d + 1), _columns(km, d + 1)))
-        basis = Gf2Basis()
-        for cell, col in columns:
-            if tags[cell.key] != "new":
-                basis.add(col)
-        for cell, col in columns:
-            if tags[cell.key] == "new" and basis.add(col):
-                cl += 1
-
-    dup = 0
-    if d - 1 >= 1:
-        dup = max(
-            0,
-            duplications(km, d - 1)
-            - duplications(kg, d - 1)
-            - duplications(kh, d - 1),
-        )
-
+    tags = {c.key: _provenance(c, g, h, g_mult) for c in km.all_cells()}
+    # the d-columns serve n/p at d and cl at d - 1
+    columns = {e: _columns(km, e) for d in dims for e in (d, d + 1)}
     bg = betti(kg)
     bh = betti(kh)
-    return IncrementalParams(
-        dim=d,
-        beta_g=bg[d] if d < len(bg) else 0,
-        beta_h=bh[d] if d < len(bh) else 0,
-        n_g=n_g,
-        n_h=n_h,
-        p_g=p_g,
-        p_h=p_h,
-        cl=cl,
-        dup=dup,
-    )
+    out = []
+    for d in dims:
+        n_g, p_g = _directional_counts(
+            km, d, columns[d], base=lambda t: t in ("h", "shared"), tags=tags
+        )
+        n_h, p_h = _directional_counts(
+            km, d, columns[d], base=lambda t: t in ("g", "shared"), tags=tags
+        )
+
+        # cl: replay only the interaction-created (d+1)-cells over the union
+        cl = 0
+        if d + 1 <= km.dimension:
+            upper = list(zip(km.cells(d + 1), columns[d + 1]))
+            basis = Gf2Basis()
+            for cell, col in upper:
+                if tags[cell.key] != "new":
+                    basis.add(col)
+            for cell, col in upper:
+                if tags[cell.key] == "new" and basis.add(col):
+                    cl += 1
+
+        dup = 0
+        if d - 1 >= 1:
+            dup = max(
+                0,
+                duplications(km, d - 1)
+                - duplications(kg, d - 1)
+                - duplications(kh, d - 1),
+            )
+
+        out.append(
+            IncrementalParams(
+                dim=d,
+                beta_g=bg[d] if d < len(bg) else 0,
+                beta_h=bh[d] if d < len(bh) else 0,
+                n_g=n_g,
+                n_h=n_h,
+                p_g=p_g,
+                p_h=p_h,
+                cl=cl,
+                dup=dup,
+            )
+        )
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -260,9 +279,9 @@ class IncrementalReport:
 def validate(g: Multigraph, h: Multigraph, policy: str = CANONICAL) -> IncrementalReport:
     """Extract parameters, apply the formulas, and compare against the
     direct Betti numbers of the merged complex."""
-    p1 = extract_params(g, h, 1, policy)
-    p2 = extract_params(g, h, 2, policy)
-    oracle = betti(clique_multicomplex(merge(g, h), policy))
+    kg, kh, km = (clique_multicomplex(x, policy) for x in (g, h, merge(g, h)))
+    p1, p2 = _extract(g, h, kg, kh, km, dims=(1, 2))
+    oracle = betti(km)
     return IncrementalReport(
         params_d1=p1,
         params_d2=p2,

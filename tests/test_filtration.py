@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import gzip
+
 import pytest
 
+import multihom.filtration
 from multihom import (
+    CANONICAL,
+    PER_COMBINATION,
     ChainEnv,
     IndexOutOfRange,
     Multigraph,
+    betti,
+    betti_sum,
     betti_trace,
     build_filtration,
     chain_betti,
     chain_complexes,
     clique_multicomplex,
     enumerate_chains,
+    evaluate,
     level_profile,
     load_workspace,
     merge,
@@ -22,9 +30,17 @@ from multihom import (
     prefix_leq,
     trace_for_chains,
 )
+from multihom.cli import EXIT_OK, main
 
-from conftest import triangle
+from conftest import REPO_ROOT, path_graph, triangle
 from oracles import ordered_set_partitions
+
+DATA = REPO_ROOT / "tests" / "data"
+# k = 5 atoms that share vertices and carry same-colour parallel copies;
+# L is bound to the same graph as G, so some nodes fold and the merge
+# path that first reaches a node decides its layers' copy numbering
+SHARING_K5 = DATA / "sharing_k5.json"
+POLICIES = (CANONICAL, PER_COMBINATION)
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +173,80 @@ class TestBuildFiltration:
         p = build_filtration(start, env)
         with pytest.raises(KeyError):
             p.node_for_chain(parse_chain("G | H"))
+
+
+# -- layer memo ----------------------------------------------------------------------
+
+
+def _workspace_cases():
+    for path in (SHARING_K5, REPO_ROOT / "workspaces" / "three_paths.json"):
+        for policy in POLICIES:
+            yield pytest.param(path, policy, id=f"{path.stem}-{policy}")
+
+
+class TestLayerMemo:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_filtrate_json_matches_golden(self, policy, capsys):
+        # recorded before layer complexes were shared between nodes
+        golden = gzip.decompress(
+            (DATA / f"sharing_k5.filtrate.{policy}.json.gz").read_bytes()
+        ).decode()
+        argv = ["--workspace", str(SHARING_K5), "--policy", policy, "--json", "filtrate"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        if out != golden:
+            got, want = out.splitlines(), golden.splitlines()
+            line = next(
+                (i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                min(len(got), len(want)),
+            )
+            pytest.fail(f"filtrate --json differs from the golden at line {line + 1}")
+
+    @pytest.mark.parametrize("path, policy", _workspace_cases())
+    def test_each_layer_graph_built_once(self, path, policy, monkeypatch):
+        ws = load_workspace(path)
+        inputs = []
+
+        def recording(g, policy=CANONICAL):
+            inputs.append((g.nodes, g.edges))
+            return clique_multicomplex(g, policy)
+
+        monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
+        p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
+        assert inputs
+        assert len(set(inputs)) == len(inputs)
+        assert len(inputs) < sum(len(n.complexes) for n in p.nodes)
+
+    @pytest.mark.parametrize("path, policy", _workspace_cases())
+    def test_node_betti_matches_fresh_builds(self, path, policy):
+        ws = load_workspace(path)
+        env = ws.env()
+        p = build_filtration(parse_chain(ws.chain_text), env, policy)
+        for n in p.nodes:
+            fresh = [clique_multicomplex(g, policy) for g in evaluate(n.chain, env)]
+            assert n.betti == betti_sum(betti(c) for c in fresh), n.chain.text()
+            assert n.key == tuple(sorted(c.canonical_form() for c in fresh))
+
+    def test_calls_on_different_envs_stay_apart(self):
+        # the same atom names bound to other graphs: a 4-cycle split into
+        # paths, then three disjoint triangles, then the paths again
+        start = parse_chain("G | H | K")
+        cycle = ChainEnv(
+            {"G": path_graph([1, 2, 3]), "H": path_graph([3, 4]), "K": path_graph([4, 1])}
+        )
+        disjoint = ChainEnv(
+            {"G": triangle(1, 2, 3), "H": triangle(4, 5, 6), "K": triangle(7, 8, 9)}
+        )
+        first = build_filtration(start, cycle)
+        second = build_filtration(start, disjoint)
+        again = build_filtration(start, cycle)
+        for p, env in ((first, cycle), (second, disjoint), (again, cycle)):
+            assert [n.betti for n in p.nodes] == [
+                chain_betti(n.chain, env) for n in p.nodes
+            ]
+        assert first.nodes[-1].betti == (1, 1)
+        assert [n.betti for n in second.nodes] == [(3, 0, 0)] * 5
+        assert again.to_json_dict() == first.to_json_dict()
 
 
 # -- Betti traces --------------------------------------------------------------------

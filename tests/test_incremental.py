@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 
+import multihom.incremental
 from multihom import (
     KNOWN_CASES,
     CANONICAL,
@@ -20,6 +23,7 @@ from multihom import (
     fuzz_records,
     incremental_step,
     known_case_findings,
+    merge,
     replay_betti,
     summarize_records,
     validate,
@@ -144,6 +148,21 @@ class TestValidate:
             PALETTE,
         )))
         assert report.oracle_beta1 == (merged_betti[1] if len(merged_betti) > 1 else 0)
+
+    @given(multigraphs(max_nodes=5), multigraphs(max_nodes=5))
+    @settings(max_examples=30)
+    def test_builds_each_complex_once(self, g, h):
+        built = []
+
+        def recording(x, policy=CANONICAL):
+            built.append(x)
+            return clique_multicomplex(x, policy)
+
+        with mock.patch.object(multihom.incremental, "clique_multicomplex", recording):
+            report = validate(g, h)
+        assert built == [g, h, merge(g, h)]
+        assert report.params_d1 == extract_params(g, h, 1)
+        assert report.params_d2 == extract_params(g, h, 2)
 
 
 # -- recorded cases --------------------------------------------------------------------
