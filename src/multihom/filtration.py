@@ -252,15 +252,22 @@ def build_filtration(
     )
 
 
+def _trace_rows(nodes: Sequence[FiltrationNode], dim: int) -> list[dict]:
+    """Rows (delta, chain, level, beta_dim), delta counting ``nodes`` in order."""
+    return [
+        {
+            "delta": delta,
+            "chain": n.chain.text(),
+            "level": n.level,
+            "beta": n.betti[dim] if dim < len(n.betti) else 0,
+        }
+        for delta, n in enumerate(nodes)
+    ]
+
+
 def betti_trace(p: FiltrationPoset, dim: int = 0) -> list[dict]:
     """Rows (delta, chain, level, beta_dim) over all nodes in delta order."""
-    rows = []
-    for delta, n in enumerate(p.nodes):
-        beta = n.betti[dim] if dim < len(n.betti) else 0
-        rows.append(
-            {"delta": delta, "chain": n.chain.text(), "level": n.level, "beta": beta}
-        )
-    return rows
+    return _trace_rows(p.nodes, dim)
 
 
 def trace_for_chains(
@@ -276,13 +283,7 @@ def trace_for_chains(
             seen_keys.add(n.key)
             picked.append(n)
     picked.sort(key=lambda n: (n.level, n.chain.text()))
-    rows = []
-    for delta, n in enumerate(picked):
-        beta = n.betti[dim] if dim < len(n.betti) else 0
-        rows.append(
-            {"delta": delta, "chain": n.chain.text(), "level": n.level, "beta": beta}
-        )
-    return rows
+    return _trace_rows(picked, dim)
 
 
 def level_profile(p: FiltrationPoset) -> dict:

@@ -155,6 +155,6 @@ def connected_components(g: Multigraph | Multilayer) -> int:
             v = parent[v]
         return v
 
-    for u, v in g.multiplicities():
+    for u, v in g.pairs():
         parent[find(u)] = find(v)
     return sum(1 for v, p in parent.items() if v == p)

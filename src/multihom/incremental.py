@@ -123,7 +123,7 @@ def formula_beta2(p: IncrementalParams) -> int:
     )
 
 
-def _provenance(cell: Multicell, g: Multigraph, h: Multigraph, g_mult: dict) -> str:
+def _provenance(cell: Multicell, g: Multigraph, h: Multigraph) -> str:
     """'g' / 'h' for cells made purely of one operand's material, 'shared'
     for nodes both own, 'new' for interaction-created mixed cells."""
     if cell.dim == 0:
@@ -134,7 +134,7 @@ def _provenance(cell: Multicell, g: Multigraph, h: Multigraph, g_mult: dict) -> 
         return "g" if in_g else "h"
     sides = set()
     for pair, copy in cell.edge_copies:
-        sides.add("g" if copy <= g_mult.get(pair, 0) else "h")
+        sides.add("g" if copy <= g.multiplicity(pair) else "h")
     if sides == {"g"}:
         return "g"
     if sides == {"h"}:
@@ -195,8 +195,7 @@ def _extract(
     dims: Sequence[int],
 ) -> tuple[IncrementalParams, ...]:
     """``extract_params`` at each of ``dims`` over complexes built once."""
-    g_mult = g.multiplicities()
-    tags = {c.key: _provenance(c, g, h, g_mult) for c in km.all_cells()}
+    tags = {c.key: _provenance(c, g, h) for c in km.all_cells()}
     # the d-columns serve n/p at d and cl at d - 1
     columns = {e: _columns(km, e) for d in dims for e in (d, d + 1)}
     bg = betti(kg)
@@ -211,16 +210,9 @@ def _extract(
         )
 
         # cl: replay only the interaction-created (d+1)-cells over the union
-        cl = 0
-        if d + 1 <= km.dimension:
-            upper = list(zip(km.cells(d + 1), columns[d + 1]))
-            basis = Gf2Basis()
-            for cell, col in upper:
-                if tags[cell.key] != "new":
-                    basis.add(col)
-            for cell, col in upper:
-                if tags[cell.key] == "new" and basis.add(col):
-                    cl += 1
+        _, cl = _directional_counts(
+            km, d + 1, columns[d + 1], base=lambda t: t != "new", tags=tags
+        )
 
         dup = 0
         if d - 1 >= 1:

@@ -369,14 +369,7 @@ def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
     # canonical policy glues its single high-dimensional cell along these,
     # so the result is invariant under re-indexing parallel copies (e.g.
     # merging the same two graphs in either order).
-    first_copy: dict[tuple[int, int], int] = {}
-    best: dict[tuple[int, int], tuple[str, int]] = {}
-    for e in g.edges:
-        pair = (e.u, e.v)
-        key = (e.color, e.copy)
-        if pair not in best or key < best[pair]:
-            best[pair] = key
-            first_copy[pair] = e.copy
+    first_copy = {p: min(g.copies(p), key=lambda e: (e.color, e.copy)).copy for p in mult}
 
     for v in sorted(g.nodes):
         cells.append(Multicell((v,), 1))
@@ -396,6 +389,8 @@ def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
         if d < 2:
             continue
         pairs = _pairs_within(tau)
+        # lexicographic, so already in sorted face order
+        faces = [(sigma, _pairs_within(sigma)) for sigma in itertools.combinations(tau, d)]
         single = d >= 3 and policy == CANONICAL
         if single:
             choices = [tuple(first_copy[p] for p in pairs)]
@@ -403,24 +398,17 @@ def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
             choices = itertools.product(*(range(1, mult[p] + 1) for p in pairs))
         for combo in choices:
             amap = dict(zip(pairs, combo))
-            faces = []
-            for drop in tau:
-                sigma = tuple(v for v in tau if v != drop)
-                if len(sigma) == 1:
-                    faces.append((sigma, 1))
-                elif single and len(sigma) >= 4:
-                    # faces above dimension 2 are themselves unique
-                    # per clique under this policy
-                    faces.append((sigma, 1))
-                else:
-                    spairs = _pairs_within(sigma)
-                    faces.append((sigma, _copy_rank(spairs, mult, amap)))
             cells.append(
                 Multicell(
                     tau,
                     1 if single else _copy_rank(pairs, mult, amap),
-                    faces=tuple(sorted(faces)),
-                    edge_copies=tuple(sorted(amap.items())),
+                    # under the single-cell policy, faces above dimension 2
+                    # are themselves unique per clique
+                    faces=tuple(
+                        (sigma, 1 if single and d >= 4 else _copy_rank(spairs, mult, amap))
+                        for sigma, spairs in faces
+                    ),
+                    edge_copies=tuple(amap.items()),
                 )
             )
 

@@ -18,6 +18,7 @@ tell parallel edges apart are bookkeeping, not identity.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -78,18 +79,22 @@ class Multigraph:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        by_pair: dict[tuple[NodeId, NodeId], list[int]] = {}
+        # The one grouping of copies by pair; every per-pair view reads it.
+        # Edges are sorted, so pairs and each pair's copies come in order.
+        by_pair: dict[tuple[NodeId, NodeId], list[EdgeCopy]] = {}
         for e in self.edges:
             if e.u not in self.nodes or e.v not in self.nodes:
                 raise GraphStructureError(f"edge {e.pair} has endpoints outside the node set")
             if e.color not in self.palette:
                 raise PaletteMismatch(f"colour {e.color!r} not in palette {sorted(self.palette)}")
-            by_pair.setdefault(e.pair, []).append(e.copy)
+            by_pair.setdefault(e.pair, []).append(e)
         for pair, copies in by_pair.items():
-            if sorted(copies) != list(range(1, len(copies) + 1)):
+            indices = [e.copy for e in copies]
+            if indices != list(range(1, len(copies) + 1)):
                 raise GraphStructureError(
-                    f"copy indices for pair {pair} must be contiguous 1..m, got {sorted(copies)}"
+                    f"copy indices for pair {pair} must be contiguous 1..m, got {indices}"
                 )
+        object.__setattr__(self, "_by_pair", {p: tuple(c) for p, c in by_pair.items()})
 
     # -- construction helpers -------------------------------------------------
 
@@ -129,19 +134,16 @@ class Multigraph:
 
     def pairs(self) -> tuple[tuple[NodeId, NodeId], ...]:
         """Distinct endpoint pairs, sorted."""
-        return tuple(sorted({e.pair for e in self.edges}))
+        return tuple(self._by_pair)
 
     def multiplicity(self, pair: tuple[NodeId, NodeId]) -> int:
-        return sum(1 for e in self.edges if e.pair == pair)
+        return len(self.copies(pair))
 
     def multiplicities(self) -> dict[tuple[NodeId, NodeId], int]:
-        out: dict[tuple[NodeId, NodeId], int] = {}
-        for e in self.edges:
-            out[e.pair] = out.get(e.pair, 0) + 1
-        return out
+        return {p: len(c) for p, c in self._by_pair.items()}
 
     def copies(self, pair: tuple[NodeId, NodeId]) -> tuple[EdgeCopy, ...]:
-        return tuple(e for e in self.edges if e.pair == pair)
+        return self._by_pair.get(pair, ())
 
     def colors_used(self) -> frozenset[Color]:
         return frozenset(e.color for e in self.edges)
@@ -152,7 +154,7 @@ class Multigraph:
     # -- identity ----------------------------------------------------------------
 
     def _key(self):
-        per_pair = tuple((p, self.color_multiset(p)) for p in self.pairs())
+        per_pair = tuple((p, self.color_multiset(p)) for p in self._by_pair)
         return (self.nodes, self.palette, per_pair)
 
     def __eq__(self, other):
@@ -168,15 +170,12 @@ class Multigraph:
 
     def to_json_dict(self) -> dict:
         """Canonical JSON form: copies grouped by (pair, colour)."""
-        rows: dict[tuple[NodeId, NodeId, Color], int] = {}
-        for e in self.edges:
-            key = (e.u, e.v, e.color)
-            rows[key] = rows.get(key, 0) + 1
         return {
             "nodes": sorted(self.nodes),
             "edges": [
                 {"u": u, "v": v, "color": c, "mult": m}
-                for (u, v, c), m in sorted(rows.items())
+                for (u, v), copies in self._by_pair.items()
+                for c, m in sorted(Counter(e.color for e in copies).items())
             ],
         }
 
@@ -214,13 +213,8 @@ def merge(g: Multigraph, h: Multigraph) -> Multigraph:
         raise PaletteMismatch(
             f"operands disagree on palette: {sorted(g.palette)} vs {sorted(h.palette)}"
         )
-    edges: list[EdgeCopy] = list(g.edges)
-    g_mult = g.multiplicities()
-    for pair in h.pairs():
-        base = g_mult.get(pair, 0)
-        for e in h.copies(pair):
-            edges.append(EdgeCopy(e.u, e.v, base + e.copy, e.color))
-    return Multigraph(g.nodes | h.nodes, tuple(edges), g.palette)
+    shifted = (EdgeCopy(e.u, e.v, g.multiplicity(e.pair) + e.copy, e.color) for e in h.edges)
+    return Multigraph(g.nodes | h.nodes, g.edges + tuple(shifted), g.palette)
 
 
 def color_count(g: Multigraph) -> int:
@@ -231,12 +225,12 @@ def color_count(g: Multigraph) -> int:
 def canonical(g: Multigraph) -> Multigraph:
     """Re-index copies per pair in colour order; canonical representative
     of the semantic equality class."""
-    edges: list[EdgeCopy] = []
-    for pair in g.pairs():
-        ordered = sorted(g.copies(pair), key=lambda e: (e.color, e.copy))
-        for i, e in enumerate(ordered, start=1):
-            edges.append(EdgeCopy(e.u, e.v, i, e.color))
-    return Multigraph(g.nodes, tuple(edges), g.palette)
+    edges = tuple(
+        EdgeCopy(e.u, e.v, i, e.color)
+        for pair in g.pairs()
+        for i, e in enumerate(sorted(g.copies(pair), key=lambda e: (e.color, e.copy)), start=1)
+    )
+    return Multigraph(g.nodes, edges, g.palette)
 
 
 def vertex_disjoint(*graphs: Multigraph) -> bool:

@@ -81,3 +81,10 @@ def ordered_set_partitions(
 def euler_from_counts(cell_counts: Sequence[int]) -> int:
     """Alternating sum of cell counts."""
     return sum((-1) ** d * c for d, c in enumerate(cell_counts))
+
+
+def copies_by_pair_scan(edges: Sequence) -> dict[tuple[int, int], tuple]:
+    """Edge copies grouped by endpoint pair, pairs sorted, by scanning the
+    whole edge list once for every pair."""
+    pairs = sorted({(e.u, e.v) for e in edges})
+    return {p: tuple(e for e in edges if (e.u, e.v) == p) for p in pairs}

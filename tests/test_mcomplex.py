@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gzip
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,16 @@ from multihom import (
     merge,
 )
 
-from conftest import PALETTE, multigraphs
+from multihom.cli import EXIT_OK, main
+
+from conftest import PALETTE, REPO_ROOT, multigraphs
 from oracles import cliques_bruteforce
+
+DATA = REPO_ROOT / "tests" / "data"
+# G and H merge into a K5 on 1..5 (plus a triangle through node 6) with
+# three doubled pairs; on (1, 2) the black copy that H adds sorts first in
+# colour order, so the canonical policy glues its 3- and 4-cells to copy 2
+DOUBLED_K5 = DATA / "doubled_k5.json"
 
 
 def G(nodes, rows, palette=PALETTE):
@@ -132,6 +142,20 @@ class TestK4DoubledEdge:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             clique_multicomplex(k4_with_doubled_edge(), "bogus")
+
+
+# -- golden: merged K5 with doubled pairs ------------------------------------------
+
+
+@pytest.mark.parametrize("policy", (CANONICAL, PER_COMBINATION))
+def test_merge_emit_complex_matches_golden(policy, capsys):
+    golden = gzip.decompress(
+        (DATA / f"doubled_k5.merge-complex.{policy}.json.gz").read_bytes()
+    ).decode()
+    argv = ["--workspace", str(DOUBLED_K5), "--policy", policy, "--json"]
+    assert main(argv + ["merge", "G", "H", "--emit-complex"]) == EXIT_OK
+    # compared as lines, so a failure names the first line that differs
+    assert capsys.readouterr().out.splitlines() == golden.splitlines()
 
 
 # -- golden: colouring example ------------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 from hypothesis import given
 
@@ -20,6 +23,7 @@ from multihom import (
 )
 
 from conftest import PALETTE, multigraphs
+from oracles import copies_by_pair_scan
 
 
 def G(nodes, rows, palette=PALETTE):
@@ -175,6 +179,47 @@ class TestMerge:
             assert sorted(m.color_multiset(p)) == sorted(
                 a.color_multiset(p) + b.color_multiset(p)
             )
+
+
+# -- the per-pair index ---------------------------------------------------------------
+
+
+def _random_graph(rng: random.Random, n: int, p: float) -> Multigraph:
+    rows = [
+        (u, v, rng.choice(PALETTE))
+        for u in range(1, n + 1)
+        for v in range(u + 1, n + 1)
+        if rng.random() < p
+    ]
+    return G(range(1, n + 1), rows)
+
+
+class TestPairIndex:
+    @given(multigraphs(max_nodes=5), multigraphs(max_nodes=5))
+    def test_views_match_a_scan_of_the_edges(self, a, b):
+        m = merge(a, b)
+        for g in (a, b, m, canonical(a), canonical(b), canonical(m)):
+            groups = copies_by_pair_scan(g.edges)
+            assert g.pairs() == tuple(groups)
+            assert g.multiplicities() == {p: len(c) for p, c in groups.items()}
+            for p, copies in groups.items():
+                assert g.copies(p) == copies
+                assert g.multiplicity(p) == len(copies)
+                assert g.color_multiset(p) == tuple(sorted(e.color for e in copies))
+            assert g.copies((0, 1)) == () and g.multiplicity((0, 1)) == 0
+            assert g.color_multiset((0, 1)) == ()
+
+    def test_merge_and_hash_scale_with_the_edge_count(self):
+        # two 600-node graphs of about 4,500 copies each; a per-pair scan
+        # of every edge makes this quadratic (about 20 s)
+        rng = random.Random(600)
+        a, b = _random_graph(rng, 600, 0.025), _random_graph(rng, 600, 0.025)
+        start = time.perf_counter()
+        m = merge(a, b)
+        hash(m)
+        elapsed = time.perf_counter() - start
+        assert len(m.edges) == len(a.edges) + len(b.edges) == 8982
+        assert elapsed < 2.0, f"merge + hash of {len(m.edges)} copies took {elapsed:.2f} s"
 
 
 # -- tensor ------------------------------------------------------------------------
