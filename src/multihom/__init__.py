@@ -55,6 +55,7 @@ from .homology import (
     betti_sum,
     boundary_matrix,
     boundary_squares_to_zero,
+    coboundary_rows,
     connected_components,
     euler_characteristic,
     gf2_rank,

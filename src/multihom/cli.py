@@ -48,9 +48,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(payload: dict, args) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # named in argparse's "invalid int value" message
+    return parse
 
 
 def _need_workspace(args) -> Workspace:
@@ -330,7 +338,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("filtrate", help="build the interaction filtration")
     p.add_argument("chain", nargs="?")
     p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
-    p.add_argument("--dim", type=int, default=0, help="Betti dimension for the trace")
+    p.add_argument("--dim", type=_int_at_least(0), default=0, help="Betti dimension for the trace")
     p.set_defaults(func=cmd_filtrate)
 
     p = sub.add_parser("lattice", help="enumerate chains over atoms")
@@ -339,7 +347,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("check-laws", help="run the algebraic law suite")
-    p.add_argument("--k", type=int, default=4, help="check chain lengths 2..k")
+    p.add_argument("--k", type=_int_at_least(2), default=4, help="check chain lengths 2..k")
     p.set_defaults(func=cmd_check_laws)
 
     p = sub.add_parser("incremental", help="formula vs oracle for one merge")
@@ -353,7 +361,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_incremental)
 
     p = sub.add_parser("fuzz", help="random merges: formula vs oracle rates")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_int_at_least(0), default=100)
     p.add_argument("--jsonl", help="write one JSON record per merge")
     p.add_argument("--summary", help="write an agreement-rate CSV")
     p.set_defaults(func=cmd_fuzz)

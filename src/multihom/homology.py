@@ -1,12 +1,26 @@
 """GF(2) cellular homology of multicomplexes.
 
-Boundary matrices are stored column-wise as Python int bitsets (bit i of
-a column = incidence with the i-th (d-1)-cell in canonical order).  Rank
-is Gaussian elimination with a deterministic pivot: the first nonzero
-row, i.e. the lowest set bit.  Betti numbers come from the usual rank
-formula; over GF(2) no orientation bookkeeping is needed and parallel
-copies contribute independent columns exactly when their glued
+Incidence between (d-1)-cells and d-cells is stored as Python int
+bitsets, indexed by canonical cell order.  ``boundary_matrix`` builds
+the columns of the d-th boundary matrix (one bitset per d-cell);
+``coboundary_rows`` builds its rows (one bitset per (d-1)-cell), which
+is the short side whenever a dimension has more cells than the one
+below.  Over GF(2) no orientation bookkeeping is needed, and parallel
+copies contribute independent vectors exactly when their glued
 boundaries differ.
+
+``betti`` takes every rank from the rows, with clearing (the "twist" of
+Chen & Kerber, 2011, applied to the coboundary as in Ripser).  For
+d = 1..D in ascending order, the rows of the d-th boundary matrix go
+into a ``Gf2Basis``, except each row whose index is a pivot (lowest set
+bit) of the reduced rows kept for dimension d-1; the rank is the size
+of the basis.  Skipping is exact for any cell order.  A reduced row r of
+the (d-1)-th matrix with pivot i is a coboundary, so the next
+coboundary maps it to zero: the rows of the d-th matrix indexed by the
+set bits of r sum to zero.  Every other set bit of r lies above i, so
+row i is the sum of rows with higher indices.  By descending induction
+on the index, the rows kept span the same space as all rows.  Betti
+numbers then come from the usual rank formula.
 """
 
 from __future__ import annotations
@@ -22,6 +36,7 @@ __all__ = [
     "gf2_rank",
     "BoundaryMatrix",
     "boundary_matrix",
+    "coboundary_rows",
     "betti",
     "betti_sum",
     "euler_characteristic",
@@ -107,13 +122,34 @@ def boundary_matrix(x: Multicomplex, d: int) -> BoundaryMatrix:
     )
 
 
+def coboundary_rows(x: Multicomplex, d: int) -> list[int]:
+    """Rows of the d-th boundary matrix, d >= 1: bit j of row i is set
+    when the j-th d-cell is glued to the i-th (d-1)-cell."""
+    if d < 1:
+        raise ValueError(f"boundary matrices are defined for d >= 1, got {d}")
+    index = {c.key: i for i, c in enumerate(x.cells(d - 1))}
+    rows = [0] * len(index)
+    for j, c in enumerate(x.cells(d)):
+        bit = 1 << j
+        for face_key in c.faces:
+            rows[index[face_key]] ^= bit
+    return rows
+
+
 def betti(x: Multicomplex) -> BettiVector:
-    """Betti numbers beta_0..beta_D via the GF(2) rank formula."""
+    """Betti numbers beta_0..beta_D via the GF(2) rank formula, each rank
+    taken from coboundary rows with clearing (see the module docstring)."""
     if x.dimension < 0:
         return ()
     ranks = [0] * (x.dimension + 2)
+    cleared: dict[int, int] = {}  # pivots of the reduced rows one dimension down
     for d in range(1, x.dimension + 1):
-        ranks[d] = boundary_matrix(x, d).rank()
+        basis = Gf2Basis()
+        for i, row in enumerate(coboundary_rows(x, d)):
+            if 1 << i not in cleared:
+                basis.add(row)
+        ranks[d] = basis.rank
+        cleared = basis.pivots
     return tuple(
         x.cell_count(d) - ranks[d] - ranks[d + 1] for d in range(x.dimension + 1)
     )

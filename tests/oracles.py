@@ -8,7 +8,8 @@ scans), so agreement between the two is evidence rather than tautology.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+import math
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 def rank_gf2_span(columns: Iterable[int]) -> int:
@@ -88,3 +89,26 @@ def copies_by_pair_scan(edges: Sequence) -> dict[tuple[int, int], tuple]:
     whole edge list once for every pair."""
     pairs = sorted({(e.u, e.v) for e in edges})
     return {p: tuple(e for e in edges if (e.u, e.v) == p) for p in pairs}
+
+
+def complete_multigraph_betti(
+    multiplicities: Mapping[tuple[int, int], int],
+) -> tuple[int, ...]:
+    """Betti vector of the per-combination clique multicomplex of a
+    complete multigraph on n >= 2 nodes, given every pair's multiplicity.
+
+    Homology sits in dimensions 0 and n - 1 only:
+    beta = (1, 0, ..., 0, (-1)^(n-1) (chi - 1)), where
+    chi = sum over nonempty node sets S of (-1)^(|S|-1) prod_{pairs e in S} m_e
+    is the Euler characteristic counted clique by clique.  The law fails
+    for graphs that are not complete.
+    """
+    nodes = sorted({v for pair in multiplicities for v in pair})
+    n = len(nodes)
+    chi = sum(
+        (-1) ** (r - 1)
+        * math.prod(multiplicities[pq] for pq in itertools.combinations(sub, 2))
+        for r in range(1, n + 1)
+        for sub in itertools.combinations(nodes, r)
+    )
+    return (1,) + (0,) * (n - 2) + ((-1) ** (n - 1) * (chi - 1),)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from multihom import (
+    PER_COMBINATION,
+    POLICIES,
     Gf2Basis,
     Multicomplex,
     Multigraph,
@@ -17,9 +21,11 @@ from multihom import (
     boundary_matrix,
     boundary_squares_to_zero,
     clique_multicomplex,
+    coboundary_rows,
     connected_components,
     euler_characteristic,
     gf2_rank,
+    replay_betti,
     tensor,
 )
 from multihom.randgen import random_multigraph
@@ -27,7 +33,12 @@ from multihom.randgen import random_multigraph
 from conftest import PALETTE, multigraphs
 from test_mcomplex import simple_triangle_cells
 
-from oracles import components_union_find, euler_from_counts, rank_gf2_span
+from oracles import (
+    complete_multigraph_betti,
+    components_union_find,
+    euler_from_counts,
+    rank_gf2_span,
+)
 
 
 def G(nodes, rows, palette=PALETTE):
@@ -49,6 +60,43 @@ def hollow_square():
 def pillow():
     cells, coloring = simple_triangle_cells(copies_of_top=2)
     return Multicomplex.from_cells(("black",), cells, coloring)
+
+
+@st.composite
+def clique_complexes(draw):
+    """A clique multicomplex under either policy.  Per-combination draws
+    stay within five nodes and multiplicity 2, so their cell counts stay
+    small (six nodes at multiplicity 3 could reach 3^15 top cells)."""
+    policy = draw(st.sampled_from(POLICIES))
+    small = policy == PER_COMBINATION
+    g = draw(multigraphs(max_nodes=5, max_mult=2) if small else multigraphs())
+    return clique_multicomplex(g, policy)
+
+
+@st.composite
+def cell_prefixes(draw):
+    """A face-closed prefix of a clique complex's cells in (dim, vertices,
+    copy) order, assembled by hand: most prefixes are no clique complex."""
+    x = draw(clique_complexes())
+    cells = sorted(x.all_cells(), key=lambda c: (c.dim, c.vertices, c.copy))
+    k = draw(st.integers(0, len(cells)))
+    return Multicomplex.from_cells(
+        x.palette, cells[:k], x.coloring, x.policy, validate=False
+    )
+
+
+@st.composite
+def complete_multigraphs(draw, top_cells: int = 2048):
+    """Complete multigraphs on 3-5 nodes, pair multiplicities 1-3 drawn in
+    pair order, each capped so the product (the number of top cells under
+    per-combination) stays within ``top_cells``."""
+    n = draw(st.integers(3, 5))
+    rows, product = [], 1
+    for u, v in itertools.combinations(range(1, n + 1), 2):
+        mult = draw(st.integers(1, min(3, top_cells // product)))
+        product *= mult
+        rows += [(u, v, draw(st.sampled_from(PALETTE))) for _ in range(mult)]
+    return G(range(1, n + 1), rows)
 
 
 # -- GF(2) rank ------------------------------------------------------------------
@@ -105,6 +153,16 @@ class TestBoundaryMatrix:
     def test_rejects_dimension_zero(self):
         with pytest.raises(Exception):
             boundary_matrix(filled_triangle(), 0)
+        with pytest.raises(Exception):
+            coboundary_rows(filled_triangle(), 0)
+
+    @given(clique_complexes())
+    def test_coboundary_rows_transpose_the_columns(self, x):
+        for d in range(1, x.dimension + 2):
+            m = boundary_matrix(x, d)
+            assert coboundary_rows(x, d) == [
+                sum(bit << j for j, bit in enumerate(row)) for row in m.dense()
+            ]
 
 
 # -- Betti vectors -----------------------------------------------------------------
@@ -162,6 +220,47 @@ class TestBetti:
     def test_betti_sum_pads(self):
         assert betti_sum([(1, 0, 0), (1, 1)]) == (2, 1, 0)
         assert betti_sum([]) == ()
+
+
+# -- ranks from coboundary rows with clearing ---------------------------------------
+
+
+class TestClearing:
+    """``betti`` reduces coboundary rows and skips the rows cleared by the
+    dimension below; ``replay_betti`` adds every boundary column one by
+    one.  The two must agree everywhere."""
+
+    @given(clique_complexes())
+    def test_matches_replay_on_clique_complexes(self, x):
+        assert betti(x) == replay_betti(x)
+
+    @given(cell_prefixes())
+    def test_matches_replay_on_cell_prefixes(self, x):
+        assert betti(x) == replay_betti(x)
+
+    @given(complete_multigraphs())
+    def test_complete_multigraph_closed_form(self, g):
+        x = clique_multicomplex(g, PER_COMBINATION)
+        expected = complete_multigraph_betti(
+            {pair: g.multiplicity(pair) for pair in g.pairs()}
+        )
+        assert betti(x) == expected
+        assert replay_betti(x) == expected
+
+    def test_doubled_k6_closed_form_in_seconds(self):
+        # cells per dimension 6/30/160/960/6,144/32,768; reducing the
+        # 32,768 columns of the top boundary one by one takes about 25 s
+        nodes = range(1, 7)
+        pairs = list(itertools.combinations(nodes, 2))
+        g = G(nodes, [(u, v, "red", 2) for u, v in pairs])
+        x = clique_multicomplex(g, PER_COMBINATION)
+        assert [x.cell_count(d) for d in range(6)] == [6, 30, 160, 960, 6144, 32768]
+        start = time.perf_counter()
+        beta = betti(x)
+        elapsed = time.perf_counter() - start
+        assert beta == (1, 0, 0, 0, 0, 27449)
+        assert beta == complete_multigraph_betti(dict.fromkeys(pairs, 2))
+        assert elapsed < 5.0, f"betti took {elapsed:.1f} s"
 
 
 # -- global invariants ---------------------------------------------------------------

@@ -303,6 +303,34 @@ class TestCliFuzz:
         assert "beta1" in out
 
 
+class TestCliRanges:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["filtrate", "--dim", "-1"],
+            ["fuzz", "--count", "-3"],
+            ["check-laws", "--k", "-1"],
+            ["check-laws", "--k", "1"],
+        ],
+        ids=["dim", "count", "k", "k-below-two"],
+    )
+    def test_out_of_range_is_usage(self, three_paths_path, capsys, argv):
+        assert main(["--workspace", str(three_paths_path), *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be >=" in captured.err
+
+    def test_non_integer_is_usage(self, capsys):
+        assert main(["fuzz", "--count", "many"]) == EXIT_USAGE
+        assert "invalid int value" in capsys.readouterr().err
+
+    def test_dim_above_top_reads_zero(self, three_paths_path, capsys):
+        code = main(["--workspace", str(three_paths_path), "filtrate", "--dim", "9"])
+        assert code == EXIT_OK
+        rows = [line for line in capsys.readouterr().out.splitlines() if "delta=" in line]
+        assert rows and all("beta_9=0 " in line for line in rows)
+
+
 class TestCliWiring:
     def test_unknown_verb_is_usage(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
