@@ -3,8 +3,13 @@
 Starting from a chain, repeatedly applying flow maps (across tensor-
 reordered representatives) merges pairs of layers.  After evaluation the
 tensor order is forgotten and merge is commutative, so a node of the
-diagram is a multiset of layer complexes; two chains that evaluate to
-structurally equal complex multisets collapse to one node.  Levels are
+diagram is a multiset of layer graphs under ``Multigraph`` equality,
+which compares per-pair colour multisets and so ignores copy numbering;
+two chains whose layers are equal as such multisets collapse to one node.
+For clique complexes this is the structural equality of the layer
+complexes: a complex built from a copy-renumbered graph equals the
+original's, and a complex's 0-cells and coloured 1-cells give its graph
+back, so unequal graphs never give equal complexes.  Levels are
 graded by the interaction count (number of merges), each cover raises it
 by one, and the top is the single fully merged complex.
 
@@ -17,8 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from operator import itemgetter
 from typing import Sequence
 
 from .chainlat import (
@@ -47,6 +53,8 @@ __all__ = [
     "prefix_leq",
 ]
 
+Block = tuple[str, ...]  # a merged run of atoms, sorted
+
 
 def chain_complexes(
     x: ChainExpr, env: ChainEnv, policy: str = CANONICAL
@@ -60,7 +68,7 @@ def chain_betti(x: ChainExpr, env: ChainEnv, policy: str = CANONICAL) -> BettiVe
     return betti_sum(betti(c) for c in chain_complexes(x, env, policy))
 
 
-def _chain_of_blocks(blocks: Sequence[tuple[str, ...]]) -> ChainExpr:
+def _chain_of_blocks(blocks: Sequence[Block]) -> ChainExpr:
     atoms: list[str] = []
     conns: list[Connective] = []
     for i, block in enumerate(blocks):
@@ -79,10 +87,6 @@ class FiltrationNode:
     level: int
     complexes: tuple[Multicomplex, ...]
     betti: BettiVector
-
-    @property
-    def key(self) -> tuple:
-        return tuple(sorted(c.canonical_form() for c in self.complexes))
 
 
 @dataclass
@@ -103,14 +107,9 @@ class FiltrationPoset:
 
     def node_for_chain(self, x: ChainExpr) -> FiltrationNode:
         """Find the node a chain evaluates into (up to layer reordering)."""
-        key = tuple(
-            sorted(
-                c.canonical_form()
-                for c in chain_complexes(x, self.env, self.policy)
-            )
-        )
+        layers = Counter(evaluate(x, self.env))
         for n in self.nodes:
-            if n.key == key:
+            if Counter(evaluate(n.chain, self.env)) == layers:
                 return n
         raise KeyError(f"chain {x.text()!r} does not evaluate into this filtration")
 
@@ -162,8 +161,6 @@ def build_filtration(
     label f_j names the flow position realizing the cover against the
     successor's canonical block order.
     """
-    for name in x.atoms:
-        env.resolve(name)  # fail early on unbound atoms
     k = x.k
 
     # Each distinct layer graph is built once per call.  The key is the
@@ -180,65 +177,55 @@ def build_filtration(
             built[key] = (c, betti(c))
         return built[key]
 
-    def node_from_blocks(
-        blocks: tuple[tuple[str, ...], ...], layers: tuple[Multigraph, ...]
-    ) -> tuple[FiltrationNode, tuple[tuple[str, ...], ...], tuple[Multigraph, ...]]:
-        """The node of some blocks and their layers, and both in block order."""
-        order = sorted(range(len(blocks)), key=lambda i: blocks[i])
-        blocks = tuple(blocks[i] for i in order)
-        layers = tuple(layers[i] for i in order)
-        parts = [layer(g) for g in layers]
-        node = FiltrationNode(
-            chain=_chain_of_blocks(blocks),
-            level=k - len(blocks),
+    def node(layers: list[tuple[Block, Multigraph]]) -> FiltrationNode:
+        parts = [layer(g) for _, g in layers]
+        return FiltrationNode(
+            chain=_chain_of_blocks([b for b, _ in layers]),
+            level=k - len(layers),
             complexes=tuple(c for c, _ in parts),
             betti=betti_sum(b for _, b in parts),
         )
-        return node, blocks, layers
 
-    first, start_blocks, start_layers = node_from_blocks(
-        tuple(tuple(sorted(b)) for b in x.blocks()),
-        tuple(reduce(merge, [env.resolve(a) for a in block]) for block in x.blocks()),
+    # A node's identity is the multiset of its layer graphs: each block
+    # gets the id of its graph's class under ``Multigraph`` equality, and
+    # the key is the sorted tuple of the block ids.
+    ids: dict[Multigraph, int] = {}
+    block_ids: dict[Block, int] = {}
+    start = sorted(
+        zip((tuple(sorted(b)) for b in x.blocks()), evaluate(x, env)),
+        key=itemgetter(0),
     )
+    for b, g in start:
+        block_ids[b] = ids.setdefault(g, len(ids))
 
-    seen: dict[tuple, int] = {first.key: 0}
-    nodes: list[FiltrationNode] = [first]
-    node_blocks: list[tuple[tuple[str, ...], ...]] = [start_blocks]
-    node_layers: list[tuple[Multigraph, ...]] = [start_layers]
+    # Each node's layers as (block, graph) pairs sorted by block; blocks
+    # repeat when atoms do.  Graphs come from the parent that first
+    # reaches the node, and the list is also the breadth-first queue.
+    node_layers = [start]
+    nodes = [node(start)]
+    seen = {tuple(sorted(block_ids[b] for b, _ in start)): 0}
     covers: set[tuple[int, int, str]] = set()
-    frontier = [0]
-    while frontier:
-        next_frontier: list[int] = []
-        for idx in frontier:
-            blocks = node_blocks[idx]
-            layers = node_layers[idx]
-            if len(blocks) == 1:
-                continue
-            for i, j in itertools.combinations(range(len(blocks)), 2):
-                merged_block = tuple(sorted(blocks[i] + blocks[j]))
-                new_blocks = tuple(
-                    b for t, b in enumerate(blocks) if t not in (i, j)
-                ) + (merged_block,)
-                new_layers = tuple(
-                    l for t, l in enumerate(layers) if t not in (i, j)
-                ) + (merge(layers[i], layers[j]),)
-                succ, new_blocks, new_layers = node_from_blocks(new_blocks, new_layers)
-                key = succ.key
-                if key in seen:
-                    dst = seen[key]
-                else:
-                    dst = len(nodes)
-                    seen[key] = dst
-                    nodes.append(succ)
-                    node_blocks.append(new_blocks)
-                    node_layers.append(new_layers)
-                    next_frontier.append(dst)
-                # f label: position of the seam inside the successor's blocks
-                q = new_blocks.index(merged_block)
-                offset = sum(len(b) for b in new_blocks[:q])
-                seam = offset + len(min(blocks[i], blocks[j]))
-                covers.add((idx, dst, f"f{seam}"))
-        frontier = next_frontier
+    for idx, layers in enumerate(node_layers):
+        for i, j in itertools.combinations(range(len(layers)), 2):
+            (a, g), (b, h) = layers[i], layers[j]
+            block = tuple(sorted(a + b))
+            rest = [layers[t] for t in range(len(layers)) if t not in (i, j)]
+            merged = None
+            if block not in block_ids:
+                merged = merge(g, h)
+                block_ids[block] = ids.setdefault(merged, len(ids))
+            key = tuple(sorted([block_ids[c] for c, _ in rest] + [block_ids[block]]))
+            if key not in seen:
+                seen[key] = len(nodes)
+                succ = sorted(
+                    rest + [(block, merged if merged is not None else merge(g, h))],
+                    key=itemgetter(0),
+                )
+                node_layers.append(succ)
+                nodes.append(node(succ))
+            # f label: position of the seam inside the successor's blocks
+            offset = sum(len(c) for c, _ in rest if c < block)
+            covers.add((idx, seen[key], f"f{offset + len(min(a, b))}"))
 
     # re-sort nodes by (level, chain text) and remap cover indices
     order = sorted(range(len(nodes)), key=lambda i: (nodes[i].level, nodes[i].chain.text()))
@@ -275,13 +262,7 @@ def trace_for_chains(
 ) -> list[dict]:
     """Trace restricted to the nodes the given chains evaluate into; this
     is how a drawn sub-diagram (a union of covering chains) is read off."""
-    picked = []
-    seen_keys = set()
-    for x in chains:
-        n = p.node_for_chain(x)
-        if n.key not in seen_keys:
-            seen_keys.add(n.key)
-            picked.append(n)
+    picked = list({id(n): n for n in map(p.node_for_chain, chains)}.values())
     picked.sort(key=lambda n: (n.level, n.chain.text()))
     return _trace_rows(picked, dim)
 

@@ -194,14 +194,6 @@ class Multicomplex:
         )
         return Multigraph(frozenset(nodes), edges, self.palette)
 
-    def _serialize(self) -> tuple:
-        cells = tuple(
-            tuple((c.vertices, c.copy, c.faces) for c in grade)
-            for grade in self.grades
-        )
-        colors = tuple(sorted(self.coloring.items()))
-        return (tuple(sorted(self.palette)), self.policy, cells, colors)
-
     def canonical_form(self) -> tuple:
         """Serialization invariant under per-shape copy permutations.
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 
 def rank_gf2_span(columns: Iterable[int]) -> int:
@@ -112,3 +112,40 @@ def complete_multigraph_betti(
         for sub in itertools.combinations(nodes, r)
     )
     return (1,) + (0,) * (n - 2) + ((-1) ** (n - 1) * (chi - 1),)
+
+
+def set_partitions(items: Sequence) -> Iterator[tuple[tuple, ...]]:
+    """Every partition of the items into nonempty unordered blocks, each
+    block in item order.  Counts follow the Bell numbers: 1, 2, 5, 15, 52
+    for 1..5 items."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for tail in set_partitions(rest):
+        yield ((first,),) + tail
+        for i, block in enumerate(tail):
+            yield tail[:i] + ((first,) + block,) + tail[i + 1 :]
+
+
+def coarsening_classes(
+    m: int, judge: Callable[[tuple[tuple[int, ...], ...]], Hashable]
+) -> tuple[dict, set]:
+    """Brute-force Hasse diagram over the coarsenings of m start blocks.
+
+    Every set partition of range(m), its groups sorted, is a coarsening,
+    and ``judge`` maps it to its class.  Returns each class with the first
+    coarsening judged into it, and the set of class pairs (finer, coarser)
+    where the coarser comes from merging two groups of the finer.
+    """
+    parts = [tuple(sorted(p)) for p in set_partitions(tuple(range(m)))]
+    judged = {p: judge(p) for p in parts}
+    classes: dict = {}
+    covers: set = set()
+    for p in parts:
+        classes.setdefault(judged[p], p)
+        for i, j in itertools.combinations(range(len(p)), 2):
+            rest = [g for t, g in enumerate(p) if t not in (i, j)]
+            coarser = tuple(sorted(rest + [tuple(sorted(p[i] + p[j]))]))
+            covers.add((judged[p], judged[coarser]))
+    return classes, covers

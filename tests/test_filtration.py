@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import gzip
+import json
+from functools import reduce
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import multihom.filtration
 from multihom import (
     CANONICAL,
     PER_COMBINATION,
     ChainEnv,
+    ChainExpr,
     IndexOutOfRange,
     Multigraph,
     betti,
@@ -32,14 +37,16 @@ from multihom import (
 )
 from multihom.cli import EXIT_OK, main
 
-from conftest import REPO_ROOT, path_graph, triangle
-from oracles import ordered_set_partitions
+from conftest import ATOM_NAMES, REPO_ROOT, connectives, multigraphs, path_graph, triangle
+from oracles import coarsening_classes, ordered_set_partitions
 
 DATA = REPO_ROOT / "tests" / "data"
 # k = 5 atoms that share vertices and carry same-colour parallel copies;
 # L is bound to the same graph as G, so some nodes fold and the merge
 # path that first reaches a node decides its layers' copy numbering
 SHARING_K5 = DATA / "sharing_k5.json"
+# filtrate text and --json for chains that repeat an atom, on three_paths
+REPEATED_ATOMS = DATA / "three_paths.repeated_atoms.json.gz"
 POLICIES = (CANONICAL, PER_COMBINATION)
 
 
@@ -218,6 +225,21 @@ class TestLayerMemo:
         assert len(inputs) < sum(len(n.complexes) for n in p.nodes)
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
+    def test_merges_follow_nodes_and_blocks_not_covers(self, path, policy, monkeypatch):
+        ws = load_workspace(path)
+        calls = []
+
+        def counting(g, h):
+            calls.append((g, h))
+            return merge(g, h)
+
+        monkeypatch.setattr(multihom.filtration, "merge", counting)
+        p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
+        blocks = {b for n in p.nodes for b in n.chain.blocks()}
+        assert len(calls) <= len(p.nodes) + len(blocks)
+        assert len(calls) < len(p.covers)
+
+    @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_node_betti_matches_fresh_builds(self, path, policy):
         ws = load_workspace(path)
         env = ws.env()
@@ -225,7 +247,9 @@ class TestLayerMemo:
         for n in p.nodes:
             fresh = [clique_multicomplex(g, policy) for g in evaluate(n.chain, env)]
             assert n.betti == betti_sum(betti(c) for c in fresh), n.chain.text()
-            assert n.key == tuple(sorted(c.canonical_form() for c in fresh))
+            assert sorted(c.canonical_form() for c in n.complexes) == sorted(
+                c.canonical_form() for c in fresh
+            )
 
     def test_calls_on_different_envs_stay_apart(self):
         # the same atom names bound to other graphs: a 4-cycle split into
@@ -247,6 +271,62 @@ class TestLayerMemo:
         assert first.nodes[-1].betti == (1, 1)
         assert [n.betti for n in second.nodes] == [(3, 0, 0)] * 5
         assert again.to_json_dict() == first.to_json_dict()
+
+
+# -- node identity ---------------------------------------------------------------------
+
+
+class TestNodeIdentity:
+    @pytest.mark.parametrize("mode", ("text", "json"))
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("chain", ("G | G | H", "G . G | H"))
+    def test_repeated_atoms_match_golden(self, chain, policy, mode, three_paths_path, capsys):
+        # recorded before nodes were told apart by their layer graphs; the
+        # two G blocks of G | G | H are equal and must both stay
+        golden = json.loads(gzip.decompress(REPEATED_ATOMS.read_bytes()))
+        flags = ["--json"] if mode == "json" else []
+        argv = ["--workspace", str(three_paths_path), "--policy", policy, *flags]
+        assert main(argv + ["filtrate", chain]) == EXIT_OK
+        assert capsys.readouterr().out == golden[f"{chain} / {policy} / {mode}"]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @given(data=st.data())
+    def test_nodes_are_the_classes_of_coarsenings(self, policy, data):
+        # atoms may share a graph; per-combination keeps single copies so
+        # that four merged atoms stay small
+        k = data.draw(st.integers(2, 4), label="k")
+        graphs: dict[str, Multigraph] = {}
+        for name in ATOM_NAMES[:k]:
+            if graphs and data.draw(st.booleans(), label=f"{name} shares"):
+                graphs[name] = graphs[data.draw(st.sampled_from(sorted(graphs)), label=name)]
+            else:
+                max_mult = 2 if policy == CANONICAL else 1
+                graphs[name] = data.draw(multigraphs(max_nodes=4, max_mult=max_mult), label=name)
+        start = ChainExpr(ATOM_NAMES[:k], data.draw(connectives(k), label="connectives"))
+        blocks = start.blocks()
+
+        def fresh(part):
+            return [
+                clique_multicomplex(
+                    reduce(merge, [graphs[a] for i in group for a in blocks[i]]), policy
+                )
+                for group in part
+            ]
+
+        def judge(part):
+            return tuple(sorted(c.canonical_form() for c in fresh(part)))
+
+        classes, covers = coarsening_classes(len(blocks), judge)
+        p = build_filtration(start, ChainEnv(graphs), policy)
+        keys = [tuple(sorted(c.canonical_form() for c in n.complexes)) for n in p.nodes]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == set(classes)
+        assert [len(p.level(j)) for j in range(k)] == [
+            sum(1 for part in classes.values() if k - len(part) == j) for j in range(k)
+        ]
+        for n, key in zip(p.nodes, keys):
+            assert n.betti == betti_sum(betti(c) for c in fresh(classes[key])), n.chain.text()
+        assert {(keys[s], keys[t]) for s, t, _ in p.covers} == covers
 
 
 # -- Betti traces --------------------------------------------------------------------
