@@ -248,12 +248,6 @@ class ChainEnv:
         if len(palettes) > 1:
             raise IncomparableAtoms("environment graphs disagree on the palette")
 
-    @property
-    def palette(self) -> frozenset[str]:
-        for g in self.graphs.values():
-            return g.palette
-        return frozenset()
-
     def resolve(self, name: str) -> Multigraph:
         try:
             return self.graphs[name]

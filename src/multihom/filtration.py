@@ -81,11 +81,11 @@ def _chain_of_blocks(blocks: Sequence[Block]) -> ChainExpr:
 
 @dataclass(frozen=True)
 class FiltrationNode:
-    """One configuration: canonical chain, grade, layer complexes, Betti."""
+    """One configuration: canonical chain, grade, layer graphs, Betti."""
 
     chain: ChainExpr
     level: int
-    complexes: tuple[Multicomplex, ...]
+    layers: tuple[Multigraph, ...]
     betti: BettiVector
 
 
@@ -109,7 +109,7 @@ class FiltrationPoset:
         """Find the node a chain evaluates into (up to layer reordering)."""
         layers = Counter(evaluate(x, self.env))
         for n in self.nodes:
-            if Counter(evaluate(n.chain, self.env)) == layers:
+            if Counter(n.layers) == layers:
                 return n
         raise KeyError(f"chain {x.text()!r} does not evaluate into this filtration")
 
@@ -126,6 +126,16 @@ class FiltrationPoset:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
+        # The cells show copy numbering, so here layers are told apart by
+        # their exact edges; nodes share each distinct layer's dict.
+        layer_json: dict[tuple, dict] = {}
+
+        def layer(g: Multigraph) -> dict:
+            key = (g.nodes, g.edges)
+            if key not in layer_json:
+                layer_json[key] = clique_multicomplex(g, self.policy).to_json_dict()
+            return layer_json[key]
+
         return {
             "k": self.k,
             "start": self.start.text(),
@@ -136,7 +146,7 @@ class FiltrationPoset:
                     "chain": n.chain.text(),
                     "level": n.level,
                     "betti": list(n.betti),
-                    "layers": [c.to_json_dict() for c in n.complexes],
+                    "layers": [layer(g) for g in n.layers],
                 }
                 for i, n in enumerate(self.nodes)
             ],
@@ -163,40 +173,35 @@ def build_filtration(
     """
     k = x.k
 
-    # Each distinct layer graph is built once per call.  The key is the
-    # exact edge tuple, copy indices included: a block's graph depends on
-    # its merge path, and graphs equal up to copy numbering still give
-    # other ``layers`` JSON, so neither the block nor ``Multigraph`` (whose
-    # equality ignores copy indices) can be the key.
-    built: dict[tuple, tuple[Multicomplex, BettiVector]] = {}
+    # A node's identity is the multiset of its layer graphs: each block
+    # gets the id of its graph's class under ``Multigraph`` equality, and
+    # the key is the sorted tuple of the block ids.  Equal graphs give
+    # equal clique complexes, so each class is built once, and only its
+    # Betti vector is kept.
+    ids: dict[Multigraph, int] = {}
+    class_betti: list[BettiVector] = []
+    block_ids: dict[Block, int] = {}
 
-    def layer(g: Multigraph) -> tuple[Multicomplex, BettiVector]:
-        key = (g.nodes, g.edges)
-        if key not in built:
-            c = clique_multicomplex(g, policy)
-            built[key] = (c, betti(c))
-        return built[key]
+    def class_id(g: Multigraph) -> int:
+        if g not in ids:
+            ids[g] = len(class_betti)
+            class_betti.append(betti(clique_multicomplex(g, policy)))
+        return ids[g]
 
     def node(layers: list[tuple[Block, Multigraph]]) -> FiltrationNode:
-        parts = [layer(g) for _, g in layers]
         return FiltrationNode(
             chain=_chain_of_blocks([b for b, _ in layers]),
             level=k - len(layers),
-            complexes=tuple(c for c, _ in parts),
-            betti=betti_sum(b for _, b in parts),
+            layers=tuple(g for _, g in layers),
+            betti=betti_sum(class_betti[block_ids[b]] for b, _ in layers),
         )
 
-    # A node's identity is the multiset of its layer graphs: each block
-    # gets the id of its graph's class under ``Multigraph`` equality, and
-    # the key is the sorted tuple of the block ids.
-    ids: dict[Multigraph, int] = {}
-    block_ids: dict[Block, int] = {}
     start = sorted(
         zip((tuple(sorted(b)) for b in x.blocks()), evaluate(x, env)),
         key=itemgetter(0),
     )
     for b, g in start:
-        block_ids[b] = ids.setdefault(g, len(ids))
+        block_ids[b] = class_id(g)
 
     # Each node's layers as (block, graph) pairs sorted by block; blocks
     # repeat when atoms do.  Graphs come from the parent that first
@@ -213,7 +218,7 @@ def build_filtration(
             merged = None
             if block not in block_ids:
                 merged = merge(g, h)
-                block_ids[block] = ids.setdefault(merged, len(ids))
+                block_ids[block] = class_id(merged)
             key = tuple(sorted([block_ids[c] for c, _ in rest] + [block_ids[block]]))
             if key not in seen:
                 seen[key] = len(nodes)

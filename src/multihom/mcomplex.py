@@ -120,9 +120,6 @@ class Multicomplex:
     def find(self, key: CellKey) -> Multicell:
         return self._index[key]
 
-    def __contains__(self, key: CellKey) -> bool:
-        return key in self._index
-
     def multiplicity(self, vertices: tuple[int, ...]) -> int:
         d = len(vertices) - 1
         return sum(1 for c in self.cells(d) if c.vertices == vertices)
@@ -141,17 +138,15 @@ class Multicomplex:
 
     def validate(self) -> None:
         """Face closure, copy contiguity, gluing consistency, colour totality."""
+        shape_copies: dict[tuple[int, ...], list[int]] = {}
         for d, grade in enumerate(self.grades):
             for c in grade:
                 if c.dim != d:
                     raise ComplexStructureError(f"cell {c.key} misfiled at dim {d}")
-        for vertices, count in itertools.chain.from_iterable(
-            self.shapes(d).items() for d in range(len(self.grades))
-        ):
-            copies = sorted(
-                c.copy for c in self.cells(len(vertices) - 1) if c.vertices == vertices
-            )
-            if copies != list(range(1, count + 1)):
+                shape_copies.setdefault(c.vertices, []).append(c.copy)
+        for vertices, copies in shape_copies.items():
+            copies.sort()
+            if copies != list(range(1, len(copies) + 1)):
                 raise ComplexStructureError(
                     f"copies for shape {vertices} not contiguous: {copies}"
                 )

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import multihom.chainlat
 import multihom.filtration
 from multihom import (
     CANONICAL,
@@ -222,7 +223,55 @@ class TestLayerMemo:
         p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
         assert inputs
         assert len(set(inputs)) == len(inputs)
-        assert len(inputs) < sum(len(n.complexes) for n in p.nodes)
+        assert len(inputs) < sum(len(n.layers) for n in p.nodes)
+
+    @pytest.mark.parametrize("path, policy", _workspace_cases())
+    def test_one_build_per_graph_class(self, path, policy, monkeypatch):
+        ws = load_workspace(path)
+        built = []
+
+        def recording(g, policy=CANONICAL):
+            built.append(g)
+            return clique_multicomplex(g, policy)
+
+        monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
+        p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
+        classes = {g for n in p.nodes for g in n.layers}
+        assert len(built) == len(classes)
+        assert set(built) == classes
+
+    @pytest.mark.parametrize("path, policy", _workspace_cases())
+    def test_json_builds_each_exact_layer_once(self, path, policy, monkeypatch):
+        # copy numbering shows in the cells, so JSON tells layers apart by
+        # their exact edges, not by ``Multigraph`` equality
+        ws = load_workspace(path)
+        p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
+        inputs = []
+
+        def recording(g, policy=CANONICAL):
+            inputs.append((g.nodes, g.edges, policy))
+            return clique_multicomplex(g, policy)
+
+        monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
+        p.to_json_dict()
+        assert len(set(inputs)) == len(inputs)
+        assert set(inputs) == {(g.nodes, g.edges, policy) for n in p.nodes for g in n.layers}
+
+    @pytest.mark.parametrize("path, policy", _workspace_cases())
+    def test_node_for_chain_merges_only_its_argument(self, path, policy, monkeypatch):
+        ws = load_workspace(path)
+        p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
+        calls = []
+
+        def counting(g, h):
+            calls.append((g, h))
+            return merge(g, h)
+
+        monkeypatch.setattr(multihom.chainlat, "merge", counting)
+        for n in p.nodes:
+            calls.clear()
+            assert p.node_for_chain(n.chain) is n
+            assert len(calls) <= p.k - 1, n.chain.text()
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_merges_follow_nodes_and_blocks_not_covers(self, path, policy, monkeypatch):
@@ -246,8 +295,9 @@ class TestLayerMemo:
         p = build_filtration(parse_chain(ws.chain_text), env, policy)
         for n in p.nodes:
             fresh = [clique_multicomplex(g, policy) for g in evaluate(n.chain, env)]
+            held = [clique_multicomplex(g, policy) for g in n.layers]
             assert n.betti == betti_sum(betti(c) for c in fresh), n.chain.text()
-            assert sorted(c.canonical_form() for c in n.complexes) == sorted(
+            assert sorted(c.canonical_form() for c in held) == sorted(
                 c.canonical_form() for c in fresh
             )
 
@@ -318,7 +368,10 @@ class TestNodeIdentity:
 
         classes, covers = coarsening_classes(len(blocks), judge)
         p = build_filtration(start, ChainEnv(graphs), policy)
-        keys = [tuple(sorted(c.canonical_form() for c in n.complexes)) for n in p.nodes]
+        keys = [
+            tuple(sorted(clique_multicomplex(g, policy).canonical_form() for g in n.layers))
+            for n in p.nodes
+        ]
         assert len(set(keys)) == len(keys)
         assert set(keys) == set(classes)
         assert [len(p.level(j)) for j in range(k)] == [

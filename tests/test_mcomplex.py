@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gzip
+import random
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -253,6 +255,20 @@ class TestFromCells:
         )
         with pytest.raises(ComplexStructureError):
             Multicomplex.from_cells(("black",), cells + [bad], coloring)
+
+    def test_validate_is_linear_in_cells(self):
+        # a 600-node random graph (p = 0.05): 14,332 cells.  Checking copy
+        # contiguity by rescanning a dimension's cells for every shape took
+        # about 7 s here
+        rng = random.Random(0)
+        nodes = range(1, 601)
+        rows = [(u, v, "black") for u in nodes for v in nodes if u < v and rng.random() < 0.05]
+        x = clique_multicomplex(G(nodes, rows))
+        assert len(x.all_cells()) == 14332
+        start = time.perf_counter()
+        x.validate()
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"validate took {elapsed:.1f} s"
 
     def test_cell_shape_validation(self):
         with pytest.raises(ComplexStructureError):
