@@ -8,6 +8,7 @@ incremental | fuzz.  Exit codes: 0 success, 1 usage, 2 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -308,6 +309,7 @@ def cmd_fuzz(args) -> int:
 # -- wiring --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="multihom", description=__doc__)
     parser.add_argument("--workspace", help="path to a workspace JSON file")

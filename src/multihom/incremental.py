@@ -123,23 +123,21 @@ def formula_beta2(p: IncrementalParams) -> int:
     )
 
 
-def _provenance(cell: Multicell, g: Multigraph, h: Multigraph) -> str:
+def _provenance(cell: Multicell, g: Multigraph, h: Multigraph, tags: dict) -> str:
     """'g' / 'h' for cells made purely of one operand's material, 'shared'
-    for nodes both own, 'new' for interaction-created mixed cells."""
+    for nodes both own, 'new' for interaction-created mixed cells.  Above
+    dimension 1 every pair of the cell lies in one of its faces, so the
+    faces' tags (already in ``tags``) decide."""
     if cell.dim == 0:
         v = cell.vertices[0]
         in_g, in_h = v in g.nodes, v in h.nodes
         if in_g and in_h:
             return "shared"
         return "g" if in_g else "h"
-    sides = set()
-    for pair, copy in cell.edge_copies:
-        sides.add("g" if copy <= g.multiplicity(pair) else "h")
-    if sides == {"g"}:
-        return "g"
-    if sides == {"h"}:
-        return "h"
-    return "new"
+    if cell.dim == 1:
+        return "g" if cell.copy <= g.multiplicity(cell.vertices) else "h"
+    sides = {tags[face] for face in cell.faces}
+    return sides.pop() if len(sides) == 1 else "new"
 
 
 def _directional_counts(
@@ -195,7 +193,9 @@ def _extract(
     dims: Sequence[int],
 ) -> tuple[IncrementalParams, ...]:
     """``extract_params`` at each of ``dims`` over complexes built once."""
-    tags = {c.key: _provenance(c, g, h) for c in km.all_cells()}
+    tags: dict = {}
+    for c in km.all_cells():  # in dimension order, so faces are tagged first
+        tags[c.key] = _provenance(c, g, h, tags)
     # the d-columns serve n/p at d and cl at d - 1
     columns = {e: _columns(km, e) for d in dims for e in (d, d + 1)}
     bg = betti(kg)

@@ -13,13 +13,17 @@ gluing is consistent: two faces of a cell agree on their shared subface,
 which is what makes the GF(2) boundary square to zero.
 
 Cells are identified by (vertex tuple, copy); the copy index is the
-1-based lexicographic rank of the cell's edge-copy assignment.
+1-based lexicographic rank of the cell's edge-copy assignment (pairs in
+sorted order, the first most significant), or 1 for the single
+``canonical`` cell.  A cell stores only its faces; the assignment is
+what those faces reach at dimension 1.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ComplexStructureError, PaletteMismatch
@@ -49,15 +53,14 @@ class Multicell:
     """One cell: sorted vertex tuple, 1-based copy, explicit glued faces.
 
     ``faces`` maps each codimension-1 vertex subset to the copy of that
-    face the cell is glued to.  ``edge_copies`` records, for every pair
-    of vertices in the cell, which edge copy the cell lies over; it is
-    the data the copy index is ranked from and what the colouring reads.
+    face the cell is glued to.  The gluing is the whole record: which
+    edge copy the cell lies over, and so its colours, is read by walking
+    the faces down to dimension 1 (``cell_coloring``).
     """
 
     vertices: tuple[int, ...]
     copy: int
     faces: tuple[tuple[tuple[int, ...], int], ...] = ()
-    edge_copies: tuple[tuple[tuple[int, int], int], ...] = ()
 
     def __post_init__(self):
         if tuple(sorted(set(self.vertices))) != self.vertices:
@@ -69,11 +72,6 @@ class Multicell:
         if self.dim >= 1 and len(self.faces) != len(self.vertices):
             raise ComplexStructureError(
                 f"{self.dim}-cell on {self.vertices} needs {len(self.vertices)} faces"
-            )
-        npairs = len(self.vertices) * (len(self.vertices) - 1) // 2
-        if self.dim >= 1 and len(self.edge_copies) != npairs:
-            raise ComplexStructureError(
-                f"cell on {self.vertices} needs an edge copy for each of {npairs} pairs"
             )
 
     @property
@@ -297,18 +295,6 @@ class Multicomplex:
 # -- clique construction -----------------------------------------------------------
 
 
-def _copy_rank(pairs: Sequence[tuple[int, int]], mult: Mapping, assignment: Mapping) -> int:
-    """1-based lexicographic rank of an edge-copy assignment (pairs sorted)."""
-    rank = 0
-    for pair in pairs:
-        rank = rank * mult[pair] + (assignment[pair] - 1)
-    return rank + 1
-
-
-def _pairs_within(vertices: Sequence[int]) -> list[tuple[int, int]]:
-    return [tuple(p) for p in itertools.combinations(sorted(vertices), 2)]
-
-
 def _cliques(
     nodes: Iterable[int], pairs: Iterable[tuple[int, int]]
 ) -> Iterator[tuple[int, ...]]:
@@ -352,21 +338,16 @@ def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
     cells: list[Multicell] = []
     coloring: dict[CellKey, str] = {}
 
-    # Per pair, the copy that comes first in (colour, copy) order.  The
-    # canonical policy glues its single high-dimensional cell along these,
-    # so the result is invariant under re-indexing parallel copies (e.g.
-    # merging the same two graphs in either order).
-    first_copy = {p: min(g.copies(p), key=lambda e: (e.color, e.copy)).copy for p in mult}
+    # Per pair, the 0-based copy that comes first in (colour, copy) order.
+    # The canonical policy glues its single high-dimensional cell along
+    # these, so the result is invariant under re-indexing parallel copies
+    # (e.g. merging the same two graphs in either order).
+    first_copy = {p: min(g.copies(p), key=lambda e: (e.color, e.copy)).copy - 1 for p in mult}
 
     for v in sorted(g.nodes):
         cells.append(Multicell((v,), 1))
     for e in g.edges:
-        cell = Multicell(
-            (e.u, e.v),
-            e.copy,
-            faces=(((e.u,), 1), ((e.v,), 1)),
-            edge_copies=(((e.u, e.v), e.copy),),
-        )
+        cell = Multicell((e.u, e.v), e.copy, faces=(((e.u,), 1), ((e.v,), 1)))
         cells.append(cell)
         coloring[cell.key] = e.color
 
@@ -375,38 +356,49 @@ def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
         d = len(tau) - 1
         if d < 2:
             continue
-        pairs = _pairs_within(tau)
-        # lexicographic, so already in sorted face order
-        faces = [(sigma, _pairs_within(sigma)) for sigma in itertools.combinations(tau, d)]
-        single = d >= 3 and policy == CANONICAL
-        if single:
-            choices = [tuple(first_copy[p] for p in pairs)]
+        pairs = list(itertools.combinations(tau, 2))  # tau is sorted
+        radix = [mult[p] for p in pairs]
+        # a face's copy is the rank of the restricted assignment; faces
+        # are lexicographic, so already in sorted face order
+        faces = [(sigma, _strides(pairs, radix, sigma)) for sigma in itertools.combinations(tau, d)]
+        if d >= 3 and policy == CANONICAL:
+            combos = [tuple(first_copy[p] for p in pairs)]
+            if d >= 4:
+                # faces above dimension 2 are the single cell of their clique
+                faces = [(sigma, ()) for sigma, _ in faces]
         else:
-            choices = itertools.product(*(range(1, mult[p] + 1) for p in pairs))
-        for combo in choices:
-            amap = dict(zip(pairs, combo))
-            cells.append(
-                Multicell(
-                    tau,
-                    1 if single else _copy_rank(pairs, mult, amap),
-                    # under the single-cell policy, faces above dimension 2
-                    # are themselves unique per clique
-                    faces=tuple(
-                        (sigma, 1 if single and d >= 4 else _copy_rank(spairs, mult, amap))
-                        for sigma, spairs in faces
-                    ),
-                    edge_copies=tuple(amap.items()),
-                )
-            )
+            # product order is lexicographic rank order
+            combos = itertools.product(*map(range, radix))
+        for copy, combo in enumerate(combos, start=1):
+            glued = tuple((sigma, 1 + sum(map(mul, combo, w))) for sigma, w in faces)
+            cells.append(Multicell(tau, copy, glued))
 
     return Multicomplex.from_cells(g.palette, cells, coloring, policy, validate=False)
 
 
+def _strides(
+    pairs: Sequence[tuple[int, int]], radix: Sequence[int], sigma: tuple[int, ...]
+) -> list[int]:
+    """Mixed-radix weights of ``sigma``'s own pairs (the last one least
+    significant), 0 for the pairs of ``pairs`` that ``sigma`` omits."""
+    weights, stride = [0] * len(pairs), 1
+    for j in reversed(range(len(pairs))):
+        if pairs[j][0] in sigma and pairs[j][1] in sigma:
+            weights[j], stride = stride, stride * radix[j]
+    return weights
+
+
 def cell_coloring(x: Multicomplex, c: Multicell) -> tuple[str, ...]:
-    """Colours of the cell's 1-dimensional faces, in canonical face order
-    (sorted by vertex pair; one copy per pair).  Order matters: two cells
-    over the same colour multiset can still differ as ordered lists."""
-    return tuple(x.coloring[(pair, copy)] for pair, copy in c.edge_copies)
+    """Colours of the 1-cells reached by walking the cell's glued faces
+    down to dimension 1, in sorted (pair, copy) order (one copy per pair
+    when the gluing is consistent).  Order matters: two cells over the
+    same colour multiset can still differ as ordered lists."""
+    if c.dim < 1:
+        return ()
+    keys = {c.key}
+    for _ in range(c.dim - 1):
+        keys = {f for k in keys for f in x.find(k).faces}
+    return tuple(x.coloring[k] for k in sorted(keys))
 
 
 def duplications(x: Multicomplex, d: int) -> int:

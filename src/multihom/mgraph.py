@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .errors import GraphStructureError, PaletteMismatch, SelfLoopPresent
@@ -153,6 +154,7 @@ class Multigraph:
 
     # -- identity ----------------------------------------------------------------
 
+    @cached_property
     def _key(self):
         per_pair = tuple((p, self.color_multiset(p)) for p in self._by_pair)
         return (self.nodes, self.palette, per_pair)
@@ -160,10 +162,10 @@ class Multigraph:
     def __eq__(self, other):
         if not isinstance(other, Multigraph):
             return NotImplemented
-        return self._key() == other._key()
+        return self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
     def __repr__(self):
         return f"Multigraph(|V|={len(self.nodes)}, |E|={len(self.edges)}, colours={sorted(self.colors_used())})"

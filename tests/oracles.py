@@ -149,3 +149,39 @@ def coarsening_classes(
             coarser = tuple(sorted(rest + [tuple(sorted(p[i] + p[j]))]))
             covers.add((judged[p], judged[coarser]))
     return classes, covers
+
+
+def assignment_through_faces(x, cell) -> dict[tuple[int, int], int]:
+    """The edge copy under each pair of a cell of dimension >= 1, reached
+    by following its glued faces down to the 1-cells.  Fails if two
+    routes reach different copies of one pair."""
+    found: dict[tuple[int, int], int] = {}
+    seen = set()
+    stack = [cell.key]
+    while stack:
+        key = stack.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        vertices, copy = key
+        if len(vertices) == 2:
+            assert found.setdefault(vertices, copy) == copy, f"{vertices} reached twice"
+        else:
+            stack.extend(x.find(key).faces)
+    return found
+
+
+def lexicographic_rank(
+    assignment: Mapping[tuple[int, int], int], mult: Mapping[tuple[int, int], int]
+) -> int:
+    """1-based position of a pair -> copy assignment in the sorted list of
+    every assignment over the same pairs (pairs in sorted order)."""
+    pairs = sorted(assignment)
+    every = sorted(itertools.product(*(range(1, mult[p] + 1) for p in pairs)))
+    return every.index(tuple(assignment[p] for p in pairs)) + 1
+
+
+def first_copy_by_colour(edges: Sequence, pair: tuple[int, int]) -> int:
+    """The copy of ``pair`` that comes first in (colour, copy) order, by a
+    scan of the whole edge list."""
+    return min((e.color, e.copy) for e in edges if (e.u, e.v) == pair)[1]

@@ -75,20 +75,11 @@ def _triangle_cells(copies_of_top: int) -> tuple[list[Multicell], dict]:
     coloring = {}
     edges = ((1, 2), (1, 3), (2, 3))
     for a, b in edges:
-        cell = Multicell(
-            (a, b), 1, faces=(((a,), 1), ((b,), 1)), edge_copies=(((a, b), 1),)
-        )
+        cell = Multicell((a, b), 1, faces=(((a,), 1), ((b,), 1)))
         cells.append(cell)
         coloring[cell.key] = "black"
     for copy in range(1, copies_of_top + 1):
-        cells.append(
-            Multicell(
-                (1, 2, 3),
-                copy,
-                faces=tuple((e, 1) for e in edges),
-                edge_copies=tuple((e, 1) for e in edges),
-            )
-        )
+        cells.append(Multicell((1, 2, 3), copy, faces=tuple((e, 1) for e in edges)))
     return cells, coloring
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 from unittest import mock
 
 import pytest
@@ -29,7 +30,9 @@ from multihom import (
     validate,
 )
 
-from conftest import PALETTE, multigraphs, path_graph
+from multihom.cli import EXIT_OK, main
+
+from conftest import PALETTE, REPO_ROOT, multigraphs, path_graph
 
 
 def G(nodes, rows, palette=PALETTE):
@@ -228,6 +231,17 @@ class TestFuzz:
             assert row["total"] == 6
             assert 0 <= row["agree"] <= 6
             assert row["rate"] == round(row["agree"] / 6, 4)
+
+    @pytest.mark.parametrize("policy", (CANONICAL, PER_COMBINATION))
+    def test_records_match_golden(self, policy, tmp_path):
+        # recorded before provenance tags were read through cell faces;
+        # the params of every record pin the g/h/shared/new tagging
+        out = tmp_path / "fuzz.jsonl"
+        argv = ["--seed", "7", "--policy", policy, "fuzz", "--count", "150"]
+        assert main(argv + ["--jsonl", str(out)]) == EXIT_OK
+        golden = REPO_ROOT / "tests" / "data" / f"fuzz.seed7.{policy}.jsonl.gz"
+        want = gzip.decompress(golden.read_bytes()).decode()
+        assert out.read_text().splitlines() == want.splitlines()
 
     def test_summary_csv_header(self):
         from multihom.incremental import summary_csv

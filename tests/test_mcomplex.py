@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import itertools
 import random
 import time
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from multihom import (
     CANONICAL,
     PER_COMBINATION,
+    POLICIES,
     ComplexStructureError,
     EdgeCopy,
     Multicell,
@@ -22,13 +24,19 @@ from multihom import (
     clique_multicomplex,
     complex_merge,
     duplications,
+    load_workspace,
     merge,
 )
 
 from multihom.cli import EXIT_OK, main
 
 from conftest import PALETTE, REPO_ROOT, multigraphs
-from oracles import cliques_bruteforce
+from oracles import (
+    assignment_through_faces,
+    cliques_bruteforce,
+    first_copy_by_colour,
+    lexicographic_rank,
+)
 
 DATA = REPO_ROOT / "tests" / "data"
 # G and H merge into a K5 on 1..5 (plus a triangle through node 6) with
@@ -189,6 +197,74 @@ class TestColouringExample:
         }
         assert x.coloring[((1, 2), 1)] == "red"
 
+    def test_colours_follow_the_glued_copy(self):
+        # (1, 3) has a red copy 1 and a blue copy 2; the triangle is glued
+        # to the blue one, so its colours must say blue
+        cells = [Multicell((v,), 1) for v in (1, 2, 3)]
+        coloring = {}
+        for (a, b), copy, colour in (
+            ((1, 2), 1, "red"),
+            ((1, 3), 1, "red"),
+            ((1, 3), 2, "blue"),
+            ((2, 3), 1, "red"),
+        ):
+            cells.append(Multicell((a, b), copy, faces=(((a,), 1), ((b,), 1))))
+            coloring[((a, b), copy)] = colour
+        top = Multicell((1, 2, 3), 1, faces=(((1, 2), 1), ((1, 3), 2), ((2, 3), 1)))
+        x = Multicomplex.from_cells(PALETTE, cells + [top], coloring)
+        assert cell_coloring(x, top) == ("red", "blue", "red")
+        assert cell_coloring(x, x.find(((1, 3), 2))) == ("blue",)
+        assert cell_coloring(x, x.find(((1,), 1))) == ()
+
+
+# -- copy numbering ----------------------------------------------------------------------
+
+
+class TestCopyNumbering:
+    """A cell records only its gluing; its copy and its faces' copies are
+    the lexicographic ranks of the edge-copy assignments that gluing
+    reaches, checked against a brute-force rank."""
+
+    @given(g=multigraphs(max_nodes=5, max_mult=2), policy=st.sampled_from(POLICIES))
+    def test_copies_rank_the_assignment_reached_through_faces(self, g, policy):
+        self.check(g, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_doubled_k5(self, policy):
+        # random graphs rarely hold a K5 whose first colour copy is not copy 1
+        ws = load_workspace(DOUBLED_K5)
+        self.check(merge(ws.graphs["G"], ws.graphs["H"]), policy)
+
+    @staticmethod
+    def check(g, policy):
+        x = clique_multicomplex(g, policy)
+        mult = g.multiplicities()
+        single = {}  # clique -> its one cell, under the canonical policy at d >= 3
+        for d in range(2, x.dimension + 1):
+            for c in x.cells(d):
+                got = assignment_through_faces(x, c)
+                pairs = sorted(itertools.combinations(c.vertices, 2))
+                assert sorted(got) == pairs
+                assert cell_coloring(x, c) == tuple(x.coloring[(p, got[p])] for p in pairs)
+                if policy == CANONICAL and d >= 3:
+                    assert c.vertices not in single
+                    single[c.vertices] = c
+                    assert c.copy == 1
+                    assert got == {p: first_copy_by_colour(g.edges, p) for p in pairs}
+                else:
+                    assert c.copy == lexicographic_rank(got, mult)
+                for face_vertices, face_copy in c.faces:
+                    if policy == CANONICAL and len(face_vertices) >= 4:
+                        assert face_copy == 1
+                        continue
+                    restricted = {
+                        p: got[p] for p in itertools.combinations(face_vertices, 2)
+                    }
+                    assert face_copy == lexicographic_rank(restricted, mult)
+        if policy == CANONICAL:
+            cliques = cliques_bruteforce(g.nodes, mult)
+            assert sorted(single) == sorted(t for t in cliques if len(t) >= 4)
+
 
 # -- structure validation -------------------------------------------------------------
 
@@ -196,17 +272,12 @@ class TestColouringExample:
 def simple_triangle_cells(copies_of_top: int = 1):
     vertices = [Multicell((v,), 1) for v in (1, 2, 3)]
     edges = [
-        Multicell((1, 2), 1, faces=(((1,), 1), ((2,), 1)), edge_copies=(((1, 2), 1),)),
-        Multicell((1, 3), 1, faces=(((1,), 1), ((3,), 1)), edge_copies=(((1, 3), 1),)),
-        Multicell((2, 3), 1, faces=(((2,), 1), ((3,), 1)), edge_copies=(((2, 3), 1),)),
+        Multicell((1, 2), 1, faces=(((1,), 1), ((2,), 1))),
+        Multicell((1, 3), 1, faces=(((1,), 1), ((3,), 1))),
+        Multicell((2, 3), 1, faces=(((2,), 1), ((3,), 1))),
     ]
     tops = [
-        Multicell(
-            (1, 2, 3),
-            c,
-            faces=(((1, 2), 1), ((1, 3), 1), ((2, 3), 1)),
-            edge_copies=(((1, 2), 1), ((1, 3), 1), ((2, 3), 1)),
-        )
+        Multicell((1, 2, 3), c, faces=(((1, 2), 1), ((1, 3), 1), ((2, 3), 1)))
         for c in range(1, copies_of_top + 1)
     ]
     coloring = {
@@ -247,12 +318,7 @@ class TestFromCells:
     def test_inconsistent_gluing_rejected(self):
         # a triangle glued to an edge copy that does not exist
         cells, coloring = simple_triangle_cells()
-        bad = Multicell(
-            (1, 2, 3),
-            2,
-            faces=(((1, 2), 1), ((1, 3), 2), ((2, 3), 1)),
-            edge_copies=(((1, 2), 1), ((1, 3), 2), ((2, 3), 1)),
-        )
+        bad = Multicell((1, 2, 3), 2, faces=(((1, 2), 1), ((1, 3), 2), ((2, 3), 1)))
         with pytest.raises(ComplexStructureError):
             Multicomplex.from_cells(("black",), cells + [bad], coloring)
 
@@ -274,9 +340,9 @@ class TestFromCells:
         with pytest.raises(ComplexStructureError):
             Multicell((2, 1), 1)  # unsorted vertices
         with pytest.raises(ComplexStructureError):
-            Multicell((1, 2), 0, faces=(((1,), 1), ((2,), 1)), edge_copies=(((1, 2), 1),))
+            Multicell((1, 2), 0, faces=(((1,), 1), ((2,), 1)))
         with pytest.raises(ComplexStructureError):
-            Multicell((1, 2), 1, faces=(((1,), 1),), edge_copies=(((1, 2), 1),))
+            Multicell((1, 2), 1, faces=(((1,), 1),))
 
 
 # -- equality and canonical form --------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -98,6 +99,23 @@ class TestEquality:
         a = G([1, 2, 3], [(1, 2, "red")])
         b = G([1, 2], [(1, 2, "red")])
         assert a != b
+
+    def test_identity_is_computed_once(self, monkeypatch):
+        calls = Counter()
+        colour_multiset = Multigraph.color_multiset
+
+        def counted(g, pair):
+            calls[id(g), pair] += 1
+            return colour_multiset(g, pair)
+
+        monkeypatch.setattr(Multigraph, "color_multiset", counted)
+        a = G([1, 2, 3], [(1, 2, "red"), (1, 2, "black"), (2, 3, "blue")])
+        b = G([1, 2, 3], [(1, 2, "black"), (1, 2, "red"), (2, 3, "blue")])
+        for _ in range(5):
+            assert a == b and hash(a) == hash(b)
+            assert {a: 1}[b] == 1
+        assert set(calls) == {(id(g), p) for g in (a, b) for p in g.pairs()}
+        assert set(calls.values()) == {1}
 
     def test_canonical_is_equal_representative(self):
         g = G([1, 2], [(1, 2, "blue"), (1, 2, "black"), (1, 2, "red")])

@@ -18,7 +18,7 @@ from multihom import (
     load_workspace,
     parse_workspace,
 )
-from multihom.cli import EXIT_DOMAIN, EXIT_LAW, EXIT_OK, EXIT_USAGE, main
+from multihom.cli import EXIT_DOMAIN, EXIT_LAW, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
 MINIMAL = {
@@ -354,3 +354,37 @@ class TestCliWiring:
             env={"PYTHONPATH": src},
         )
         assert done.stdout.strip() == "False"
+
+    def test_parser_built_once_per_process(self, three_paths_path, capsys):
+        argvs = [
+            ["parse", "G | H"],
+            ["--workspace", str(three_paths_path), "--json", "betti"],
+            ["fuzz", "--count", "many"],
+            ["--workspace", str(three_paths_path), "--policy", "per-combination", "filtrate"],
+            ["parse", "G . H"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            return code, *capsys.readouterr()
+
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        build_parser.cache_clear()
+        shared = [run(argv) for argv in argvs]
+        assert build_parser.cache_info().misses == 1
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+
+    def test_package_runs_as_a_module(self):
+        src = str(Path(multihom.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "multihom", "parse", "G | H"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.splitlines()[0] == "G | H"
