@@ -22,6 +22,7 @@ from .chainlat import (
 )
 from .chainparse import parse_chain
 from .errors import (
+    CellBudgetExceeded,
     ChainSyntaxError,
     ComplexStructureError,
     GraphStructureError,
@@ -77,9 +78,11 @@ from .incremental import (
 from .mcomplex import (
     CANONICAL,
     PER_COMBINATION,
+    MAX_CELLS,
     POLICIES,
     Multicell,
     Multicomplex,
+    cell_budget,
     cell_coloring,
     clique_multicomplex,
     complex_merge,

@@ -321,6 +321,13 @@ def build_parser() -> _Parser:
         default=mcomplex.CANONICAL,
         help="how cells above dimension 2 are created",
     )
+    parser.add_argument(
+        "--max-cells",
+        type=_int_at_least(1),
+        default=mcomplex.MAX_CELLS,
+        help="refuse (exit 2) a clique complex with more cells than this, "
+        f"before building it (default {mcomplex.MAX_CELLS:,})",
+    )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("parse", help="parse a chain expression")
@@ -375,7 +382,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with mcomplex.cell_budget(args.max_cells):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,6 +17,7 @@ __all__ = [
     "UnknownAtom",
     "UnsupportedShape",
     "ComplexStructureError",
+    "CellBudgetExceeded",
     "NegativeBetti",
     "LawViolation",
     "WorkspaceError",
@@ -69,6 +70,11 @@ class UnsupportedShape(MultihomError):
 class ComplexStructureError(MultihomError):
     """Hand-assembled multicomplex violates face closure, copy
     contiguity, gluing consistency, or colouring totality."""
+
+
+class CellBudgetExceeded(MultihomError):
+    """A clique complex would have more cells than the cell budget allows;
+    refused before any cell is made."""
 
 
 class NegativeBetti(MultihomError):

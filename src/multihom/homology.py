@@ -1,13 +1,15 @@
 """GF(2) cellular homology of multicomplexes.
 
 Incidence between (d-1)-cells and d-cells is stored as Python int
-bitsets, indexed by canonical cell order.  ``boundary_matrix`` builds
+bitsets, indexed by the rows of the complex's store: bit i stands for
+row i of a grade, and a cell's faces are already row indices into the
+grade below, so no key is looked up.  ``boundary_matrix`` builds
 the columns of the d-th boundary matrix (one bitset per d-cell);
 ``coboundary_rows`` builds its rows (one bitset per (d-1)-cell), which
 is the short side whenever a dimension has more cells than the one
-below.  Over GF(2) no orientation bookkeeping is needed, and parallel
-copies contribute independent vectors exactly when their glued
-boundaries differ.
+below.  Neither makes a ``Multicell``.  Over GF(2) no orientation
+bookkeeping is needed, and parallel copies contribute independent
+vectors exactly when their glued boundaries differ.
 
 ``betti`` takes every rank from the rows, with clearing (the "twist" of
 Chen & Kerber, 2011, applied to the coboundary as in Ripser).  For
@@ -108,18 +110,14 @@ def boundary_matrix(x: Multicomplex, d: int) -> BoundaryMatrix:
     """Boundary matrix for dimension d >= 1 (columns from glued faces)."""
     if d < 1:
         raise ValueError(f"boundary matrices are defined for d >= 1, got {d}")
-    rows = x.cells(d - 1)
-    cols = x.cells(d)
-    index = {c.key: i for i, c in enumerate(rows)}
+    rows, cols = x.grade(d - 1), x.grade(d)
     columns = []
-    for c in cols:
+    for faces in cols.face_rows():
         col = 0
-        for face_key in c.faces:
-            col ^= 1 << index[face_key]
+        for i in faces:
+            col ^= 1 << i
         columns.append(col)
-    return BoundaryMatrix(
-        tuple(c.key for c in rows), tuple(c.key for c in cols), tuple(columns)
-    )
+    return BoundaryMatrix(tuple(rows.keys()), tuple(cols.keys()), tuple(columns))
 
 
 def coboundary_rows(x: Multicomplex, d: int) -> list[int]:
@@ -127,12 +125,10 @@ def coboundary_rows(x: Multicomplex, d: int) -> list[int]:
     when the j-th d-cell is glued to the i-th (d-1)-cell."""
     if d < 1:
         raise ValueError(f"boundary matrices are defined for d >= 1, got {d}")
-    index = {c.key: i for i, c in enumerate(x.cells(d - 1))}
-    rows = [0] * len(index)
-    for j, c in enumerate(x.cells(d)):
-        bit = 1 << j
-        for face_key in c.faces:
-            rows[index[face_key]] ^= bit
+    rows = [0] * x.cell_count(d - 1)
+    for faces in x.grade(d).faces:  # one list per face position
+        for j, i in enumerate(faces):
+            rows[i] ^= 1 << j
     return rows
 
 
@@ -168,12 +164,13 @@ def euler_characteristic(x: Multicomplex) -> int:
 
 def boundary_squares_to_zero(x: Multicomplex) -> bool:
     """Check d(d(cell)) = 0 over GF(2) for every cell of dimension >= 2."""
-    for d in range(2, x.dimension + 1):
-        lower = {c.key: c for c in x.cells(d - 1)}
-        for c in x.cells(d):
-            acc: set[CellKey] = set()
-            for face_key in c.faces:
-                acc ^= set(lower[face_key].faces)
+    for grade in x.grades[2:]:
+        below = grade.below.faces
+        for faces in grade.face_rows():
+            acc = 0
+            for r in faces:
+                for lower in below:
+                    acc ^= 1 << lower[r]
             if acc:
                 return False
     return True

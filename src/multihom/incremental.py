@@ -26,13 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import NegativeBetti
 from .homology import BettiVector, Gf2Basis, betti, boundary_matrix
-from .mcomplex import (
-    CANONICAL,
-    Multicell,
-    Multicomplex,
-    clique_multicomplex,
-    duplications,
-)
+from .mcomplex import CANONICAL, Multicomplex, clique_multicomplex, duplications
 from .mgraph import Multigraph, merge
 
 __all__ = [
@@ -123,36 +117,40 @@ def formula_beta2(p: IncrementalParams) -> int:
     )
 
 
-def _provenance(cell: Multicell, g: Multigraph, h: Multigraph, tags: dict) -> str:
-    """'g' / 'h' for cells made purely of one operand's material, 'shared'
-    for nodes both own, 'new' for interaction-created mixed cells.  Above
-    dimension 1 every pair of the cell lies in one of its faces, so the
-    faces' tags (already in ``tags``) decide."""
-    if cell.dim == 0:
-        v = cell.vertices[0]
-        in_g, in_h = v in g.nodes, v in h.nodes
-        if in_g and in_h:
-            return "shared"
-        return "g" if in_g else "h"
-    if cell.dim == 1:
-        return "g" if cell.copy <= g.multiplicity(cell.vertices) else "h"
-    sides = {tags[face] for face in cell.faces}
-    return sides.pop() if len(sides) == 1 else "new"
+def _provenance(x: Multicomplex, g: Multigraph, h: Multigraph) -> list[list[str]]:
+    """Each cell's tag, per dimension in row order: 'g' / 'h' for cells
+    made purely of one operand's material, 'shared' for nodes both own,
+    'new' for interaction-created mixed cells.  Above dimension 1 every
+    pair of a cell lies in one of its faces, so the faces' tags decide."""
+    tags = [
+        [
+            "shared" if v in g.nodes and v in h.nodes else "g" if v in g.nodes else "h"
+            for (v,) in x.grade(0).vertices
+        ],
+        ["g" if copy <= g.multiplicity(p) else "h" for p, copy in x.grade(1).keys()],
+    ]
+    for grade in x.grades[2:]:
+        below = tags[-1]
+        tags.append(
+            [
+                sides.pop() if len(sides) == 1 else "new"
+                for sides in ({below[r] for r in rows} for rows in grade.face_rows())
+            ]
+        )
+    return tags
 
 
 def _directional_counts(
-    merged: Multicomplex,
-    d: int,
+    tags: Sequence[str],
     columns: Sequence[int],
     base: Callable[[str], bool],
-    tags: dict,
 ) -> tuple[int, int]:
     """Feed base d-cells into a rank basis silently, then classify the
     rest in canonical order: (closing, non-closing)."""
     basis = Gf2Basis()
     arriving = []
-    for cell, col in zip(merged.cells(d), columns):
-        if base(tags[cell.key]):
+    for tag, col in zip(tags, columns):
+        if base(tag):
             basis.add(col)
         else:
             arriving.append(col)
@@ -193,9 +191,8 @@ def _extract(
     dims: Sequence[int],
 ) -> tuple[IncrementalParams, ...]:
     """``extract_params`` at each of ``dims`` over complexes built once."""
-    tags: dict = {}
-    for c in km.all_cells():  # in dimension order, so faces are tagged first
-        tags[c.key] = _provenance(c, g, h, tags)
+    tags = _provenance(km, g, h)
+    tags += [[]] * (max(dims) + 2 - len(tags))  # no cells above km's dimension
     # the d-columns serve n/p at d and cl at d - 1
     columns = {e: _columns(km, e) for d in dims for e in (d, d + 1)}
     bg = betti(kg)
@@ -203,15 +200,15 @@ def _extract(
     out = []
     for d in dims:
         n_g, p_g = _directional_counts(
-            km, d, columns[d], base=lambda t: t in ("h", "shared"), tags=tags
+            tags[d], columns[d], base=lambda t: t in ("h", "shared")
         )
         n_h, p_h = _directional_counts(
-            km, d, columns[d], base=lambda t: t in ("g", "shared"), tags=tags
+            tags[d], columns[d], base=lambda t: t in ("g", "shared")
         )
 
         # cl: replay only the interaction-created (d+1)-cells over the union
         _, cl = _directional_counts(
-            km, d + 1, columns[d + 1], base=lambda t: t != "new", tags=tags
+            tags[d + 1], columns[d + 1], base=lambda t: t != "new"
         )
 
         dup = 0

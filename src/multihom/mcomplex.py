@@ -17,24 +17,47 @@ Cells are identified by (vertex tuple, copy); the copy index is the
 sorted order, the first most significant), or 1 for the single
 ``canonical`` cell.  A cell stores only its faces; the assignment is
 what those faces reach at dimension 1.
+
+A complex stores its cells as integer rows.  Each dimension is a
+``Grade``: the cells' keys in sorted order, and each cell's faces as
+row indices into the grade below (at dimension 1 also each cell's
+colour).  The builder writes those rows by arithmetic: a face's row is
+its clique's first row plus the rank of the restricted assignment.
+``Multicell`` is the value type of one cell; ``cells``, ``find`` and
+``all_cells`` build it on demand as a view of a row, and
+``Multicomplex.from_cells`` is the door for hand-built cells, which it
+converts into the same rows.
+
+``clique_multicomplex`` counts the cells in closed form from the cliques
+before it makes any, and refuses a complex larger than the cell budget
+(``MAX_CELLS`` unless ``cell_budget`` sets another).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from math import prod
+from operator import itemgetter
 
-from .errors import ComplexStructureError, PaletteMismatch
+from .errors import CellBudgetExceeded, ComplexStructureError, PaletteMismatch
 from .mgraph import EdgeCopy, Multigraph, merge
 
 __all__ = [
     "CANONICAL",
     "PER_COMBINATION",
     "POLICIES",
+    "MAX_CELLS",
     "Multicell",
+    "Grade",
     "Multicomplex",
+    "cell_budget",
     "clique_multicomplex",
     "complex_merge",
     "cell_coloring",
@@ -44,8 +67,22 @@ __all__ = [
 CANONICAL = "canonical"
 PER_COMBINATION = "per-combination"
 POLICIES = (CANONICAL, PER_COMBINATION)
+MAX_CELLS = 1_000_000
 
 CellKey = tuple[tuple[int, ...], int]
+
+_max_cells: ContextVar[int] = ContextVar("max_cells", default=MAX_CELLS)
+
+
+@contextmanager
+def cell_budget(max_cells: int) -> Iterator[None]:
+    """Within the block, ``clique_multicomplex`` refuses a complex of
+    more than ``max_cells`` cells."""
+    token = _max_cells.set(max_cells)
+    try:
+        yield
+    finally:
+        _max_cells.reset(token)
 
 
 @dataclass(frozen=True, order=True)
@@ -55,7 +92,8 @@ class Multicell:
     ``faces`` maps each codimension-1 vertex subset to the copy of that
     face the cell is glued to.  The gluing is the whole record: which
     edge copy the cell lies over, and so its colours, is read by walking
-    the faces down to dimension 1 (``cell_coloring``).
+    the faces down to dimension 1 (``cell_coloring``).  A complex keeps
+    no ``Multicell`` objects; it builds one as a view of a row.
     """
 
     vertices: tuple[int, ...]
@@ -83,19 +121,76 @@ class Multicell:
         return (self.vertices, self.copy)
 
 
+class Grade(Sequence):
+    """The cells of one dimension d, one row each, in (vertices, copy) order.
+
+    Row i has the key ``(vertices[i], copies[i])``.  ``faces`` holds one
+    list per face position: ``faces[k][i]`` is the row in ``below``, the
+    grade of dimension d - 1, of row i's k-th face (no lists at d = 0).
+    At d = 1, ``colors[i]`` is row i's colour.  Indexing builds a
+    ``Multicell`` view of a row.
+    """
+
+    __slots__ = ("below", "vertices", "copies", "faces", "colors")
+
+    def __init__(
+        self,
+        below: "Grade | None",
+        vertices: list[tuple[int, ...]],
+        copies: list[int],
+        faces: tuple[list[int], ...] = (),
+        colors: list[str | None] | None = None,
+    ):
+        self.below = below
+        self.vertices = vertices
+        self.copies = copies
+        self.faces = faces
+        self.colors = colors
+
+    def __len__(self) -> int:
+        return len(self.copies)
+
+    def __getitem__(self, i: int) -> Multicell:
+        below = self.below
+        faces = tuple((below.vertices[r], below.copies[r]) for r in (s[i] for s in self.faces))
+        return Multicell(self.vertices[i], self.copies[i], faces)
+
+    def __iter__(self) -> Iterator[Multicell]:
+        return map(self.__getitem__, range(len(self)))
+
+    def key(self, i: int) -> CellKey:
+        return (self.vertices[i], self.copies[i])
+
+    def keys(self) -> Iterator[CellKey]:
+        return zip(self.vertices, self.copies)
+
+    def face_rows(self) -> Iterator[tuple[int, ...]]:
+        """Each row's face rows, in face order (empty at dimension 0)."""
+        return zip(*self.faces) if self.faces else itertools.repeat((), len(self))
+
+    def row(self, key: CellKey) -> int:
+        """The row of ``key``; KeyError if no cell has it."""
+        vertices, copy = key
+        lo = bisect_left(self.vertices, vertices)
+        hi = bisect_right(self.vertices, vertices, lo)
+        i = bisect_left(self.copies, copy, lo, hi)
+        if i == hi or self.copies[i] != copy:
+            raise KeyError(key)
+        return i
+
+
+_NO_CELLS = Grade(None, [], [])
+
+
 @dataclass(eq=False)
 class Multicomplex:
     """Graded cell collection with a colouring of the 1-cells."""
 
     palette: frozenset[str]
-    grades: tuple[tuple[Multicell, ...], ...]
-    coloring: dict[CellKey, str]
+    grades: tuple[Grade, ...]
     policy: str = CANONICAL
 
     def __post_init__(self):
-        self._index: dict[CellKey, Multicell] = {
-            c.key: c for grade in self.grades for c in grade
-        }
         self._canon: tuple | None = None
 
     # -- views -------------------------------------------------------------
@@ -104,29 +199,35 @@ class Multicomplex:
     def dimension(self) -> int:
         return len(self.grades) - 1
 
+    def grade(self, d: int) -> Grade:
+        """The d-cells' rows; an empty grade outside 0..dimension."""
+        return self.grades[d] if 0 <= d < len(self.grades) else _NO_CELLS
+
+    @cached_property
+    def coloring(self) -> dict[CellKey, str]:
+        """Colour of each 1-cell, by key."""
+        edges = self.grade(1)
+        return dict(zip(edges.keys(), edges.colors or ()))
+
     def cells(self, d: int) -> tuple[Multicell, ...]:
-        if 0 <= d < len(self.grades):
-            return self.grades[d]
-        return ()
+        return tuple(self.grade(d))
 
     def all_cells(self) -> tuple[Multicell, ...]:
         return tuple(c for grade in self.grades for c in grade)
 
     def cell_count(self, d: int) -> int:
-        return len(self.cells(d))
+        return len(self.grade(d))
 
     def find(self, key: CellKey) -> Multicell:
-        return self._index[key]
+        grade = self.grade(len(key[0]) - 1)
+        return grade[grade.row(key)]
 
     def multiplicity(self, vertices: tuple[int, ...]) -> int:
-        d = len(vertices) - 1
-        return sum(1 for c in self.cells(d) if c.vertices == vertices)
+        keys = self.grade(len(vertices) - 1).vertices
+        return bisect_right(keys, vertices) - bisect_left(keys, vertices)
 
     def shapes(self, d: int) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {}
-        for c in self.cells(d):
-            out[c.vertices] = out.get(c.vertices, 0) + 1
-        return out
+        return dict(Counter(self.grade(d).vertices))
 
     def __repr__(self):
         counts = ",".join(str(len(g)) for g in self.grades)
@@ -135,57 +236,54 @@ class Multicomplex:
     # -- structure checks ----------------------------------------------------
 
     def validate(self) -> None:
-        """Face closure, copy contiguity, gluing consistency, colour totality."""
-        shape_copies: dict[tuple[int, ...], list[int]] = {}
-        for d, grade in enumerate(self.grades):
-            for c in grade:
-                if c.dim != d:
-                    raise ComplexStructureError(f"cell {c.key} misfiled at dim {d}")
-                shape_copies.setdefault(c.vertices, []).append(c.copy)
-        for vertices, copies in shape_copies.items():
-            copies.sort()
-            if copies != list(range(1, len(copies) + 1)):
-                raise ComplexStructureError(
-                    f"copies for shape {vertices} not contiguous: {copies}"
-                )
-        for c in self.all_cells():
-            for face_key in c.faces:
-                if face_key not in self._index:
+        """Copy contiguity, gluing consistency, colour totality.  Faces
+        exist by construction: a face is a row of the grade below."""
+        for grade in self.grades:
+            for vertices, run in itertools.groupby(grade.keys(), key=itemgetter(0)):
+                copies = [copy for _, copy in run]
+                if copies != list(range(1, len(copies) + 1)):
                     raise ComplexStructureError(
-                        f"cell {c.key} glued to missing face {face_key}"
+                        f"copies for shape {vertices} not contiguous: {copies}"
                     )
-            # two faces must agree on their shared subface
-            for (s1, p1), (s2, p2) in itertools.combinations(c.faces, 2):
-                shared = tuple(sorted(set(s1) & set(s2)))
-                if len(shared) < 1:
-                    continue
-                f1 = self._index[(s1, p1)]
-                f2 = self._index[(s2, p2)]
-                g1 = dict(f1.faces).get(shared) if f1.dim >= 1 else None
-                g2 = dict(f2.faces).get(shared) if f2.dim >= 1 else None
-                if g1 != g2:
-                    raise ComplexStructureError(
-                        f"gluing of {c.key} inconsistent over {shared}: "
-                        f"{(s1, p1)} -> {g1} vs {(s2, p2)} -> {g2}"
-                    )
-        for c in self.cells(1):
-            if c.key not in self.coloring:
-                raise ComplexStructureError(f"1-cell {c.key} has no colour")
-            if self.coloring[c.key] not in self.palette:
-                raise PaletteMismatch(
-                    f"1-cell {c.key} coloured outside the palette"
-                )
+        for grade in self.grades[2:]:
+            below, base = grade.below, grade.below.below
+            # each (d-1)-cell's face rows, keyed by their vertices
+            subfaces = [
+                {base.vertices[q]: q for q in rows} for rows in below.face_rows()
+            ]
+            for i, rows in enumerate(grade.face_rows()):
+                # two faces must agree on their shared subface
+                for r1, r2 in itertools.combinations(rows, 2):
+                    shared = tuple(sorted(set(below.vertices[r1]) & set(below.vertices[r2])))
+                    if not shared:
+                        continue
+                    q1, q2 = subfaces[r1].get(shared), subfaces[r2].get(shared)
+                    if q1 != q2:
+                        raise ComplexStructureError(
+                            f"gluing of {grade.key(i)} inconsistent over {shared}: "
+                            f"{below.key(r1)} -> {q1 if q1 is None else base.key(q1)} vs "
+                            f"{below.key(r2)} -> {q2 if q2 is None else base.key(q2)}"
+                        )
+        edges = self.grade(1)
+        for key, color in zip(edges.keys(), edges.colors or ()):
+            if color is None:
+                raise ComplexStructureError(f"1-cell {key} has no colour")
+            if color not in self.palette:
+                raise PaletteMismatch(f"1-cell {key} coloured outside the palette")
 
     # -- derived data ----------------------------------------------------------
 
     def underlying_multigraph(self) -> Multigraph:
         """Nodes and coloured edge copies of the 1-skeleton."""
-        nodes = [c.vertices[0] for c in self.cells(0)]
-        edges = tuple(
-            EdgeCopy(c.vertices[0], c.vertices[1], c.copy, self.coloring[c.key])
-            for c in self.cells(1)
+        edges = self.grade(1)
+        return Multigraph(
+            frozenset(v for (v,) in self.grade(0).vertices),
+            tuple(
+                EdgeCopy(u, v, copy, color)
+                for (u, v), copy, color in zip(edges.vertices, edges.copies, edges.colors or ())
+            ),
+            self.palette,
         )
-        return Multigraph(frozenset(nodes), edges, self.palette)
 
     def canonical_form(self) -> tuple:
         """Serialization invariant under per-shape copy permutations.
@@ -195,31 +293,30 @@ class Multicomplex:
         either operand order canonicalize identically.
         """
         if self._canon is None:
-            remap: dict[CellKey, int] = {}
+            remap: list[int] = []  # new copy of each row one dimension down
             new_grades: list[tuple] = []
-            new_coloring: dict[CellKey, str] = {}
             for d, grade in enumerate(self.grades):
-                staged = []
-                for c in grade:
-                    if d == 0:
-                        content = ()
-                    elif d == 1:
-                        content = (self.coloring[c.key],)
-                    else:
-                        content = tuple(
-                            sorted((s, remap[(s, p)]) for s, p in c.faces)
-                        )
-                    staged.append((c.vertices, content, c.copy, c))
-                staged.sort(key=lambda t: (t[0], t[1], t[2]))
+                if d == 0:
+                    contents = [()] * len(grade)
+                elif d == 1:
+                    contents = [(color,) for color in grade.colors]
+                else:
+                    below = grade.below.vertices
+                    contents = [
+                        tuple(sorted((below[r], remap[r]) for r in rows))
+                        for rows in grade.face_rows()
+                    ]
+                order = sorted(
+                    range(len(grade)),
+                    key=lambda i: (grade.vertices[i], contents[i], grade.copies[i]),
+                )
                 counters: dict[tuple[int, ...], int] = {}
+                remap = [0] * len(grade)
                 out_cells = []
-                for vertices, content, _old_copy, c in staged:
-                    counters[vertices] = counters.get(vertices, 0) + 1
-                    new_copy = counters[vertices]
-                    remap[c.key] = new_copy
-                    out_cells.append((vertices, new_copy, content))
-                    if d == 1:
-                        new_coloring[(vertices, new_copy)] = content[0]
+                for i in order:
+                    vertices = grade.vertices[i]
+                    counters[vertices] = remap[i] = counters.get(vertices, 0) + 1
+                    out_cells.append((vertices, remap[i], contents[i]))
                 new_grades.append(tuple(sorted(out_cells)))
             self._canon = (
                 tuple(sorted(self.palette)),
@@ -237,28 +334,27 @@ class Multicomplex:
         return hash(self.canonical_form())
 
     def to_json_dict(self) -> dict:
-        return {
-            "palette": sorted(self.palette),
-            "policy": self.policy,
-            "cells": [
+        cells = []
+        for d, grade in enumerate(self.grades):
+            below = grade.below
+            colors = grade.colors if d == 1 else itertools.repeat(None)
+            cells.append(
                 [
                     {
-                        "vertices": list(c.vertices),
-                        "copy": c.copy,
+                        "vertices": list(vertices),
+                        "copy": copy,
                         "faces": [
-                            {"vertices": list(s), "copy": p} for s, p in c.faces
+                            {"vertices": list(below.vertices[r]), "copy": below.copies[r]}
+                            for r in rows
                         ],
-                        **(
-                            {"color": self.coloring[c.key]}
-                            if c.dim == 1
-                            else {}
-                        ),
+                        **({"color": color} if d == 1 else {}),
                     }
-                    for c in grade
+                    for vertices, copy, rows, color in zip(
+                        grade.vertices, grade.copies, grade.face_rows(), colors
+                    )
                 ]
-                for grade in self.grades
-            ],
-        }
+            )
+        return {"palette": sorted(self.palette), "policy": self.policy, "cells": cells}
 
     # -- constructors -------------------------------------------------------------
 
@@ -275,21 +371,43 @@ class Multicomplex:
 
         This is the door for complexes that are not clique complexes of
         any multigraph, e.g. a pillow: two 2-cells glued to the same
-        three edges.
+        three edges.  A face must be a cell one dimension down, whether
+        or not ``validate`` is set, because the store keeps it as a row.
         """
         by_dim: dict[int, list[Multicell]] = {}
         for c in cells:
             by_dim.setdefault(c.dim, []).append(c)
-        top = max(by_dim) if by_dim else -1
-        grades = tuple(tuple(sorted(by_dim.get(d, ()))) for d in range(top + 1))
-        x = cls(frozenset(palette), grades, dict(coloring), policy)
+        grades: list[Grade] = []
+        below: Grade | None = None
+        for d in range(max(by_dim, default=-1) + 1):
+            ordered = sorted(by_dim.get(d, ()))
+            faces: tuple[list[int], ...] = tuple([] for _ in range(d + 1)) if d else ()
+            row_of = {key: i for i, key in enumerate(below.keys())} if d else {}
+            for c in ordered:
+                if d == 0 and c.faces:
+                    raise ComplexStructureError(f"0-cell {c.key} has faces")
+                for rows, face_key in zip(faces, c.faces):
+                    if face_key not in row_of:
+                        raise ComplexStructureError(
+                            f"cell {c.key} glued to missing face {face_key}"
+                        )
+                    rows.append(row_of[face_key])
+            below = Grade(
+                below,
+                [c.vertices for c in ordered],
+                [c.copy for c in ordered],
+                faces,
+                [coloring.get(c.key) for c in ordered] if d == 1 else None,
+            )
+            grades.append(below)
+        x = cls(frozenset(palette), tuple(grades), policy)
         if validate:
             x.validate()
         return x
 
     @classmethod
     def empty(cls, palette: Iterable[str] = (), policy: str = CANONICAL) -> "Multicomplex":
-        return cls(frozenset(palette), (), {}, policy)
+        return cls(frozenset(palette), (), policy)
 
 
 # -- clique construction -----------------------------------------------------------
@@ -330,50 +448,87 @@ def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
 
     Every clique of the underlying simple graph contributes cells; see
     the module docstring for how multiplicities propagate upward under
-    each policy.
+    each policy.  The cell count is summed clique by clique before any
+    cell is made, and a complex above the cell budget is refused with
+    ``CellBudgetExceeded``.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     mult = g.multiplicities()
-    cells: list[Multicell] = []
-    coloring: dict[CellKey, str] = {}
+    budget = _max_cells.get()
 
-    # Per pair, the 0-based copy that comes first in (colour, copy) order.
-    # The canonical policy glues its single high-dimensional cell along
-    # these, so the result is invariant under re-indexing parallel copies
-    # (e.g. merging the same two graphs in either order).
-    first_copy = {p: min(g.copies(p), key=lambda e: (e.color, e.copy)).copy - 1 for p in mult}
-
-    for v in sorted(g.nodes):
-        cells.append(Multicell((v,), 1))
-    for e in g.edges:
-        cell = Multicell((e.u, e.v), e.copy, faces=(((e.u,), 1), ((e.v,), 1)))
-        cells.append(cell)
-        coloring[cell.key] = e.color
-
-    # from_cells sorts every grade, so the clique order does not matter
+    # cliques of dimension >= 2 by dimension: (clique, pairs, radices, cells)
+    cliques: dict[int, list] = {}
+    total = len(g.nodes) + len(g.edges)
     for tau in _cliques(g.nodes, mult):
+        if total > budget:
+            break
         d = len(tau) - 1
         if d < 2:
             continue
         pairs = list(itertools.combinations(tau, 2))  # tau is sorted
         radix = [mult[p] for p in pairs]
-        # a face's copy is the rank of the restricted assignment; faces
-        # are lexicographic, so already in sorted face order
-        faces = [(sigma, _strides(pairs, radix, sigma)) for sigma in itertools.combinations(tau, d)]
-        if d >= 3 and policy == CANONICAL:
-            combos = [tuple(first_copy[p] for p in pairs)]
-            if d >= 4:
-                # faces above dimension 2 are the single cell of their clique
-                faces = [(sigma, ()) for sigma, _ in faces]
-        else:
-            # product order is lexicographic rank order
-            combos = itertools.product(*map(range, radix))
-        for copy, combo in enumerate(combos, start=1):
-            glued = tuple((sigma, 1 + sum(map(mul, combo, w))) for sigma, w in faces)
-            cells.append(Multicell(tau, copy, glued))
+        n = 1 if d >= 3 and policy == CANONICAL else prod(radix)
+        total += n
+        cliques.setdefault(d, []).append((tau, pairs, radix, n))
+    if total > budget:
+        raise CellBudgetExceeded(
+            f"the {policy} clique complex of a graph on {len(g.nodes)} nodes "
+            f"has more than {budget} cells"
+        )
+    if not g.nodes:
+        return Multicomplex(g.palette, (), policy)
 
-    return Multicomplex.from_cells(g.palette, cells, coloring, policy, validate=False)
+    nodes = sorted(g.nodes)
+    grades = [Grade(None, [(v,) for v in nodes], [1] * len(nodes))]
+    if mult:
+        row = {v: i for i, v in enumerate(nodes)}
+        vertices = [p for p, m in mult.items() for _ in range(m)]  # g.edges' order
+        grades.append(
+            Grade(
+                grades[0],
+                vertices,
+                [e.copy for e in g.edges],
+                ([row[u] for u, _ in vertices], [row[v] for _, v in vertices]),
+                [e.color for e in g.edges],
+            )
+        )
+    # each shape's first row, one dimension down
+    first = dict(zip(mult, itertools.accumulate(mult.values(), initial=0)))
+
+    # Per pair, the 0-based copy that comes first in (colour, copy) order.
+    # The canonical policy glues its single high-dimensional cell along
+    # these, so the result is invariant under re-indexing parallel copies
+    # (e.g. merging the same two graphs in either order).
+    if policy == CANONICAL:
+        first_copy = {
+            p: min(g.copies(p), key=lambda e: (e.color, e.copy)).copy - 1 for p in mult
+        }
+
+    for d in range(2, max(cliques, default=1) + 1):
+        single = d >= 3 and policy == CANONICAL
+        vertices, copies = [], []
+        faces = tuple([] for _ in range(d + 1))
+        below_first, first = first, {}
+        for tau, pairs, radix, n in sorted(cliques[d], key=itemgetter(0)):
+            first[tau] = len(copies)
+            vertices += [tau] * n
+            copies += range(1, n + 1)
+            # faces are lexicographic, so already in sorted face order
+            for rows, sigma in zip(faces, itertools.combinations(tau, d)):
+                base = below_first[sigma]
+                if single and d >= 4:
+                    # faces above dimension 2 are the single cell of their clique
+                    rows.append(base)
+                    continue
+                # a face's copy is the rank of the restricted assignment
+                weights = _strides(pairs, radix, sigma)
+                if single:
+                    rows.append(base + sum(first_copy[p] * w for p, w in zip(pairs, weights)))
+                else:
+                    rows += _face_rows(base, radix, weights)
+        grades.append(Grade(grades[-1], vertices, copies, faces))
+    return Multicomplex(g.palette, tuple(grades), policy)
 
 
 def _strides(
@@ -386,6 +541,18 @@ def _strides(
         if pairs[j][0] in sigma and pairs[j][1] in sigma:
             weights[j], stride = stride, stride * radix[j]
     return weights
+
+
+def _face_rows(base: int, radix: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """``base`` plus a face's rank under every copy combination of its
+    clique, in product order (the first pair most significant), which is
+    the order of the clique's cells."""
+    rows = [base]
+    for r, w in zip(radix, weights):
+        if r > 1:
+            steps = range(0, r * w, w) if w else [0] * r
+            rows = [s + t for s in rows for t in steps]
+    return rows
 
 
 def cell_coloring(x: Multicomplex, c: Multicell) -> tuple[str, ...]:

@@ -128,6 +128,24 @@ class Multigraph:
         return cls(frozenset(nodes), tuple(out), frozenset(palette))
 
     @classmethod
+    def _from_pairs(
+        cls,
+        nodes: frozenset[NodeId],
+        by_pair: dict[tuple[NodeId, NodeId], tuple[EdgeCopy, ...]],
+        palette: frozenset[Color],
+    ) -> "Multigraph":
+        """Trusted constructor: ``by_pair`` is already the pair index of a
+        valid graph (pairs sorted, each pair's copies 1..m in order,
+        endpoints in ``nodes``, colours in ``palette``), so nothing is
+        sorted or checked again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "nodes", nodes)
+        object.__setattr__(g, "edges", tuple(itertools.chain.from_iterable(by_pair.values())))
+        object.__setattr__(g, "palette", palette)
+        object.__setattr__(g, "_by_pair", by_pair)
+        return g
+
+    @classmethod
     def empty(cls, palette: Iterable[Color] = ()) -> "Multigraph":
         return cls(frozenset(), (), frozenset(palette))
 
@@ -209,14 +227,23 @@ def merge(g: Multigraph, h: Multigraph) -> Multigraph:
 
     Nodes union (equal labels identified), per-pair multiplicities add,
     and g's copies keep their indices while h's are appended after, so
-    copy identities on the g side are stable across a merge.
+    copy identities on the g side are stable across a merge.  Both
+    operands are valid graphs, so the result is assembled pair by pair
+    without sorting or checking it again.
     """
     if g.palette != h.palette:
         raise PaletteMismatch(
             f"operands disagree on palette: {sorted(g.palette)} vs {sorted(h.palette)}"
         )
-    shifted = (EdgeCopy(e.u, e.v, g.multiplicity(e.pair) + e.copy, e.color) for e in h.edges)
-    return Multigraph(g.nodes | h.nodes, g.edges + tuple(shifted), g.palette)
+    left, right = g._by_pair, h._by_pair
+    by_pair = {}
+    for pair in sorted(left.keys() | right.keys()):
+        copies = left.get(pair, ())
+        m = len(copies)
+        by_pair[pair] = copies + tuple(
+            EdgeCopy(e.u, e.v, m + e.copy, e.color) for e in right.get(pair, ())
+        )
+    return Multigraph._from_pairs(g.nodes | h.nodes, by_pair, g.palette)
 
 
 def color_count(g: Multigraph) -> int:

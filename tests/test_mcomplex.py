@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import gzip
 import itertools
+import json
 import random
 import time
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -15,11 +17,14 @@ from multihom import (
     CANONICAL,
     PER_COMBINATION,
     POLICIES,
+    CellBudgetExceeded,
     ComplexStructureError,
     EdgeCopy,
     Multicell,
     Multicomplex,
     Multigraph,
+    betti,
+    cell_budget,
     cell_coloring,
     clique_multicomplex,
     complex_merge,
@@ -343,6 +348,55 @@ class TestFromCells:
             Multicell((1, 2), 0, faces=(((1,), 1), ((2,), 1)))
         with pytest.raises(ComplexStructureError):
             Multicell((1, 2), 1, faces=(((1,), 1),))
+
+
+# -- the row store ----------------------------------------------------------------------
+
+
+class TestStore:
+    """The builder writes integer face rows; ``from_cells`` converts hand-built
+    cells into the same rows, and Betti numbers read them without a view."""
+
+    @given(g=multigraphs(max_nodes=5, max_mult=2), policy=st.sampled_from(POLICIES))
+    def test_built_complex_validates(self, g, policy):
+        clique_multicomplex(g, policy).validate()
+
+    @given(g=multigraphs(max_nodes=5, max_mult=2), policy=st.sampled_from(POLICIES))
+    def test_from_cells_round_trip_is_byte_identical(self, g, policy):
+        x = clique_multicomplex(g, policy)
+        y = Multicomplex.from_cells(x.palette, x.all_cells(), x.coloring, x.policy)
+        assert json.dumps(y.to_json_dict()) == json.dumps(x.to_json_dict())
+
+    @given(g=multigraphs(max_nodes=5, max_mult=2), policy=st.sampled_from(POLICIES))
+    def test_betti_makes_no_cell_objects(self, g, policy):
+        made = []
+        check = Multicell.__post_init__
+
+        def counted(cell):
+            made.append(cell)
+            check(cell)
+
+        with mock.patch.object(Multicell, "__post_init__", counted):
+            x = clique_multicomplex(g, policy)
+            betti(x)
+            assert made == []
+            x.cells(0)  # a view is a Multicell, so the count is live
+        assert len(made) == len(g.nodes)
+
+    @given(g=multigraphs(max_nodes=5, max_mult=2), policy=st.sampled_from(POLICIES))
+    def test_budget_is_the_cell_count(self, g, policy):
+        # the count summed from the cliques before any cell is made
+        total = len(clique_multicomplex(g, policy).all_cells())
+        with cell_budget(total):
+            clique_multicomplex(g, policy)
+        with cell_budget(total - 1), pytest.raises(CellBudgetExceeded):
+            clique_multicomplex(g, policy)
+
+    def test_budget_is_restored(self):
+        with cell_budget(1):
+            with pytest.raises(CellBudgetExceeded):
+                clique_multicomplex(doubled_edge_triangle())
+        assert clique_multicomplex(doubled_edge_triangle()).cell_count(2) == 2
 
 
 # -- equality and canonical form --------------------------------------------------------

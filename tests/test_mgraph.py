@@ -227,6 +227,20 @@ class TestPairIndex:
             assert g.copies((0, 1)) == () and g.multiplicity((0, 1)) == 0
             assert g.color_multiset((0, 1)) == ()
 
+    @given(multigraphs(max_nodes=5), multigraphs(max_nodes=5))
+    def test_merge_equals_the_validating_constructor(self, a, b):
+        # merge assembles its result without the constructor's sort and
+        # checks; the constructor, given the same copies, must agree on
+        # the edge order and on the pair index
+        shifted = [
+            EdgeCopy(e.u, e.v, a.multiplicity(e.pair) + e.copy, e.color) for e in b.edges
+        ]
+        checked = Multigraph(a.nodes | b.nodes, a.edges + tuple(shifted), a.palette)
+        m = merge(a, b)
+        assert (m.nodes, m.palette) == (checked.nodes, checked.palette)
+        assert m.edges == checked.edges
+        assert list(m._by_pair.items()) == list(checked._by_pair.items())
+
     def test_merge_and_hash_scale_with_the_edge_count(self):
         # two 600-node graphs of about 4,500 copies each; a per-pair scan
         # of every edge makes this quadratic (about 20 s)

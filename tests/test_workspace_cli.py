@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,48 @@ class TestCliMergeBetti:
         path = tmp_path / "ws.json"
         path.write_text(json.dumps(MINIMAL))
         assert main(["--workspace", str(path), "betti"]) == EXIT_USAGE
+
+
+class TestCliCellBudget:
+    """Doubled K7 has 393 cells under ``canonical`` and 2,350,601 under
+    ``per-combination``; the second is refused from the clique count,
+    before any cell is made."""
+
+    @staticmethod
+    def doubled_k7(tmp_path) -> str:
+        edges = [
+            {"u": u, "v": v, "color": color}
+            for u in range(1, 8)
+            for v in range(u + 1, 8)
+            for color in ("red", "black")
+        ]
+        data = {"colors": ["red", "black"], "graphs": {"G": {"nodes": list(range(1, 8)), "edges": edges}}}
+        path = tmp_path / "k7.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_per_combination_explosion_is_refused_quickly(self, tmp_path, capsys):
+        path = self.doubled_k7(tmp_path)
+        start = time.perf_counter()
+        code = main(["--workspace", path, "--policy", "per-combination", "betti", "G"])
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1000000 cells" in err
+        assert "Traceback" not in err
+        assert elapsed < 1.0, f"refusal took {elapsed:.2f} s"
+
+    @pytest.mark.parametrize("budget", ([], ["--max-cells", "393"]), ids=["default", "exact"])
+    def test_canonical_fits_the_budget(self, tmp_path, capsys, budget):
+        path = self.doubled_k7(tmp_path)
+        assert main(["--workspace", path, *budget, "--json", "betti", "G"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["betti"] == [1, 0, 224, 0, 0, 0, 0]
+
+    def test_flag_sets_the_budget(self, tmp_path, capsys):
+        path = self.doubled_k7(tmp_path)
+        assert main(["--workspace", path, "--max-cells", "392", "betti", "G"]) == EXIT_DOMAIN
+        assert "more than 392 cells" in capsys.readouterr().err
+        assert main(["--workspace", path, "--max-cells", "0", "betti", "G"]) == EXIT_USAGE
 
 
 class TestCliFiltrate:
