@@ -127,11 +127,11 @@ class FiltrationPoset:
 
     def to_json_dict(self) -> dict:
         # The cells show copy numbering, so here layers are told apart by
-        # their exact edges; nodes share each distinct layer's dict.
+        # their colours in copy order; nodes share each distinct layer's dict.
         layer_json: dict[tuple, dict] = {}
 
         def layer(g: Multigraph) -> dict:
-            key = (g.nodes, g.edges)
+            key = (g.nodes, tuple((p, g.colors(p)) for p in g.pairs()))
             if key not in layer_json:
                 layer_json[key] = clique_multicomplex(g, self.policy).to_json_dict()
             return layer_json[key]

@@ -30,7 +30,10 @@ converts into the same rows.
 
 ``clique_multicomplex`` counts the cells in closed form from the cliques
 before it makes any, and refuses a complex larger than the cell budget
-(``MAX_CELLS`` unless ``cell_budget`` sets another).
+(``MAX_CELLS`` unless ``cell_budget`` sets another).  It refuses as soon
+as the count passes the budget, or a clique of k vertices appears with
+2^k - 1 > budget (each subclique gives at least one cell), keeping only
+each clique and its cell count until then.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from math import prod
 from operator import itemgetter
 
 from .errors import CellBudgetExceeded, ComplexStructureError, PaletteMismatch
-from .mgraph import EdgeCopy, Multigraph, merge
+from .mgraph import Multigraph, merge
 
 __all__ = [
     "CANONICAL",
@@ -58,6 +61,7 @@ __all__ = [
     "Grade",
     "Multicomplex",
     "cell_budget",
+    "current_cell_budget",
     "clique_multicomplex",
     "complex_merge",
     "cell_coloring",
@@ -83,6 +87,11 @@ def cell_budget(max_cells: int) -> Iterator[None]:
         yield
     finally:
         _max_cells.reset(token)
+
+
+def current_cell_budget() -> int:
+    """The cell budget in force: ``MAX_CELLS`` unless ``cell_budget`` set another."""
+    return _max_cells.get()
 
 
 @dataclass(frozen=True, order=True)
@@ -276,12 +285,10 @@ class Multicomplex:
     def underlying_multigraph(self) -> Multigraph:
         """Nodes and coloured edge copies of the 1-skeleton."""
         edges = self.grade(1)
-        return Multigraph(
-            frozenset(v for (v,) in self.grade(0).vertices),
-            tuple(
-                EdgeCopy(u, v, copy, color)
-                for (u, v), copy, color in zip(edges.vertices, edges.copies, edges.colors or ())
-            ),
+        # rows are in (pair, copy) order, so build numbers each pair's copies as they are
+        return Multigraph.build(
+            [v for (v,) in self.grade(0).vertices],
+            [(u, v, color) for (u, v), color in zip(edges.vertices, edges.colors or ())],
             self.palette,
         )
 
@@ -430,17 +437,22 @@ def _cliques(
     for u, v in pairs:
         i, j = sorted((bit[u], bit[v]))
         up[i] |= 1 << j
-
-    def grow(clique: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            i = low.bit_length() - 1
-            tau = clique + (order[i],)
-            yield tau
-            yield from grow(tau, cand & up[i])
-
-    return grow((), (1 << len(order)) - 1)
+    # depth-first with an explicit stack of the (clique, candidates not yet
+    # tried) to return to, so a clique of any size needs no recursion
+    stack: list[tuple[tuple[int, ...], int]] = []
+    clique, cand = (), (1 << len(order)) - 1
+    while cand or stack:
+        if not cand:
+            clique, cand = stack.pop()
+            continue
+        low = cand & -cand
+        cand ^= low
+        i = low.bit_length() - 1
+        tau = clique + (order[i],)
+        yield tau
+        if cand & up[i]:
+            stack.append((clique, cand))
+            clique, cand = tau, cand & up[i]
 
 
 def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
@@ -455,23 +467,24 @@ def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     mult = g.multiplicities()
-    budget = _max_cells.get()
+    budget = current_cell_budget()
 
-    # cliques of dimension >= 2 by dimension: (clique, pairs, radices, cells)
-    cliques: dict[int, list] = {}
-    total = len(g.nodes) + len(g.edges)
+    # cliques of dimension >= 2 by dimension: (clique, cells)
+    cliques: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    total = len(g.nodes) + sum(mult.values())
+    over = False
     for tau in _cliques(g.nodes, mult):
-        if total > budget:
-            break
         d = len(tau) - 1
-        if d < 2:
-            continue
-        pairs = list(itertools.combinations(tau, 2))  # tau is sorted
-        radix = [mult[p] for p in pairs]
-        n = 1 if d >= 3 and policy == CANONICAL else prod(radix)
-        total += n
-        cliques.setdefault(d, []).append((tau, pairs, radix, n))
-    if total > budget:
+        # each of a clique's 2^(d+1) - 1 subcliques is a clique with a cell
+        over = total > budget or (2 << d) - 1 > budget
+        if over:
+            break
+        if d >= 2:
+            single = d >= 3 and policy == CANONICAL
+            n = 1 if single else prod(mult[p] for p in itertools.combinations(tau, 2))
+            total += n
+            cliques.setdefault(d, []).append((tau, n))
+    if over or total > budget:
         raise CellBudgetExceeded(
             f"the {policy} clique complex of a graph on {len(g.nodes)} nodes "
             f"has more than {budget} cells"
@@ -483,14 +496,14 @@ def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
     grades = [Grade(None, [(v,) for v in nodes], [1] * len(nodes))]
     if mult:
         row = {v: i for i, v in enumerate(nodes)}
-        vertices = [p for p, m in mult.items() for _ in range(m)]  # g.edges' order
+        vertices = [p for p, m in mult.items() for _ in range(m)]  # (pair, copy) order
         grades.append(
             Grade(
                 grades[0],
                 vertices,
-                [e.copy for e in g.edges],
+                [copy for m in mult.values() for copy in range(1, m + 1)],
                 ([row[u] for u, _ in vertices], [row[v] for _, v in vertices]),
-                [e.color for e in g.edges],
+                [color for p in mult for color in g.colors(p)],
             )
         )
     # each shape's first row, one dimension down
@@ -501,16 +514,16 @@ def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
     # these, so the result is invariant under re-indexing parallel copies
     # (e.g. merging the same two graphs in either order).
     if policy == CANONICAL:
-        first_copy = {
-            p: min(g.copies(p), key=lambda e: (e.color, e.copy)).copy - 1 for p in mult
-        }
+        first_copy = {p: (c := g.colors(p)).index(min(c)) for p in mult}
 
     for d in range(2, max(cliques, default=1) + 1):
         single = d >= 3 and policy == CANONICAL
         vertices, copies = [], []
         faces = tuple([] for _ in range(d + 1))
         below_first, first = first, {}
-        for tau, pairs, radix, n in sorted(cliques[d], key=itemgetter(0)):
+        for tau, n in sorted(cliques[d], key=itemgetter(0)):
+            pairs = list(itertools.combinations(tau, 2))  # tau is sorted
+            radix = [mult[p] for p in pairs]
             first[tau] = len(copies)
             vertices += [tau] * n
             copies += range(1, n + 1)

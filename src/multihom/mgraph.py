@@ -10,6 +10,13 @@ colour.  Two graphs over the same palette compose in two ways:
   nodes with equal labels are identified and multiplicities add per
   endpoint pair.
 
+A graph stores, per endpoint pair (pairs sorted), its copies' colours
+in copy order, so copy indices are contiguous by construction.  Every
+door (``Multigraph(nodes, edges, palette)`` from ``EdgeCopy`` values,
+``build``, ``merge``, ``canonical``, ``empty``) ends in one checked step
+(endpoints in the node set, colours in the palette, per pair).  The
+views ``edges`` and ``copies`` make ``EdgeCopy`` values on demand.
+
 Graphs are immutable values.  Equality is semantic: node set, palette,
 and the colour multiset per endpoint pair — the copy indices used to
 tell parallel edges apart are bookkeeping, not identity.
@@ -40,6 +47,8 @@ __all__ = [
 
 Color = str
 NodeId = int
+Pair = tuple[NodeId, NodeId]
+ColorsByPair = dict[Pair, tuple[Color, ...]]  # per pair, the colour of copy 1, 2, ...
 
 
 @dataclass(frozen=True, order=True)
@@ -60,34 +69,30 @@ class EdgeCopy:
             raise GraphStructureError(f"copy index must be >= 1, got {self.copy}")
 
     @property
-    def pair(self) -> tuple[NodeId, NodeId]:
+    def pair(self) -> Pair:
         return (self.u, self.v)
 
 
-def _normalize_pair(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
+def _normalize_pair(u: NodeId, v: NodeId) -> Pair:
     if u == v:
         raise SelfLoopPresent(f"self-loop at node {u}")
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Multigraph:
     """Immutable edge-coloured multigraph over a fixed palette."""
 
     nodes: frozenset[NodeId]
-    edges: tuple[EdgeCopy, ...]
     palette: frozenset[Color]
+    _by_pair: ColorsByPair
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        # The one grouping of copies by pair; every per-pair view reads it.
-        # Edges are sorted, so pairs and each pair's copies come in order.
-        by_pair: dict[tuple[NodeId, NodeId], list[EdgeCopy]] = {}
-        for e in self.edges:
-            if e.u not in self.nodes or e.v not in self.nodes:
-                raise GraphStructureError(f"edge {e.pair} has endpoints outside the node set")
-            if e.color not in self.palette:
-                raise PaletteMismatch(f"colour {e.color!r} not in palette {sorted(self.palette)}")
+    def __init__(
+        self, nodes: Iterable[NodeId], edges: Iterable[EdgeCopy], palette: Iterable[Color]
+    ):
+        """From ``EdgeCopy`` values in any order; each pair's copies must be 1..m."""
+        by_pair: dict[Pair, list[EdgeCopy]] = {}
+        for e in sorted(edges):
             by_pair.setdefault(e.pair, []).append(e)
         for pair, copies in by_pair.items():
             indices = [e.copy for e in copies]
@@ -95,7 +100,27 @@ class Multigraph:
                 raise GraphStructureError(
                     f"copy indices for pair {pair} must be contiguous 1..m, got {indices}"
                 )
-        object.__setattr__(self, "_by_pair", {p: tuple(c) for p, c in by_pair.items()})
+        self._store(nodes, {p: tuple(e.color for e in c) for p, c in by_pair.items()}, palette)
+
+    def _store(self, nodes: Iterable[NodeId], by_pair: ColorsByPair, palette: Iterable[Color]):
+        """The one checked step every graph goes through: each pair's
+        endpoints are nodes and its colours are in the palette."""
+        nodes, palette = frozenset(nodes), frozenset(palette)
+        for (u, v), colors in by_pair.items():
+            if u not in nodes or v not in nodes:
+                raise GraphStructureError(f"edge {(u, v)} has endpoints outside the node set")
+            if not palette.issuperset(colors):
+                bad = next(c for c in colors if c not in palette)
+                raise PaletteMismatch(f"colour {bad!r} not in palette {sorted(palette)}")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "palette", palette)
+        object.__setattr__(self, "_by_pair", dict(sorted(by_pair.items())))
+
+    @classmethod
+    def _of(cls, nodes: Iterable[NodeId], by_pair: ColorsByPair, palette: Iterable[Color]):
+        g = object.__new__(cls)
+        g._store(nodes, by_pair, palette)
+        return g
 
     # -- construction helpers -------------------------------------------------
 
@@ -106,13 +131,10 @@ class Multigraph:
         edges: Iterable[tuple[NodeId, NodeId, Color] | tuple[NodeId, NodeId, Color, int]],
         palette: Iterable[Color],
     ) -> "Multigraph":
-        """Build from ``(u, v, color)`` or ``(u, v, color, mult)`` rows.
-
-        Copy indices are assigned per endpoint pair in row order, so the
-        same row repeated (or a ``mult`` > 1) yields parallel copies.
-        """
-        counters: dict[tuple[NodeId, NodeId], int] = {}
-        out: list[EdgeCopy] = []
+        """Build from ``(u, v, color)`` or ``(u, v, color, mult)`` rows; copies
+        are numbered per endpoint pair in row order, so the same row repeated
+        (or a ``mult`` > 1) yields parallel copies."""
+        by_pair: dict[Pair, list[Color]] = {}
         for row in edges:
             if len(row) == 3:
                 u, v, color = row  # type: ignore[misc]
@@ -121,54 +143,43 @@ class Multigraph:
                 u, v, color, mult = row  # type: ignore[misc]
             if mult < 1:
                 raise GraphStructureError(f"multiplicity must be >= 1, got {mult}")
-            pair = _normalize_pair(u, v)
-            for _ in range(mult):
-                counters[pair] = counters.get(pair, 0) + 1
-                out.append(EdgeCopy(pair[0], pair[1], counters[pair], color))
-        return cls(frozenset(nodes), tuple(out), frozenset(palette))
-
-    @classmethod
-    def _from_pairs(
-        cls,
-        nodes: frozenset[NodeId],
-        by_pair: dict[tuple[NodeId, NodeId], tuple[EdgeCopy, ...]],
-        palette: frozenset[Color],
-    ) -> "Multigraph":
-        """Trusted constructor: ``by_pair`` is already the pair index of a
-        valid graph (pairs sorted, each pair's copies 1..m in order,
-        endpoints in ``nodes``, colours in ``palette``), so nothing is
-        sorted or checked again."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "nodes", nodes)
-        object.__setattr__(g, "edges", tuple(itertools.chain.from_iterable(by_pair.values())))
-        object.__setattr__(g, "palette", palette)
-        object.__setattr__(g, "_by_pair", by_pair)
-        return g
+            by_pair.setdefault(_normalize_pair(u, v), []).extend([color] * mult)
+        return cls._of(nodes, {p: tuple(c) for p, c in by_pair.items()}, palette)
 
     @classmethod
     def empty(cls, palette: Iterable[Color] = ()) -> "Multigraph":
-        return cls(frozenset(), (), frozenset(palette))
+        return cls._of((), {}, palette)
 
     # -- views -----------------------------------------------------------------
 
-    def pairs(self) -> tuple[tuple[NodeId, NodeId], ...]:
+    def pairs(self) -> tuple[Pair, ...]:
         """Distinct endpoint pairs, sorted."""
         return tuple(self._by_pair)
 
-    def multiplicity(self, pair: tuple[NodeId, NodeId]) -> int:
-        return len(self.copies(pair))
+    def multiplicity(self, pair: Pair) -> int:
+        return len(self.colors(pair))
 
-    def multiplicities(self) -> dict[tuple[NodeId, NodeId], int]:
+    def multiplicities(self) -> dict[Pair, int]:
         return {p: len(c) for p, c in self._by_pair.items()}
 
-    def copies(self, pair: tuple[NodeId, NodeId]) -> tuple[EdgeCopy, ...]:
+    def colors(self, pair: Pair) -> tuple[Color, ...]:
+        """The pair's colours in copy order: copy i has ``colors(pair)[i - 1]``."""
         return self._by_pair.get(pair, ())
 
-    def colors_used(self) -> frozenset[Color]:
-        return frozenset(e.color for e in self.edges)
+    def copies(self, pair: Pair) -> tuple[EdgeCopy, ...]:
+        u, v = pair
+        return tuple(EdgeCopy(u, v, i, c) for i, c in enumerate(self.colors(pair), start=1))
 
-    def color_multiset(self, pair: tuple[NodeId, NodeId]) -> tuple[Color, ...]:
-        return tuple(sorted(e.color for e in self.copies(pair)))
+    @cached_property
+    def edges(self) -> tuple[EdgeCopy, ...]:
+        """Every copy, sorted by (pair, copy)."""
+        return tuple(e for p in self._by_pair for e in self.copies(p))
+
+    def colors_used(self) -> frozenset[Color]:
+        return frozenset(itertools.chain.from_iterable(self._by_pair.values()))
+
+    def color_multiset(self, pair: Pair) -> tuple[Color, ...]:
+        return tuple(sorted(self.colors(pair)))
 
     # -- identity ----------------------------------------------------------------
 
@@ -186,7 +197,8 @@ class Multigraph:
         return hash(self._key)
 
     def __repr__(self):
-        return f"Multigraph(|V|={len(self.nodes)}, |E|={len(self.edges)}, colours={sorted(self.colors_used())})"
+        copies = sum(self.multiplicities().values())
+        return f"Multigraph(|V|={len(self.nodes)}, |E|={copies}, colours={sorted(self.colors_used())})"
 
     def to_json_dict(self) -> dict:
         """Canonical JSON form: copies grouped by (pair, colour)."""
@@ -194,8 +206,8 @@ class Multigraph:
             "nodes": sorted(self.nodes),
             "edges": [
                 {"u": u, "v": v, "color": c, "mult": m}
-                for (u, v), copies in self._by_pair.items()
-                for c, m in sorted(Counter(e.color for e in copies).items())
+                for (u, v), colors in self._by_pair.items()
+                for c, m in sorted(Counter(colors).items())
             ],
         }
 
@@ -227,23 +239,17 @@ def merge(g: Multigraph, h: Multigraph) -> Multigraph:
 
     Nodes union (equal labels identified), per-pair multiplicities add,
     and g's copies keep their indices while h's are appended after, so
-    copy identities on the g side are stable across a merge.  Both
-    operands are valid graphs, so the result is assembled pair by pair
-    without sorting or checking it again.
+    copy identities on the g side are stable across a merge: per pair,
+    h's colours are concatenated after g's.
     """
     if g.palette != h.palette:
         raise PaletteMismatch(
             f"operands disagree on palette: {sorted(g.palette)} vs {sorted(h.palette)}"
         )
-    left, right = g._by_pair, h._by_pair
-    by_pair = {}
-    for pair in sorted(left.keys() | right.keys()):
-        copies = left.get(pair, ())
-        m = len(copies)
-        by_pair[pair] = copies + tuple(
-            EdgeCopy(e.u, e.v, m + e.copy, e.color) for e in right.get(pair, ())
-        )
-    return Multigraph._from_pairs(g.nodes | h.nodes, by_pair, g.palette)
+    by_pair = dict(g._by_pair)
+    for pair, colors in h._by_pair.items():
+        by_pair[pair] = by_pair.get(pair, ()) + colors
+    return Multigraph._of(g.nodes | h.nodes, by_pair, g.palette)
 
 
 def color_count(g: Multigraph) -> int:
@@ -254,15 +260,9 @@ def color_count(g: Multigraph) -> int:
 def canonical(g: Multigraph) -> Multigraph:
     """Re-index copies per pair in colour order; canonical representative
     of the semantic equality class."""
-    edges = tuple(
-        EdgeCopy(e.u, e.v, i, e.color)
-        for pair in g.pairs()
-        for i, e in enumerate(sorted(g.copies(pair), key=lambda e: (e.color, e.copy)), start=1)
-    )
-    return Multigraph(g.nodes, edges, g.palette)
+    by_pair = {p: tuple(sorted(c)) for p, c in g._by_pair.items()}
+    return Multigraph._of(g.nodes, by_pair, g.palette)
 
 
 def vertex_disjoint(*graphs: Multigraph) -> bool:
-    return all(
-        not (a.nodes & b.nodes) for a, b in itertools.combinations(graphs, 2)
-    )
+    return all(not (a.nodes & b.nodes) for a, b in itertools.combinations(graphs, 2))

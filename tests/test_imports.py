@@ -1,9 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and only
+``mgraph`` sees how a multigraph stores its copies.
 
 Stdlib ``ast`` only: a module's imported names are compared with the
 names it loads (annotations included, quoted ones parsed).  A name
 re-exported through ``__all__`` counts as used, and ``__init__.py``,
-which exists to re-export, is not checked.
+which exists to re-export, is not checked.  Outside ``mgraph.py`` no
+module may construct an ``EdgeCopy`` or read a graph's ``_by_pair``:
+they read copies through ``Multigraph`` methods.
 """
 
 from __future__ import annotations
@@ -70,6 +73,20 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
+def storage_reads(source: str) -> list[str]:
+    """Each ``EdgeCopy(...)`` call and each ``._by_pair`` read, with its line."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "EdgeCopy":
+                out.append(f"EdgeCopy(...) (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr == "_by_pair":
+            out.append(f"._by_pair (line {node.lineno})")
+    return out
+
+
 def test_package_modules_found():
     assert len(MODULES) >= 10
 
@@ -77,6 +94,15 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "mgraph.py"),
+    ids=lambda p: p.name,
+)
+def test_only_mgraph_sees_the_copy_storage(path):
+    assert storage_reads(path.read_text()) == []
 
 
 class TestScanner:
@@ -97,3 +123,15 @@ class TestScanner:
 
     def test_future_import_is_not_a_name(self):
         assert unused_imports("from __future__ import annotations\n") == []
+
+    def test_flags_edge_copies_and_the_pair_index(self):
+        src = (
+            "from .mgraph import EdgeCopy\nimport multihom.mgraph as mg\n"
+            "a = EdgeCopy(1, 2, 1, 'red')\nb = mg.EdgeCopy(1, 2, 1, 'red')\n"
+            "c = g._by_pair[(1, 2)]\nd = g.colors((1, 2))\n"
+        )
+        assert storage_reads(src) == [
+            "EdgeCopy(...) (line 3)",
+            "EdgeCopy(...) (line 4)",
+            "._by_pair (line 5)",
+        ]

@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -34,6 +35,7 @@ from multihom import (
 )
 
 from multihom.cli import EXIT_OK, main
+from multihom.mcomplex import _cliques
 
 from conftest import PALETTE, REPO_ROOT, multigraphs
 from oracles import (
@@ -392,6 +394,20 @@ class TestStore:
         with cell_budget(total - 1), pytest.raises(CellBudgetExceeded):
             clique_multicomplex(g, policy)
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_large_clique_is_refused_before_cliques_fill_memory(self, policy):
+        # K_30 has 2^30 - 1 cliques; a clique of 14 vertices already has more
+        # subcliques than the budget, so the refusal comes before the store
+        k30 = G(range(30), [(u, v, "red") for u, v in itertools.combinations(range(30), 2)])
+        tracemalloc.start()
+        try:
+            with cell_budget(10_000), pytest.raises(CellBudgetExceeded, match="10000 cells"):
+                clique_multicomplex(k30, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, f"peak {peak / 1e6:.1f} MB before the refusal"
+
     def test_budget_is_restored(self):
         with cell_budget(1):
             with pytest.raises(CellBudgetExceeded):
@@ -457,6 +473,15 @@ class TestCliqueEnumeration:
         expected = cliques_bruteforce(g.nodes, g.pairs())
         got = [c.vertices for c in x.all_cells()]
         assert sorted(got) == sorted(expected)
+
+    def test_deep_cliques_need_no_recursion(self):
+        # depth-first growth of K_1050 nests 1050 cliques, past Python's
+        # default recursion limit of 1000
+        n = 1050
+        everything = _cliques(range(n), itertools.combinations(range(n), 2))
+        cliques = list(itertools.islice(everything, 2000))
+        assert len(cliques) == 2000
+        assert cliques[:n] == [tuple(range(k)) for k in range(1, n + 1)]
 
 
 # -- merge of complexes ---------------------------------------------------------------

@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given
 
 from multihom import (
+    POLICIES,
     EdgeCopy,
     GraphStructureError,
     Multigraph,
     Multilayer,
     PaletteMismatch,
     SelfLoopPresent,
+    betti,
     canonical,
+    clique_multicomplex,
     color_count,
     merge,
     tensor,
@@ -222,24 +227,54 @@ class TestPairIndex:
             assert g.multiplicities() == {p: len(c) for p, c in groups.items()}
             for p, copies in groups.items():
                 assert g.copies(p) == copies
+                assert g.colors(p) == tuple(e.color for e in copies)
                 assert g.multiplicity(p) == len(copies)
                 assert g.color_multiset(p) == tuple(sorted(e.color for e in copies))
             assert g.copies((0, 1)) == () and g.multiplicity((0, 1)) == 0
-            assert g.color_multiset((0, 1)) == ()
+            assert g.color_multiset((0, 1)) == () and g.colors((0, 1)) == ()
 
     @given(multigraphs(max_nodes=5), multigraphs(max_nodes=5))
     def test_merge_equals_the_validating_constructor(self, a, b):
-        # merge assembles its result without the constructor's sort and
-        # checks; the constructor, given the same copies, must agree on
-        # the edge order and on the pair index
+        # merge, canonical and build write per-pair colour tuples; the
+        # EdgeCopy constructor, given the copies each should make, must
+        # agree with them on the edge order and on the pair index
         shifted = [
             EdgeCopy(e.u, e.v, a.multiplicity(e.pair) + e.copy, e.color) for e in b.edges
         ]
-        checked = Multigraph(a.nodes | b.nodes, a.edges + tuple(shifted), a.palette)
-        m = merge(a, b)
-        assert (m.nodes, m.palette) == (checked.nodes, checked.palette)
-        assert m.edges == checked.edges
-        assert list(m._by_pair.items()) == list(checked._by_pair.items())
+        by_colour = [
+            EdgeCopy(e.u, e.v, i, e.color)
+            for p in a.pairs()
+            for i, e in enumerate(sorted(a.copies(p), key=lambda e: (e.color, e.copy)), 1)
+        ]
+        # rows with swapped endpoints and pairs interleaved, each pair's copies in order
+        rows = [(e.v, e.u, e.color) for e in sorted(a.edges, key=lambda e: (e.copy, e.pair))]
+        for made, checked in [
+            (merge(a, b), Multigraph(a.nodes | b.nodes, a.edges + tuple(shifted), a.palette)),
+            (canonical(a), Multigraph(a.nodes, by_colour, a.palette)),
+            (Multigraph.build(a.nodes, rows, a.palette), Multigraph(a.nodes, a.edges, a.palette)),
+        ]:
+            assert (made.nodes, made.palette) == (checked.nodes, checked.palette)
+            assert made.edges == checked.edges
+            assert list(made._by_pair.items()) == list(checked._by_pair.items())
+
+    def test_complex_path_makes_no_edge_copies(self):
+        # K4 with doubled pairs: the canonical policy reads each pair's
+        # first copy in colour order, per-combination every copy
+        rows = [(u, v, c) for u, v in itertools.combinations(range(4), 2) for c in ("red", "blue")]
+        made = []
+        check = EdgeCopy.__post_init__
+
+        def counted(e):
+            made.append(e)
+            check(e)
+
+        with mock.patch.object(EdgeCopy, "__post_init__", counted):
+            g = canonical(merge(G(range(4), rows[::2]), G(range(4), rows[1::2])))
+            for policy in POLICIES:
+                betti(clique_multicomplex(g, policy))
+            assert made == []
+            g.edges  # a view makes EdgeCopy values, so the count is live
+        assert len(made) == 12
 
     def test_merge_and_hash_scale_with_the_edge_count(self):
         # two 600-node graphs of about 4,500 copies each; a per-pair scan

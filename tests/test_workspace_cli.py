@@ -236,6 +236,39 @@ class TestCliCellBudget:
         assert "more than 392 cells" in capsys.readouterr().err
         assert main(["--workspace", path, "--max-cells", "0", "betti", "G"]) == EXIT_USAGE
 
+    def test_large_clique_is_refused_without_filling_memory(self, tmp_path, capsys):
+        # K_30 has about 10^9 cliques; the refusal comes from its first
+        # clique of 20 vertices, which alone has 2^20 - 1 subcliques
+        edges = [{"u": u, "v": v, "color": "red"} for u in range(30) for v in range(u + 1, 30)]
+        data = {
+            "colors": ["red"],
+            "graphs": {
+                "G": {"nodes": list(range(30)), "edges": edges},
+                "H": {"nodes": [0, 1], "edges": [{"u": 0, "v": 1, "color": "red"}]},
+            },
+        }
+        path = tmp_path / "k30.json"
+        path.write_text(json.dumps(data))
+        assert main(["--workspace", str(path), "betti", "G . H"]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1000000 cells" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "mult, budget", [(100_000_000, []), (4, ["--max-cells", "3"])], ids=["default", "flag"]
+    )
+    def test_edge_copies_over_the_budget_are_refused_before_they_are_made(
+        self, tmp_path, capsys, mult, budget
+    ):
+        data = ws_variant()
+        data["graphs"]["G"]["edges"][0]["mult"] = mult
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(data))
+        assert main(["--workspace", str(path), *budget, "betti", "G"]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"graph 'G' has {mult} edge copies" in err
+        assert "Traceback" not in err
+
 
 class TestCliFiltrate:
     def test_report_has_both_channels(self, three_paths_path, capsys):
