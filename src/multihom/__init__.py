@@ -23,6 +23,7 @@ from .chainlat import (
 from .chainparse import parse_chain
 from .errors import (
     CellBudgetExceeded,
+    ChainBudgetExceeded,
     ChainSyntaxError,
     ComplexStructureError,
     GraphStructureError,

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import chainlat, filtration, homology, incremental, mcomplex
 from .chainlat import ChainExpr
 from .chainparse import parse_chain
-from .errors import LawViolation, MultihomError
+from .errors import ChainBudgetExceeded, LawViolation, MultihomError
 from .mgraph import Multigraph, merge
 from .workspace import Workspace, load_workspace
 
@@ -37,6 +39,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_LAW = 3
+
+# Work limits, counted before any chain is made.  Each admits every size
+# that finished within a few seconds when measured (lattice: 9 atoms, or
+# 7 with --permutations; check-laws: --k 6) and refuses the next.
+MAX_LATTICE_CHAINS = 1_000_000  # chains `lattice` enumerates
+MAX_LAW_TRIPLES = 100_000  # chain triples `check-laws` walks at its largest k
 
 
 class UsageError(Exception):
@@ -172,8 +180,27 @@ def cmd_filtrate(args) -> int:
     return EXIT_OK
 
 
+def _capped_product(factors: Iterable[int], cap: int) -> int:
+    """The product of the factors, or cap + 1 as soon as it passes cap."""
+    product = 1
+    for f in factors:
+        product *= f
+        if product > cap:
+            return cap + 1
+    return product
+
+
 def cmd_lattice(args) -> int:
     atoms = tuple(args.atoms)
+    k, cap = len(atoms), MAX_LATTICE_CHAINS
+    # one minimal chain per atom order, and the 2^(k-1) chains of one
+    # order, or with --permutations of every order
+    orders = _capped_product(range(2, k + 1), cap)
+    per_order = _capped_product(itertools.repeat(2, k - 1), cap)
+    if orders + per_order * (orders if args.permutations else 1) > cap:
+        raise ChainBudgetExceeded(
+            f"lattice over {k} atoms would enumerate more than {cap:,} chains"
+        )
     chains = filtration.enumerate_chains(atoms, include_permutations=args.permutations)
     payload = {
         "atoms": list(atoms),
@@ -198,6 +225,11 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_check_laws(args) -> int:
+    # the largest k walks every triple of its 2^(k-1) chains
+    if _capped_product(itertools.repeat(8, args.k - 1), MAX_LAW_TRIPLES) > MAX_LAW_TRIPLES:
+        raise ChainBudgetExceeded(
+            f"check-laws --k {args.k} would walk more than {MAX_LAW_TRIPLES:,} chain triples"
+        )
     violations: list[str] = []
     for k in range(2, args.k + 1):
         atoms = tuple(f"A{i}" for i in range(1, k + 1))
@@ -231,8 +263,6 @@ def cmd_check_laws(args) -> int:
 
 def _monoid_law_witnesses(graphs: list[Multigraph], policy: str) -> list[str]:
     """Merge-monoid and functoriality checks over every pair/triple."""
-    import itertools
-
     out: list[str] = []
     complexes = [mcomplex.clique_multicomplex(g, policy) for g in graphs]
     palette = graphs[0].palette if graphs else frozenset()

@@ -18,6 +18,7 @@ __all__ = [
     "UnsupportedShape",
     "ComplexStructureError",
     "CellBudgetExceeded",
+    "ChainBudgetExceeded",
     "NegativeBetti",
     "LawViolation",
     "WorkspaceError",
@@ -75,6 +76,11 @@ class ComplexStructureError(MultihomError):
 class CellBudgetExceeded(MultihomError):
     """A clique complex would have more cells than the cell budget allows;
     refused before any cell is made."""
+
+
+class ChainBudgetExceeded(MultihomError):
+    """A chain listing or law check would walk more chains than its limit
+    allows; refused before any chain is made."""
 
 
 class NegativeBetti(MultihomError):

@@ -509,12 +509,14 @@ def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
     # each shape's first row, one dimension down
     first = dict(zip(mult, itertools.accumulate(mult.values(), initial=0)))
 
-    # Per pair, the 0-based copy that comes first in (colour, copy) order.
-    # The canonical policy glues its single high-dimensional cell along
-    # these, so the result is invariant under re-indexing parallel copies
-    # (e.g. merging the same two graphs in either order).
-    if policy == CANONICAL:
-        first_copy = {p: (c := g.colors(p)).index(min(c)) for p in mult}
+    def first_copy(p: tuple[int, int]) -> int:
+        """The pair's 0-based copy that comes first in (colour, copy) order.
+        The canonical policy glues its single high-dimensional cell along
+        these, so the result is invariant under re-indexing parallel copies
+        (e.g. merging the same two graphs in either order).  Only 3-cells
+        read them: the faces of higher single cells are single cells."""
+        colors = g.colors(p)
+        return colors.index(min(colors))
 
     for d in range(2, max(cliques, default=1) + 1):
         single = d >= 3 and policy == CANONICAL
@@ -537,7 +539,7 @@ def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
                 # a face's copy is the rank of the restricted assignment
                 weights = _strides(pairs, radix, sigma)
                 if single:
-                    rows.append(base + sum(first_copy[p] * w for p, w in zip(pairs, weights)))
+                    rows.append(base + sum(first_copy(p) * w for p, w in zip(pairs, weights) if w))
                 else:
                     rows += _face_rows(base, radix, weights)
         grades.append(Grade(grades[-1], vertices, copies, faces))

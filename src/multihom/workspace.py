@@ -122,9 +122,13 @@ def parse_workspace(data: dict) -> Workspace:
 
 def load_workspace(path: str | Path) -> Workspace:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise WorkspaceError(f"workspace file not found: {path}") from None
+    except OSError as exc:  # a directory, no permission, ...
+        raise WorkspaceError(f"cannot read workspace {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise WorkspaceError(f"workspace {path} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"workspace is not valid JSON: {exc}") from None
     return parse_workspace(data)

@@ -14,6 +14,7 @@ from multihom import (
     PER_COMBINATION,
     POLICIES,
     Gf2Basis,
+    Multicell,
     Multicomplex,
     Multigraph,
     betti,
@@ -28,6 +29,7 @@ from multihom import (
     replay_betti,
     tensor,
 )
+from multihom import homology
 from multihom.randgen import random_multigraph
 
 from conftest import PALETTE, multigraphs
@@ -261,6 +263,82 @@ class TestClearing:
         assert beta == (1, 0, 0, 0, 0, 27449)
         assert beta == complete_multigraph_betti(dict.fromkeys(pairs, 2))
         assert elapsed < 5.0, f"betti took {elapsed:.1f} s"
+
+
+def sparse_graph(rng: random.Random) -> Multigraph:
+    """20-40 nodes, each pair an edge with probability 0.1-0.2, one or two
+    copies per edge: sparse enough that rows often share a lowest coface."""
+    nodes = range(1, rng.randint(20, 40) + 1)
+    p = rng.uniform(0.1, 0.2)
+    rows = [
+        (u, v, rng.choice(PALETTE))
+        for u, v in itertools.combinations(nodes, 2)
+        if rng.random() < p
+        for _ in range(rng.randint(1, 2))
+    ]
+    return G(nodes, rows)
+
+
+@pytest.fixture
+def row_builds(monkeypatch) -> list[int]:
+    """Wraps ``homology.coboundary_rows``; lists the dimension of each call."""
+    calls: list[int] = []
+    build = homology.coboundary_rows
+
+    def counted(x, d):
+        calls.append(d)
+        return build(x, d)
+
+    monkeypatch.setattr(homology, "coboundary_rows", counted)
+    return calls
+
+
+class TestApparentPivots:
+    """``betti`` keeps a row by its index while its lowest coface is no
+    pivot yet, and builds a dimension's rows only when two rows share one."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_matches_replay_where_rows_share_a_pivot(self, policy, row_builds):
+        rng = random.Random(policy)
+        for _ in range(20):
+            g = sparse_graph(rng)
+            x = clique_multicomplex(g, policy)
+            beta = betti(x)
+            assert beta == replay_betti(x)
+            assert beta[0] == connected_components(g)
+        assert row_builds, "no dimension had two rows share a lowest coface"
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_doubled_complete_graphs_build_no_rows(self, n, policy, row_builds):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        x = clique_multicomplex(G(range(1, n + 1), [(u, v, "red", 2) for u, v in pairs]), policy)
+        beta = betti(x)
+        assert row_builds == []
+        if policy == PER_COMBINATION:
+            assert beta == complete_multigraph_betti(dict.fromkeys(pairs, 2))
+        else:
+            assert beta == replay_betti(x)
+
+    def test_a_face_named_twice_cancels(self):
+        # 1-cells a0 and a join 1 and 2; b, on (1, 3), is glued to vertex 1
+        # at both ends, so it bounds nothing.  The 2-cell c0 is glued to b
+        # three times and c to a, a and b, so both bound b alone: c is a's
+        # lowest coface by index, but the two incidences cancel.
+        v = [((i,), 1) for i in (1, 2, 3)]
+        a0, a, b = ((1, 2), 1), ((1, 2), 2), ((1, 3), 1)
+        cells = [Multicell(*key) for key in v] + [
+            Multicell(*a0, faces=(v[0], v[1])),
+            Multicell(*a, faces=(v[0], v[1])),
+            Multicell(*b, faces=(v[0], v[0])),
+            Multicell((1, 2, 3), 1, faces=(b, b, b)),
+            Multicell((1, 2, 3), 2, faces=(a, a, b)),
+        ]
+        x = Multicomplex.from_cells(
+            PALETTE, cells, dict.fromkeys((a0, a, b), PALETTE[0]), validate=False
+        )
+        assert boundary_squares_to_zero(x)
+        assert betti(x) == replay_betti(x) == (2, 1, 1)
 
 
 # -- global invariants ---------------------------------------------------------------

@@ -160,6 +160,18 @@ class TestCliMergeBetti:
         code = main(["--workspace", str(tmp_path / "x.json"), "merge", "G", "H"])
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_workspace_is_domain_exit(self, tmp_path, capsys, kind):
+        path = tmp_path / "ws.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{}")
+        assert main(["--workspace", str(path), "betti", "G"]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
+
     def test_betti_default_chain(self, three_paths_path, capsys):
         assert main(["--workspace", str(three_paths_path), "--json", "betti"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
@@ -328,6 +340,51 @@ class TestCliLaws:
     def test_workspace_graphs_are_used(self, three_paths_path, capsys):
         code = main(["--workspace", str(three_paths_path), "check-laws", "--k", "2"])
         assert code == EXIT_OK
+
+
+def atoms(k: int) -> list[str]:
+    return [f"A{i}" for i in range(1, k + 1)]
+
+
+class TestCliWorkLimits:
+    """``lattice`` and ``check-laws`` count their chains before making
+    any and refuse (exit 2) what they could not finish."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lattice", *atoms(10)],  # 10! minimal chains
+            ["lattice", *atoms(20)],
+            ["lattice", "--permutations", *atoms(8)],  # 8! orders of 2^7 chains
+            ["check-laws", "--k", "7"],  # (2^6)^3 chain triples
+            ["check-laws", "--k", "1000000000"],
+        ],
+        ids=["lattice-10", "lattice-20", "permutations-8", "laws-7", "laws-huge"],
+    )
+    def test_refused_within_a_second(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "would" in err
+        assert "Traceback" not in err
+        assert elapsed < 1.0, f"refusal took {elapsed:.2f} s"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["lattice", *atoms(9)], ["lattice", "--permutations", *atoms(7)], ["check-laws", "--k", "6"]],
+        ids=["lattice-9", "permutations-7", "laws-6"],
+    )
+    def test_largest_sizes_still_run(self, capsys, monkeypatch, argv):
+        # these take seconds; the enumerations are stubbed, since only
+        # the limits are under test here
+        from multihom import chainlat, filtration
+
+        monkeypatch.setattr(filtration, "enumerate_chains", lambda atoms, include_permutations: ())
+        monkeypatch.setattr(chainlat, "minimal_chains", lambda atoms: ())
+        monkeypatch.setattr(chainlat, "check_laws", lambda atoms, **kw: [])
+        assert main(argv) == EXIT_OK
 
 
 class TestCliIncremental:
