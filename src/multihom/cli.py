@@ -42,9 +42,11 @@ EXIT_LAW = 3
 
 # Work limits, counted before any chain is made.  Each admits every size
 # that finished within a few seconds when measured (lattice: 9 atoms, or
-# 7 with --permutations; check-laws: --k 6) and refuses the next.
+# 7 with --permutations; check-laws: --k 6, and 17 workspace triangles)
+# and refuses the next.
 MAX_LATTICE_CHAINS = 1_000_000  # chains `lattice` enumerates
 MAX_LAW_TRIPLES = 100_000  # chain triples `check-laws` walks at its largest k
+MAX_GRAPH_TRIPLES = 5_000  # workspace graph triples `check-laws` merges
 
 
 class UsageError(Exception):
@@ -230,14 +232,18 @@ def cmd_check_laws(args) -> int:
         raise ChainBudgetExceeded(
             f"check-laws --k {args.k} would walk more than {MAX_LAW_TRIPLES:,} chain triples"
         )
+    graphs: list[Multigraph] = []
+    if args.workspace:
+        graphs = list(load_workspace(args.workspace).graphs.values())
+    if len(graphs) ** 3 > MAX_GRAPH_TRIPLES:
+        raise ChainBudgetExceeded(
+            f"check-laws over {len(graphs)} workspace graphs would merge more than "
+            f"{MAX_GRAPH_TRIPLES:,} graph triples"
+        )
     violations: list[str] = []
     for k in range(2, args.k + 1):
         atoms = tuple(f"A{i}" for i in range(1, k + 1))
         violations.extend(chainlat.check_laws(atoms))
-    graphs: list[Multigraph] = []
-    if args.workspace:
-        ws = load_workspace(args.workspace)
-        graphs = list(ws.graphs.values())
     if len(graphs) < 3:
         palette = ("red", "black")
         graphs = [

@@ -13,6 +13,15 @@ back, so unequal graphs never give equal complexes.  Levels are
 graded by the interaction count (number of merges), each cover raises it
 by one, and the top is the single fully merged complex.
 
+Building the diagram builds no complex.  Each block's graph gets the id
+of its class in a ``ClassTable``, merged once when the block is first
+met, and a node is known by the sorted ids of its layers.  The table
+builds a class's clique complex only when a Betti number is read: the
+(d+1)-skeleton for a trace of beta_d, the whole complex for whole
+vectors (``--json``, ``--dot``).  A node's exact layer graphs, whose copy
+numbering shows in ``--json``, are replayed along first parents only
+when asked for.
+
 The level profile deliberately reports two channels per level — a
 closed-form size and the measured size — because they disagree in
 general; consumers decide what to make of that.
@@ -22,8 +31,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
 
@@ -79,14 +89,80 @@ def _chain_of_blocks(blocks: Sequence[Block]) -> ChainExpr:
     return ChainExpr(tuple(atoms), tuple(conns))
 
 
-@dataclass(frozen=True)
-class FiltrationNode:
-    """One configuration: canonical chain, grade, layer graphs, Betti."""
+class ClassTable:
+    """The layer graphs met while building a filtration, one class per
+    ``Multigraph`` equality class: the class's first graph, and its Betti
+    vectors memoized per depth.  Equal graphs give equal clique complexes,
+    so a class is built at most once per depth, and only when a vector is
+    read."""
 
-    chain: ChainExpr
+    def __init__(self, policy: str):
+        self.policy = policy
+        self.ids: dict[Multigraph, int] = {}
+        self.graphs: list[Multigraph] = []
+        self._betti: dict[tuple[int, int | None], BettiVector] = {}
+
+    def id(self, g: Multigraph) -> int:
+        """The class id of g, a new one if no graph met so far equals it."""
+        if g not in self.ids:
+            self.ids[g] = len(self.graphs)
+            self.graphs.append(g)
+        return self.ids[g]
+
+    def betti(self, c: int, dim: int | None = None) -> BettiVector:
+        """Class c's whole Betti vector, or with ``dim`` beta_0..beta_dim,
+        read off the (dim+1)-skeleton."""
+        if (c, dim) not in self._betti:
+            top = None if dim is None else dim + 1
+            x = clique_multicomplex(self.graphs[c], self.policy, top)
+            self._betti[c, dim] = betti(x)[:top]
+        return self._betti[c, dim]
+
+
+@dataclass(eq=False)
+class FiltrationNode:
+    """One configuration: its blocks (merged runs of atoms, sorted), grade,
+    and ``key``, the sorted class ids of its layer graphs.  Every node but
+    the start records its first parent and the two of the parent's layers
+    it merges; ``layers`` replays those merges from the start, so only
+    output that shows copy numbering pays for them."""
+
+    blocks: tuple[Block, ...]
     level: int
-    layers: tuple[Multigraph, ...]
-    betti: BettiVector
+    key: tuple[int, ...]
+    classes: ClassTable = field(repr=False)
+    parent: FiltrationNode | None = field(default=None, repr=False)
+    merged: tuple[int, int] = (0, 0)
+
+    def __post_init__(self):
+        self.text = " | ".join(map(" . ".join, self.blocks))
+
+    @cached_property
+    def chain(self) -> ChainExpr:
+        """The canonical chain: the blocks in order, tensored."""
+        return _chain_of_blocks(self.blocks)
+
+    @cached_property
+    def betti(self) -> BettiVector:
+        """The whole Betti vector: layers are disjoint, so vectors add."""
+        return betti_sum(map(self.classes.betti, self.key))
+
+    def beta(self, dim: int) -> int:
+        """beta_dim alone, read off (dim+1)-skeletons of the layers."""
+        vectors = (self.classes.betti(c, dim) for c in self.key)
+        return sum(v[dim] for v in vectors if dim < len(v))
+
+    @cached_property
+    def layers(self) -> tuple[Multigraph, ...]:
+        """The layer graphs in block order, as the first parent's layers
+        with its layers i < j replaced by their merge at the merged
+        block's place.  The start node's layers are set when it is made."""
+        i, j = self.merged
+        blocks, layers = list(self.parent.blocks), list(self.parent.layers)
+        block, merged = tuple(sorted(blocks[i] + blocks[j])), merge(layers[i], layers[j])
+        del blocks[j], blocks[i], layers[j], layers[i]
+        layers.insert(bisect_right(blocks, block), merged)
+        return tuple(layers)
 
 
 @dataclass
@@ -98,6 +174,7 @@ class FiltrationPoset:
     nodes: tuple[FiltrationNode, ...]
     covers: tuple[tuple[int, int, str], ...]  # (src node idx, dst node idx, f label)
     env: ChainEnv
+    classes: ClassTable
     policy: str = CANONICAL
 
     def level(self, j: int) -> tuple[FiltrationNode, ...]:
@@ -105,13 +182,19 @@ class FiltrationPoset:
             raise IndexOutOfRange(f"level {j} outside 0..{self.k - 1}")
         return tuple(n for n in self.nodes if n.level == j)
 
+    @cached_property
+    def _by_key(self) -> dict[tuple[int, ...], FiltrationNode]:
+        return {n.key: n for n in self.nodes}
+
     def node_for_chain(self, x: ChainExpr) -> FiltrationNode:
         """Find the node a chain evaluates into (up to layer reordering)."""
-        layers = Counter(evaluate(x, self.env))
-        for n in self.nodes:
-            if Counter(n.layers) == layers:
-                return n
-        raise KeyError(f"chain {x.text()!r} does not evaluate into this filtration")
+        try:
+            key = sorted(self.classes.ids[g] for g in evaluate(x, self.env))
+            return self._by_key[tuple(key)]
+        except KeyError:
+            raise KeyError(
+                f"chain {x.text()!r} does not evaluate into this filtration"
+            ) from None
 
     def to_dot(self) -> str:
         lines = ["digraph filtration {", "  rankdir=BT;"]
@@ -143,7 +226,7 @@ class FiltrationPoset:
             "nodes": [
                 {
                     "delta": i,
-                    "chain": n.chain.text(),
+                    "chain": n.text,
                     "level": n.level,
                     "betti": list(n.betti),
                     "layers": [layer(g) for g in n.layers],
@@ -152,8 +235,8 @@ class FiltrationPoset:
             ],
             "covers": [
                 {
-                    "from": self.nodes[s].chain.text(),
-                    "to": self.nodes[t].chain.text(),
+                    "from": self.nodes[s].text,
+                    "to": self.nodes[t].text,
                     "map": label,
                 }
                 for s, t, label in self.covers
@@ -169,90 +252,63 @@ def build_filtration(
 
     Successors merge one unordered pair of layers at a time; the edge
     label f_j names the flow position realizing the cover against the
-    successor's canonical block order.
+    successor's canonical block order.  No complex is built here: the
+    class table builds one when a Betti vector is first read.
     """
     k = x.k
-
-    # A node's identity is the multiset of its layer graphs: each block
-    # gets the id of its graph's class under ``Multigraph`` equality, and
-    # the key is the sorted tuple of the block ids.  Equal graphs give
-    # equal clique complexes, so each class is built once, and only its
-    # Betti vector is kept.
-    ids: dict[Multigraph, int] = {}
-    class_betti: list[BettiVector] = []
-    block_ids: dict[Block, int] = {}
-
-    def class_id(g: Multigraph) -> int:
-        if g not in ids:
-            ids[g] = len(class_betti)
-            class_betti.append(betti(clique_multicomplex(g, policy)))
-        return ids[g]
-
-    def node(layers: list[tuple[Block, Multigraph]]) -> FiltrationNode:
-        return FiltrationNode(
-            chain=_chain_of_blocks([b for b, _ in layers]),
-            level=k - len(layers),
-            layers=tuple(g for _, g in layers),
-            betti=betti_sum(class_betti[block_ids[b]] for b, _ in layers),
-        )
-
     start = sorted(
         zip((tuple(sorted(b)) for b in x.blocks()), evaluate(x, env)),
         key=itemgetter(0),
     )
-    for b, g in start:
-        block_ids[b] = class_id(g)
+    classes = ClassTable(policy)
 
-    # Each node's layers as (block, graph) pairs sorted by block; blocks
-    # repeat when atoms do.  Graphs come from the parent that first
-    # reaches the node, and the list is also the breadth-first queue.
-    node_layers = [start]
-    nodes = [node(start)]
-    seen = {tuple(sorted(block_ids[b] for b, _ in start)): 0}
-    covers: set[tuple[int, int, str]] = set()
-    for idx, layers in enumerate(node_layers):
-        for i, j in itertools.combinations(range(len(layers)), 2):
-            (a, g), (b, h) = layers[i], layers[j]
+    # A node's identity is the multiset of its layer graphs: each block
+    # gets the id of its graph's class, merged once when the block is
+    # first met, and the key is the sorted tuple of the block ids.
+    block_ids = {b: classes.id(g) for b, g in start}
+    key = tuple(sorted(block_ids[b] for b, _ in start))
+    nodes = [FiltrationNode(tuple(b for b, _ in start), k - len(start), key, classes)]
+    nodes[0].layers = tuple(g for _, g in start)
+    seen = {key: 0}
+    covers: set[tuple[int, int, int]] = set()  # (src, dst, seam)
+    for idx, parent in enumerate(nodes):  # breadth first: nodes grows as it goes
+        blocks = parent.blocks  # atoms, and so blocks, may repeat
+        ids = [block_ids[c] for c in blocks]
+        for i, j in itertools.combinations(range(len(blocks)), 2):
+            a, b = blocks[i], blocks[j]
             block = tuple(sorted(a + b))
-            rest = [layers[t] for t in range(len(layers)) if t not in (i, j)]
-            merged = None
             if block not in block_ids:
-                merged = merge(g, h)
-                block_ids[block] = class_id(merged)
-            key = tuple(sorted([block_ids[c] for c, _ in rest] + [block_ids[block]]))
+                g, h = classes.graphs[ids[i]], classes.graphs[ids[j]]
+                block_ids[block] = classes.id(merge(g, h))
+            succ = list(parent.key)
+            succ.remove(ids[i])
+            succ.remove(ids[j])
+            insort(succ, block_ids[block])
+            key = tuple(succ)
+            rest = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
             if key not in seen:
                 seen[key] = len(nodes)
-                succ = sorted(
-                    rest + [(block, merged if merged is not None else merge(g, h))],
-                    key=itemgetter(0),
-                )
-                node_layers.append(succ)
-                nodes.append(node(succ))
+                at = bisect_right(rest, block)  # after equal blocks, as the layers replay
+                succ = rest[:at] + (block,) + rest[at:]
+                nodes.append(FiltrationNode(succ, k - len(succ), key, classes, parent, (i, j)))
             # f label: position of the seam inside the successor's blocks
-            offset = sum(len(c) for c, _ in rest if c < block)
-            covers.add((idx, seen[key], f"f{offset + len(min(a, b))}"))
+            offset = sum(map(len, rest[: bisect_left(rest, block)]))
+            covers.add((idx, seen[key], offset + len(a)))
 
     # re-sort nodes by (level, chain text) and remap cover indices
-    order = sorted(range(len(nodes)), key=lambda i: (nodes[i].level, nodes[i].chain.text()))
+    order = sorted(range(len(nodes)), key=lambda i: (nodes[i].level, nodes[i].text))
     remap = {old: new for new, old in enumerate(order)}
     nodes_sorted = tuple(nodes[i] for i in order)
     covers_sorted = tuple(
-        sorted((remap[s], remap[t], lab) for s, t, lab in covers)
+        sorted((remap[s], remap[t], f"f{seam}") for s, t, seam in covers)
     )
-    return FiltrationPoset(
-        k=k, start=x, nodes=nodes_sorted, covers=covers_sorted, env=env, policy=policy
-    )
+    return FiltrationPoset(k, x, nodes_sorted, covers_sorted, env, classes, policy)
 
 
 def _trace_rows(nodes: Sequence[FiltrationNode], dim: int) -> list[dict]:
     """Rows (delta, chain, level, beta_dim), delta counting ``nodes`` in order."""
     return [
-        {
-            "delta": delta,
-            "chain": n.chain.text(),
-            "level": n.level,
-            "beta": n.betti[dim] if dim < len(n.betti) else 0,
-        }
+        {"delta": delta, "chain": n.text, "level": n.level, "beta": n.beta(dim)}
         for delta, n in enumerate(nodes)
     ]
 
@@ -268,7 +324,7 @@ def trace_for_chains(
     """Trace restricted to the nodes the given chains evaluate into; this
     is how a drawn sub-diagram (a union of covering chains) is read off."""
     picked = list({id(n): n for n in map(p.node_for_chain, chains)}.values())
-    picked.sort(key=lambda n: (n.level, n.chain.text()))
+    picked.sort(key=lambda n: (n.level, n.text))
     return _trace_rows(picked, dim)
 
 

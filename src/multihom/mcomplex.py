@@ -34,6 +34,12 @@ before it makes any, and refuses a complex larger than the cell budget
 as the count passes the budget, or a clique of k vertices appears with
 2^k - 1 > budget (each subclique gives at least one cell), keeping only
 each clique and its cell count until then.
+
+With ``dim`` it builds the ``dim``-skeleton: cliques stop growing at
+dim + 1 vertices, and the budget counts only the cells built.  Each cell
+of dimension d is made from the cells below it alone, so the skeleton's
+grades 0..dim are those of the whole complex, and beta_0..beta_d need
+only the (d+1)-skeleton.
 """
 
 from __future__ import annotations
@@ -245,14 +251,26 @@ class Multicomplex:
     # -- structure checks ----------------------------------------------------
 
     def validate(self) -> None:
-        """Copy contiguity, gluing consistency, colour totality.  Faces
-        exist by construction: a face is a row of the grade below."""
+        """Copy contiguity, one face on each codimension-1 vertex subset,
+        gluing consistency, colour totality.  Faces exist by construction:
+        a face is a row of the grade below."""
         for grade in self.grades:
             for vertices, run in itertools.groupby(grade.keys(), key=itemgetter(0)):
                 copies = [copy for _, copy in run]
                 if copies != list(range(1, len(copies) + 1)):
                     raise ComplexStructureError(
                         f"copies for shape {vertices} not contiguous: {copies}"
+                    )
+        for d, grade in enumerate(self.grades[1:], 1):
+            below = grade.below
+            for i, rows in enumerate(grade.face_rows()):
+                # a cell twice on one face, or on a non-face, misses a subset
+                if sorted(below.vertices[r] for r in rows) != list(
+                    itertools.combinations(grade.vertices[i], d)
+                ):
+                    raise ComplexStructureError(
+                        f"{d}-cell {grade.key(i)} is not glued to one face per "
+                        f"codimension-1 subset: {[below.key(r) for r in rows]}"
                     )
         for grade in self.grades[2:]:
             below, base = grade.below, grade.below.below
@@ -421,10 +439,10 @@ class Multicomplex:
 
 
 def _cliques(
-    nodes: Iterable[int], pairs: Iterable[tuple[int, int]]
+    nodes: Iterable[int], pairs: Iterable[tuple[int, int]], size: int | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Every clique of the simple graph on ``nodes`` and ``pairs``, as a
-    sorted vertex tuple.
+    """Every clique of the simple graph on ``nodes`` and ``pairs`` with at
+    most ``size`` vertices (any number if None), as a sorted vertex tuple.
 
     Nodes are indexed by bit in sorted order and ``up[i]`` is the bitset
     of i's higher neighbours, so a clique grows depth-first only by its
@@ -450,13 +468,16 @@ def _cliques(
         i = low.bit_length() - 1
         tau = clique + (order[i],)
         yield tau
-        if cand & up[i]:
+        if cand & up[i] and len(tau) != size:
             stack.append((clique, cand))
             clique, cand = tau, cand & up[i]
 
 
-def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
-    """Build the clique multicomplex of a multigraph.
+def clique_multicomplex(
+    g: Multigraph, policy: str = CANONICAL, dim: int | None = None
+) -> Multicomplex:
+    """Build the clique multicomplex of a multigraph, or with ``dim`` its
+    ``dim``-skeleton (the cells of dimension at most ``dim``).
 
     Every clique of the underlying simple graph contributes cells; see
     the module docstring for how multiplicities propagate upward under
@@ -466,14 +487,18 @@ def clique_multicomplex(g: Multigraph, policy: str = CANONICAL) -> Multicomplex:
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    mult = g.multiplicities()
+    if dim is not None and dim < 0:
+        raise ValueError(f"a skeleton needs dim >= 0, got {dim}")
+    mult = g.multiplicities() if dim != 0 else {}  # a 0-skeleton has no edges
     budget = current_cell_budget()
 
-    # cliques of dimension >= 2 by dimension: (clique, cells)
+    # cliques of dimension >= 2 by dimension: (clique, cells); a skeleton
+    # below dimension 2 is its nodes and edge copies, and needs none
     cliques: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     total = len(g.nodes) + sum(mult.values())
     over = False
-    for tau in _cliques(g.nodes, mult):
+    size = None if dim is None else dim + 1
+    for tau in _cliques(g.nodes, mult, size) if dim is None or dim >= 2 else ():
         d = len(tau) - 1
         # each of a clique's 2^(d+1) - 1 subcliques is a clique with a cell
         over = total > budget or (2 << d) - 1 > budget

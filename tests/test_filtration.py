@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import itertools
 import json
 from functools import reduce
 
@@ -48,6 +49,8 @@ DATA = REPO_ROOT / "tests" / "data"
 SHARING_K5 = DATA / "sharing_k5.json"
 # filtrate text and --json for chains that repeat an atom, on three_paths
 REPEATED_ATOMS = DATA / "three_paths.repeated_atoms.json.gz"
+# text-mode filtrate --dim 0..3 on sharing_k5 and three_paths, both policies
+TEXT_TRACES = DATA / "filtrate_text.json.gz"
 POLICIES = (CANONICAL, PER_COMBINATION)
 
 
@@ -169,6 +172,15 @@ class TestBuildFiltration:
         with pytest.raises(IndexOutOfRange):
             p.level(-1)
 
+    def test_start_takes_the_canonical_block_order(self, disjoint_env):
+        env, _ = disjoint_env
+        p = build_filtration(parse_chain("K | H . G"), env)
+        assert [n.chain.text() for n in p.nodes] == ["G . H | K", "G . H . K"]
+        assert [n.layers for n in p.nodes] == [
+            (merge(env.resolve("G"), env.resolve("H")), env.resolve("K")),
+            (merge(merge(env.resolve("G"), env.resolve("H")), env.resolve("K")),),
+        ]
+
     def test_node_for_chain_ignores_layer_order(self, disjoint_env):
         env, start = disjoint_env
         p = build_filtration(start, env)
@@ -212,50 +224,90 @@ class TestLayerMemo:
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_each_layer_graph_built_once(self, path, policy, monkeypatch):
+        # build_filtration builds nothing; the class table builds when a
+        # node's Betti vector is first read
         ws = load_workspace(path)
         inputs = []
 
-        def recording(g, policy=CANONICAL):
-            inputs.append((g.nodes, g.edges))
-            return clique_multicomplex(g, policy)
+        def recording(g, policy=CANONICAL, dim=None):
+            inputs.append((g.nodes, g.edges, dim))
+            return clique_multicomplex(g, policy, dim)
 
         monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
         p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
+        assert inputs == []
+        for n in p.nodes:
+            assert n.betti
         assert inputs
         assert len(set(inputs)) == len(inputs)
         assert len(inputs) < sum(len(n.layers) for n in p.nodes)
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_one_build_per_graph_class(self, path, policy, monkeypatch):
+        # per depth: the (d+1)-skeleton for a beta_d trace, the whole
+        # complex for whole vectors, each read twice
         ws = load_workspace(path)
         built = []
 
-        def recording(g, policy=CANONICAL):
-            built.append(g)
-            return clique_multicomplex(g, policy)
+        def recording(g, policy=CANONICAL, dim=None):
+            built.append((g, dim))
+            return clique_multicomplex(g, policy, dim)
 
         monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
         p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
+        for _ in range(2):
+            for dim in range(3):
+                betti_trace(p, dim)
+            for n in p.nodes:
+                assert n.betti
         classes = {g for n in p.nodes for g in n.layers}
+        for top in (1, 2, 3, None):
+            graphs = [g for g, dim in built if dim == top]
+            assert len(graphs) == len(classes), top
+            assert set(graphs) == classes, top
+
+    @pytest.mark.parametrize("path, policy", _workspace_cases())
+    def test_text_trace_builds_one_skeletons_once_per_class(
+        self, path, policy, monkeypatch, capsys
+    ):
+        ws = load_workspace(path)
+        p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
+        classes = {g for n in p.nodes for g in n.layers}
+        built = []
+
+        def recording(g, policy=CANONICAL, dim=None):
+            built.append((g, dim))
+            return clique_multicomplex(g, policy, dim)
+
+        monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
+        argv = ["--workspace", str(path), "--policy", policy, "filtrate", "--dim", "0"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out
+        assert {dim for _, dim in built} == {1}
         assert len(built) == len(classes)
-        assert set(built) == classes
+        assert {g for g, _ in built} == classes
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_json_builds_each_exact_layer_once(self, path, policy, monkeypatch):
         # copy numbering shows in the cells, so JSON tells layers apart by
-        # their exact edges, not by ``Multigraph`` equality
+        # their exact edges, not by ``Multigraph`` equality; the class
+        # vectors are read first, so only the layers' builds are counted
         ws = load_workspace(path)
         p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
+        for n in p.nodes:
+            assert n.betti
         inputs = []
 
-        def recording(g, policy=CANONICAL):
-            inputs.append((g.nodes, g.edges, policy))
-            return clique_multicomplex(g, policy)
+        def recording(g, policy=CANONICAL, dim=None):
+            inputs.append((g.nodes, g.edges, policy, dim))
+            return clique_multicomplex(g, policy, dim)
 
         monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
         p.to_json_dict()
         assert len(set(inputs)) == len(inputs)
-        assert set(inputs) == {(g.nodes, g.edges, policy) for n in p.nodes for g in n.layers}
+        assert set(inputs) == {
+            (g.nodes, g.edges, policy, None) for n in p.nodes for g in n.layers
+        }
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_node_for_chain_merges_only_its_argument(self, path, policy, monkeypatch):
@@ -268,6 +320,8 @@ class TestLayerMemo:
             return merge(g, h)
 
         monkeypatch.setattr(multihom.chainlat, "merge", counting)
+        # and replays no node's layers
+        monkeypatch.setattr(multihom.filtration, "merge", None)
         for n in p.nodes:
             calls.clear()
             assert p.node_for_chain(n.chain) is n
@@ -283,9 +337,17 @@ class TestLayerMemo:
             return merge(g, h)
 
         monkeypatch.setattr(multihom.filtration, "merge", counting)
-        p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
-        blocks = {b for n in p.nodes for b in n.chain.blocks()}
-        assert len(calls) <= len(p.nodes) + len(blocks)
+        start = parse_chain(ws.chain_text)
+        p = build_filtration(start, ws.env(), policy)
+        # the blocks met: each node's, and the merge of any two of them (a
+        # successor reached again keeps the blocks of its first chain)
+        met = {b for n in p.nodes for b in n.chain.blocks()}
+        met |= {
+            tuple(sorted(a + b))
+            for n in p.nodes
+            for a, b in itertools.combinations(n.chain.blocks(), 2)
+        }
+        assert len(calls) <= len(met - {tuple(sorted(b)) for b in start.blocks()})
         assert len(calls) < len(p.covers)
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
@@ -419,6 +481,20 @@ class TestTraces:
         rows = betti_trace(p, dim=0)
         assert [r["level"] for r in rows] == sorted(r["level"] for r in rows)
         assert len(rows) == len(p.nodes)
+
+    @pytest.mark.parametrize("dim", range(4))
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize(
+        "path",
+        (SHARING_K5, REPO_ROOT / "workspaces" / "three_paths.json"),
+        ids=("sharing_k5", "three_paths"),
+    )
+    def test_text_trace_matches_golden(self, path, policy, dim, capsys):
+        # recorded while the trace still read whole Betti vectors
+        golden = json.loads(gzip.decompress(TEXT_TRACES.read_bytes()))
+        argv = ["--workspace", str(path), "--policy", policy, "filtrate", "--dim", str(dim)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == golden[f"{path.name} / {policy} / dim {dim}"]
 
     def test_chain_betti_adds_layers(self, three_paths_env):
         env, _ = three_paths_env

@@ -25,6 +25,7 @@ from multihom import (
     Multicomplex,
     Multigraph,
     betti,
+    boundary_squares_to_zero,
     cell_budget,
     cell_coloring,
     clique_multicomplex,
@@ -329,6 +330,27 @@ class TestFromCells:
         with pytest.raises(ComplexStructureError):
             Multicomplex.from_cells(("black",), cells + [bad], coloring)
 
+    def test_cell_glued_twice_to_one_face_rejected(self):
+        # its boundary is (2,3) alone, so the boundary of that is not zero
+        cells, coloring = simple_triangle_cells()
+        cells[-1] = Multicell((1, 2, 3), 1, faces=(((1, 2), 1), ((1, 2), 1), ((2, 3), 1)))
+        x = Multicomplex.from_cells(("black",), cells, coloring, validate=False)
+        assert not boundary_squares_to_zero(x)
+        with pytest.raises(ComplexStructureError):
+            Multicomplex.from_cells(("black",), cells, coloring)
+
+    def test_face_off_the_cell_rejected(self):
+        # (3,4) is a cell, but not a face of the triangle on (1,2,3)
+        cells, coloring = simple_triangle_cells()
+        cells[-1] = Multicell((1, 2, 3), 1, faces=(((1, 2), 1), ((1, 3), 1), ((3, 4), 1)))
+        cells += [
+            Multicell((4,), 1),
+            Multicell((3, 4), 1, faces=(((3,), 1), ((4,), 1))),
+        ]
+        coloring = {**coloring, ((3, 4), 1): "black"}
+        with pytest.raises(ComplexStructureError):
+            Multicomplex.from_cells(("black",), cells, coloring)
+
     def test_validate_is_linear_in_cells(self):
         # a 600-node random graph (p = 0.05): 14,332 cells.  Checking copy
         # contiguity by rescanning a dimension's cells for every shape took
@@ -413,6 +435,62 @@ class TestStore:
             with pytest.raises(CellBudgetExceeded):
                 clique_multicomplex(doubled_edge_triangle())
         assert clique_multicomplex(doubled_edge_triangle()).cell_count(2) == 2
+
+
+# -- skeletons ---------------------------------------------------------------------------
+
+
+class TestSkeleton:
+    """The ``dim``-skeleton holds the whole complex's grades 0..dim, so the
+    (d+1)-skeleton gives beta_0..beta_d."""
+
+    @given(
+        g=multigraphs(max_nodes=5, max_mult=2),
+        policy=st.sampled_from(POLICIES),
+        dim=st.integers(0, 3),
+    )
+    def test_grades_and_betti_match_the_whole_complex(self, g, policy, dim):
+        full = clique_multicomplex(g, policy)
+        skeleton = clique_multicomplex(g, policy, dim)
+        assert skeleton.dimension == min(dim, full.dimension)
+        for a, b in zip(skeleton.grades, full.grades):
+            assert (a.vertices, a.copies, a.faces, a.colors) == (
+                b.vertices,
+                b.copies,
+                b.faces,
+                b.colors,
+            )
+        above = clique_multicomplex(g, policy, dim + 1)
+        assert betti(above)[: dim + 1] == betti(full)[: dim + 1]
+
+    @given(
+        g=multigraphs(max_nodes=5, max_mult=2),
+        policy=st.sampled_from(POLICIES),
+        dim=st.integers(0, 3),
+    )
+    def test_budget_counts_only_the_cells_built(self, g, policy, dim):
+        total = len(clique_multicomplex(g, policy, dim).all_cells())
+        with cell_budget(total):
+            clique_multicomplex(g, policy, dim)
+        with cell_budget(total - 1), pytest.raises(CellBudgetExceeded):
+            clique_multicomplex(g, policy, dim)
+
+    @pytest.mark.parametrize("dim", (0, 1))
+    def test_low_skeletons_enumerate_no_cliques(self, dim):
+        k4 = k4_with_doubled_edge()
+        with mock.patch("multihom.mcomplex._cliques", side_effect=AssertionError):
+            x = clique_multicomplex(k4, PER_COMBINATION, dim)
+        assert [len(grade) for grade in x.grades] == [4, 7][: dim + 1]
+
+    def test_k30_one_skeleton_builds(self):
+        # the whole complex would be refused; its 1-skeleton has 465 cells
+        k30 = G(range(30), [(u, v, "red") for u, v in itertools.combinations(range(30), 2)])
+        with cell_budget(465):
+            assert betti(clique_multicomplex(k30, CANONICAL, 1)) == (1, 406)
+
+    def test_negative_dim_rejected(self):
+        with pytest.raises(ValueError):
+            clique_multicomplex(doubled_edge_triangle(), CANONICAL, -1)
 
 
 # -- equality and canonical form --------------------------------------------------------

@@ -266,6 +266,17 @@ class TestCliCellBudget:
         assert err.startswith("error:") and "1000000 cells" in err
         assert "Traceback" not in err
 
+    def test_text_trace_counts_only_its_skeletons(self, tmp_path, capsys):
+        # beta_1 needs the 2-skeleton: 7 + 42 + 35 * 8 = 329 cells
+        path = self.doubled_k7(tmp_path)
+        argv = ["--workspace", path, "--policy", "per-combination"]
+        assert main([*argv, "--max-cells", "329", "filtrate", "G", "--dim", "1"]) == EXIT_OK
+        assert "beta_1=0  G" in capsys.readouterr().out
+        assert main([*argv, "--max-cells", "328", "filtrate", "G", "--dim", "1"]) == EXIT_DOMAIN
+        assert main([*argv, "--json", "filtrate", "G"]) == EXIT_DOMAIN
+        assert main([*argv, "filtrate", "G", "--dot"]) == EXIT_DOMAIN
+        assert "1000000 cells" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "mult, budget", [(100_000_000, []), (4, ["--max-cells", "3"])], ids=["default", "flag"]
     )
@@ -385,6 +396,43 @@ class TestCliWorkLimits:
         monkeypatch.setattr(chainlat, "minimal_chains", lambda atoms: ())
         monkeypatch.setattr(chainlat, "check_laws", lambda atoms, **kw: [])
         assert main(argv) == EXIT_OK
+
+
+    @staticmethod
+    def triangles(tmp_path, n: int) -> str:
+        graphs = {
+            f"T{i}": {
+                "nodes": [3 * i + 1, 3 * i + 2, 3 * i + 3],
+                "edges": [
+                    {"u": 3 * i + u, "v": 3 * i + v, "color": "red"}
+                    for u, v in ((1, 2), (1, 3), (2, 3))
+                ],
+            }
+            for i in range(n)
+        }
+        path = tmp_path / f"triangles{n}.json"
+        path.write_text(json.dumps({"colors": ["red"], "graphs": graphs}))
+        return str(path)
+
+    def test_workspace_triples_refused_within_a_second(self, tmp_path, capsys):
+        # 40 graphs give 64,000 triples, which ran past 30 s
+        path = self.triangles(tmp_path, 40)
+        start = time.perf_counter()
+        code = main(["--workspace", path, "check-laws", "--k", "2"])
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "40 workspace graphs would" in err
+        assert elapsed < 1.0, f"refusal took {elapsed:.2f} s"
+
+    def test_largest_workspace_still_runs(self, tmp_path, capsys, monkeypatch):
+        # 17 graphs (4,913 triples) take seconds; the witnesses are stubbed
+        from multihom import cli
+
+        monkeypatch.setattr(cli, "_monoid_law_witnesses", lambda graphs, policy: [])
+        path = self.triangles(tmp_path, 17)
+        assert main(["--workspace", path, "check-laws", "--k", "2"]) == EXIT_OK
+        assert main(["--workspace", self.triangles(tmp_path, 18), "check-laws"]) == EXIT_DOMAIN
 
 
 class TestCliIncremental:
