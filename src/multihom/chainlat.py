@@ -15,13 +15,13 @@ they are inflationary, monotone, preserve meet/join, and commute.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 from .errors import IncomparableAtoms, IndexOutOfRange, UnknownAtom
 from .mgraph import Multigraph, Multilayer, merge
+from .value import OrderedValue, Value
 
 __all__ = [
     "Connective",
@@ -73,21 +73,22 @@ class UndefinedType:
 UNDEFINED = UndefinedType()
 
 
-@dataclass(frozen=True, order=True)
-class ChainExpr:
+class ChainExpr(OrderedValue):
     """k atoms and k-1 connectives; the syntactic object the lattice orders."""
 
+    _fields = ("atoms", "connectives")
     atoms: tuple[str, ...]
-    connectives: tuple[Connective, ...] = field(default_factory=tuple)
+    connectives: tuple[Connective, ...]
 
-    def __post_init__(self):
-        if len(self.atoms) < 1:
+    def __init__(self, atoms: tuple[str, ...], connectives: tuple[Connective, ...] = ()):
+        if len(atoms) < 1:
             raise ValueError("a chain needs at least one atom")
-        if len(self.connectives) != len(self.atoms) - 1:
+        if len(connectives) != len(atoms) - 1:
             raise ValueError(
-                f"{len(self.atoms)} atoms need {len(self.atoms) - 1} connectives, "
-                f"got {len(self.connectives)}"
+                f"{len(atoms)} atoms need {len(atoms) - 1} connectives, "
+                f"got {len(connectives)}"
             )
+        self._set(atoms=atoms, connectives=connectives)
 
     @property
     def k(self) -> int:
@@ -237,16 +238,16 @@ def merge_count(x: ChainExpr) -> int:
 # -- evaluation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainEnv:
+class ChainEnv(Value):
     """Binds atom names to multigraphs over a shared palette."""
 
+    _fields = ("graphs",)
     graphs: Mapping[str, Multigraph]
 
-    def __post_init__(self):
-        palettes = {g.palette for g in self.graphs.values()}
-        if len(palettes) > 1:
+    def __init__(self, graphs: Mapping[str, Multigraph]):
+        if len({g.palette for g in graphs.values()}) > 1:
             raise IncomparableAtoms("environment graphs disagree on the palette")
+        self._set(graphs=graphs)
 
     def resolve(self, name: str) -> Multigraph:
         try:

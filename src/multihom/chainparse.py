@@ -14,7 +14,7 @@ recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chainlat import ChainExpr, Connective
 from .errors import ChainSyntaxError, UnsupportedShape
@@ -26,8 +26,7 @@ MAX_DEPTH = 100
 _TOKEN = re.compile(r"\s*(?:(?P<atom>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[|.()]))")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "atom" | "|" | "." | "(" | ")" | "end"
     value: str
     pos: int

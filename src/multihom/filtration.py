@@ -14,13 +14,14 @@ graded by the interaction count (number of merges), each cover raises it
 by one, and the top is the single fully merged complex.
 
 Building the diagram builds no complex.  Each block's graph gets the id
-of its class in a ``ClassTable``, merged once when the block is first
-met, and a node is known by the sorted ids of its layers.  The table
-builds a class's clique complex only when a Betti number is read: the
-(d+1)-skeleton for a trace of beta_d, the whole complex for whole
-vectors (``--json``, ``--dot``).  A node's exact layer graphs, whose copy
-numbering shows in ``--json``, are replayed along first parents only
-when asked for.
+of its class in a ``ClassTable`` when the block is first met, by one
+merge per pair of classes, and a node is known by the sorted ids of its
+layers.  The table builds a class's clique complex only when a Betti
+number is read: the (d+1)-skeleton for a trace of beta_d, the whole
+complex for whole vectors (``--dot``).  A node's exact layer graphs,
+whose copy numbering shows in ``--json``, are replayed along first
+parents only when asked for; ``--json`` builds their complexes and takes
+the classes' whole vectors from them.
 
 The level profile deliberately reports two channels per level — a
 closed-form size and the measured size — because they disagree in
@@ -32,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
@@ -118,8 +118,14 @@ class ClassTable:
             self._betti[c, dim] = betti(x)[:top]
         return self._betti[c, dim]
 
+    def remember(self, g: Multigraph, x: Multicomplex) -> None:
+        """Take the whole Betti vector of g's class from x, g's whole
+        complex, unless it is known."""
+        c = self.ids[g]
+        if (c, None) not in self._betti:
+            self._betti[c, None] = betti(x)
 
-@dataclass(eq=False)
+
 class FiltrationNode:
     """One configuration: its blocks (merged runs of atoms, sorted), grade,
     and ``key``, the sorted class ids of its layer graphs.  Every node but
@@ -127,15 +133,28 @@ class FiltrationNode:
     it merges; ``layers`` replays those merges from the start, so only
     output that shows copy numbering pays for them."""
 
-    blocks: tuple[Block, ...]
-    level: int
-    key: tuple[int, ...]
-    classes: ClassTable = field(repr=False)
-    parent: FiltrationNode | None = field(default=None, repr=False)
-    merged: tuple[int, int] = (0, 0)
+    def __init__(
+        self,
+        blocks: tuple[Block, ...],
+        level: int,
+        key: tuple[int, ...],
+        classes: ClassTable,
+        parent: FiltrationNode | None = None,
+        merged: tuple[int, int] = (0, 0),
+    ):
+        self.blocks = blocks
+        self.level = level
+        self.key = key
+        self.classes = classes
+        self.parent = parent
+        self.merged = merged
+        self.text = " | ".join(map(" . ".join, blocks))
 
-    def __post_init__(self):
-        self.text = " | ".join(map(" . ".join, self.blocks))
+    def __repr__(self):
+        return (
+            f"FiltrationNode(blocks={self.blocks!r}, level={self.level!r}, "
+            f"key={self.key!r}, merged={self.merged!r})"
+        )
 
     @cached_property
     def chain(self) -> ChainExpr:
@@ -165,17 +184,33 @@ class FiltrationNode:
         return tuple(layers)
 
 
-@dataclass
 class FiltrationPoset:
     """Hasse diagram over filtration nodes, graded by interaction count."""
 
-    k: int
-    start: ChainExpr
-    nodes: tuple[FiltrationNode, ...]
-    covers: tuple[tuple[int, int, str], ...]  # (src node idx, dst node idx, f label)
-    env: ChainEnv
-    classes: ClassTable
-    policy: str = CANONICAL
+    def __init__(
+        self,
+        k: int,
+        start: ChainExpr,
+        nodes: tuple[FiltrationNode, ...],
+        covers: tuple[tuple[int, int, str], ...],  # (src node idx, dst node idx, f label)
+        env: ChainEnv,
+        classes: ClassTable,
+        policy: str = CANONICAL,
+    ):
+        self.k = k
+        self.start = start
+        self.nodes = nodes
+        self.covers = covers
+        self.env = env
+        self.classes = classes
+        self.policy = policy
+
+    def __repr__(self):
+        return (
+            f"FiltrationPoset(k={self.k!r}, start={self.start!r}, nodes={self.nodes!r}, "
+            f"covers={self.covers!r}, env={self.env!r}, classes={self.classes!r}, "
+            f"policy={self.policy!r})"
+        )
 
     def level(self, j: int) -> tuple[FiltrationNode, ...]:
         if not (0 <= j <= self.k - 1):
@@ -211,28 +246,35 @@ class FiltrationPoset:
     def to_json_dict(self) -> dict:
         # The cells show copy numbering, so here layers are told apart by
         # their colours in copy order; nodes share each distinct layer's dict.
+        # A layer's complex also gives its class's whole Betti vector, so a
+        # node's layers are built before its vector is read.
         layer_json: dict[tuple, dict] = {}
 
         def layer(g: Multigraph) -> dict:
             key = (g.nodes, tuple((p, g.colors(p)) for p in g.pairs()))
             if key not in layer_json:
-                layer_json[key] = clique_multicomplex(g, self.policy).to_json_dict()
+                x = clique_multicomplex(g, self.policy)
+                self.classes.remember(g, x)
+                layer_json[key] = x.to_json_dict()
             return layer_json[key]
 
-        return {
-            "k": self.k,
-            "start": self.start.text(),
-            "policy": self.policy,
-            "nodes": [
+        nodes = []
+        for i, n in enumerate(self.nodes):
+            layers = [layer(g) for g in n.layers]
+            nodes.append(
                 {
                     "delta": i,
                     "chain": n.text,
                     "level": n.level,
                     "betti": list(n.betti),
-                    "layers": [layer(g) for g in n.layers],
+                    "layers": layers,
                 }
-                for i, n in enumerate(self.nodes)
-            ],
+            )
+        return {
+            "k": self.k,
+            "start": self.start.text(),
+            "policy": self.policy,
+            "nodes": nodes,
             "covers": [
                 {
                     "from": self.nodes[s].text,
@@ -263,13 +305,15 @@ def build_filtration(
     classes = ClassTable(policy)
 
     # A node's identity is the multiset of its layer graphs: each block
-    # gets the id of its graph's class, merged once when the block is
-    # first met, and the key is the sorted tuple of the block ids.
+    # gets the id of its graph's class when it is first met, and the key
+    # is the sorted tuple of the block ids.  Each pair of classes is
+    # merged once: blocks whose parts have equal graphs meet it again.
     block_ids = {b: classes.id(g) for b, g in start}
     key = tuple(sorted(block_ids[b] for b, _ in start))
     nodes = [FiltrationNode(tuple(b for b, _ in start), k - len(start), key, classes)]
     nodes[0].layers = tuple(g for _, g in start)
     seen = {key: 0}
+    merged: dict[tuple[int, int], int] = {}  # sorted pair of class ids -> their merge's
     covers: set[tuple[int, int, int]] = set()  # (src, dst, seam)
     for idx, parent in enumerate(nodes):  # breadth first: nodes grows as it goes
         blocks = parent.blocks  # atoms, and so blocks, may repeat
@@ -278,8 +322,11 @@ def build_filtration(
             a, b = blocks[i], blocks[j]
             block = tuple(sorted(a + b))
             if block not in block_ids:
-                g, h = classes.graphs[ids[i]], classes.graphs[ids[j]]
-                block_ids[block] = classes.id(merge(g, h))
+                pair = (ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
+                if pair not in merged:
+                    g, h = classes.graphs[ids[i]], classes.graphs[ids[j]]
+                    merged[pair] = classes.id(merge(g, h))
+                block_ids[block] = merged[pair]
             succ = list(parent.key)
             succ.remove(ids[i])
             succ.remove(ids[j])

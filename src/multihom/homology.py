@@ -48,10 +48,10 @@ numbers then come from the usual rank formula.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence, Set
-from dataclasses import dataclass
 
 from .mcomplex import CellKey, Multicomplex
 from .mgraph import Multigraph, Multilayer
+from .value import Value
 
 __all__ = [
     "Gf2Basis",
@@ -104,13 +104,18 @@ def gf2_rank(columns: Iterable[int]) -> int:
     return basis.rank
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
+class BoundaryMatrix(Value):
     """d-th boundary matrix: rows are (d-1)-cells, columns are d-cells."""
 
+    _fields = ("row_keys", "col_keys", "columns")
     row_keys: tuple[CellKey, ...]
     col_keys: tuple[CellKey, ...]
     columns: tuple[int, ...]
+
+    def __init__(
+        self, row_keys: tuple[CellKey, ...], col_keys: tuple[CellKey, ...], columns: tuple[int, ...]
+    ):
+        self._set(row_keys=row_keys, col_keys=col_keys, columns=columns)
 
     @property
     def shape(self) -> tuple[int, int]:

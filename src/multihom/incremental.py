@@ -16,13 +16,9 @@ recorded result) are emitted as flagged findings, never adjusted.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import io
 import json
-import random
-from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NegativeBetti
 from .homology import BettiVector, Gf2Basis, betti, boundary_matrix
@@ -86,8 +82,7 @@ def replay_betti(x: Multicomplex) -> BettiVector:
 # -- merge parameter extraction ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IncrementalParams:
+class IncrementalParams(NamedTuple):
     """Counted inputs of the closed-form conjecture at one dimension."""
 
     dim: int
@@ -236,8 +231,7 @@ def _extract(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class IncrementalReport:
+class IncrementalReport(NamedTuple):
     """Formula vs direct-rank oracle for one merge; agreement is reported,
     never assumed."""
 
@@ -258,7 +252,7 @@ class IncrementalReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "params": {"d1": asdict(self.params_d1), "d2": asdict(self.params_d2)},
+            "params": {"d1": self.params_d1._asdict(), "d2": self.params_d2._asdict()},
             "formula": {"beta1": self.formula_beta1, "beta2": self.formula_beta2},
             "oracle": {"beta1": self.oracle_beta1, "beta2": self.oracle_beta2},
             "agrees": {"beta1": self.agrees_beta1, "beta2": self.agrees_beta2},
@@ -284,8 +278,7 @@ def validate(g: Multigraph, h: Multigraph, policy: str = CANONICAL) -> Increment
 # -- recorded reference cases --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KnownCase:
+class KnownCase(NamedTuple):
     """A documented merge with published parameter values and the result
     recorded alongside them."""
 
@@ -318,7 +311,7 @@ def known_case_findings() -> list[dict]:
             {
                 "case": kc.case,
                 "dim": kc.dim,
-                "params": asdict(kc.params),
+                "params": kc.params._asdict(),
                 "formula": value,
                 "recorded": kc.recorded,
                 "agrees": value == kc.recorded,
@@ -329,9 +322,13 @@ def known_case_findings() -> list[dict]:
 
 
 # -- fuzzing -------------------------------------------------------------------------
+# hashlib, csv and random are imported where fuzz output needs them, so that
+# importing the CLI, which every command pays for, does not load them.
 
 
 def _digest(g: Multigraph, h: Multigraph) -> str:
+    import hashlib
+
     blob = json.dumps([g.to_json_dict(), h.to_json_dict()], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -344,6 +341,8 @@ def fuzz_records(
     max_mult: int = 3,
 ) -> Iterator[dict]:
     """Random merge pairs -> one JSON-able record each (formula vs oracle)."""
+    import random
+
     from .randgen import random_multigraph
 
     rng = random.Random(seed)
@@ -382,6 +381,8 @@ def summarize_records(records: Iterable[dict]) -> list[dict]:
 
 
 def summary_csv(rows: list[dict]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=["dimension", "agree", "total", "rate"])
     writer.writeheader()

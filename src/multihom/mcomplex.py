@@ -50,13 +50,13 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from operator import itemgetter
 
 from .errors import CellBudgetExceeded, ComplexStructureError, PaletteMismatch
 from .mgraph import Multigraph, merge
+from .value import OrderedValue
 
 __all__ = [
     "CANONICAL",
@@ -100,8 +100,7 @@ def current_cell_budget() -> int:
     return _max_cells.get()
 
 
-@dataclass(frozen=True, order=True)
-class Multicell:
+class Multicell(OrderedValue):
     """One cell: sorted vertex tuple, 1-based copy, explicit glued faces.
 
     ``faces`` maps each codimension-1 vertex subset to the copy of that
@@ -111,21 +110,26 @@ class Multicell:
     no ``Multicell`` objects; it builds one as a view of a row.
     """
 
+    _fields = ("vertices", "copy", "faces")
     vertices: tuple[int, ...]
     copy: int
-    faces: tuple[tuple[tuple[int, ...], int], ...] = ()
+    faces: tuple[tuple[tuple[int, ...], int], ...]
 
-    def __post_init__(self):
-        if tuple(sorted(set(self.vertices))) != self.vertices:
+    def __init__(
+        self,
+        vertices: tuple[int, ...],
+        copy: int,
+        faces: tuple[tuple[tuple[int, ...], int], ...] = (),
+    ):
+        if tuple(sorted(set(vertices))) != vertices:
+            raise ComplexStructureError(f"cell vertices must be sorted and distinct: {vertices}")
+        if copy < 1:
+            raise ComplexStructureError(f"cell copy must be >= 1, got {copy}")
+        if len(vertices) >= 2 and len(faces) != len(vertices):
             raise ComplexStructureError(
-                f"cell vertices must be sorted and distinct: {self.vertices}"
+                f"{len(vertices) - 1}-cell on {vertices} needs {len(vertices)} faces"
             )
-        if self.copy < 1:
-            raise ComplexStructureError(f"cell copy must be >= 1, got {self.copy}")
-        if self.dim >= 1 and len(self.faces) != len(self.vertices):
-            raise ComplexStructureError(
-                f"{self.dim}-cell on {self.vertices} needs {len(self.vertices)} faces"
-            )
+        self._set(vertices=vertices, copy=copy, faces=faces)
 
     @property
     def dim(self) -> int:
@@ -197,15 +201,15 @@ class Grade(Sequence):
 _NO_CELLS = Grade(None, [], [])
 
 
-@dataclass(eq=False)
 class Multicomplex:
     """Graded cell collection with a colouring of the 1-cells."""
 
-    palette: frozenset[str]
-    grades: tuple[Grade, ...]
-    policy: str = CANONICAL
-
-    def __post_init__(self):
+    def __init__(
+        self, palette: frozenset[str], grades: tuple[Grade, ...], policy: str = CANONICAL
+    ):
+        self.palette = palette
+        self.grades = grades
+        self.policy = policy
         self._canon: tuple | None = None
 
     # -- views -------------------------------------------------------------

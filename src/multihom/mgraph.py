@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
 from .errors import GraphStructureError, PaletteMismatch, SelfLoopPresent
+from .value import OrderedValue, Value
 
 __all__ = [
     "Color",
@@ -51,22 +51,23 @@ Pair = tuple[NodeId, NodeId]
 ColorsByPair = dict[Pair, tuple[Color, ...]]  # per pair, the colour of copy 1, 2, ...
 
 
-@dataclass(frozen=True, order=True)
-class EdgeCopy:
+class EdgeCopy(OrderedValue):
     """One copy of an undirected edge; ``copy`` is 1-based within its pair."""
 
+    _fields = ("u", "v", "copy", "color")
     u: NodeId
     v: NodeId
     copy: int
     color: Color
 
-    def __post_init__(self):
-        if self.u == self.v:
-            raise SelfLoopPresent(f"self-loop at node {self.u}")
-        if self.u > self.v:
-            raise GraphStructureError(f"edge endpoints must be ordered: ({self.u}, {self.v})")
-        if self.copy < 1:
-            raise GraphStructureError(f"copy index must be >= 1, got {self.copy}")
+    def __init__(self, u: NodeId, v: NodeId, copy: int, color: Color):
+        if u == v:
+            raise SelfLoopPresent(f"self-loop at node {u}")
+        if u > v:
+            raise GraphStructureError(f"edge endpoints must be ordered: ({u}, {v})")
+        if copy < 1:
+            raise GraphStructureError(f"copy index must be >= 1, got {copy}")
+        self._set(u=u, v=v, copy=copy, color=color)
 
     @property
     def pair(self) -> Pair:
@@ -79,8 +80,7 @@ def _normalize_pair(u: NodeId, v: NodeId) -> Pair:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Multigraph:
+class Multigraph(Value):
     """Immutable edge-coloured multigraph over a fixed palette."""
 
     nodes: frozenset[NodeId]
@@ -112,9 +112,7 @@ class Multigraph:
             if not palette.issuperset(colors):
                 bad = next(c for c in colors if c not in palette)
                 raise PaletteMismatch(f"colour {bad!r} not in palette {sorted(palette)}")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "palette", palette)
-        object.__setattr__(self, "_by_pair", dict(sorted(by_pair.items())))
+        self._set(nodes=nodes, palette=palette, _by_pair=dict(sorted(by_pair.items())))
 
     @classmethod
     def _of(cls, nodes: Iterable[NodeId], by_pair: ColorsByPair, palette: Iterable[Color]):
@@ -212,11 +210,14 @@ class Multigraph:
         }
 
 
-@dataclass(frozen=True)
-class Multilayer:
+class Multilayer(Value):
     """Ordered layers produced by ``tensor``; layers do not interact."""
 
-    layers: tuple[Multigraph, ...] = field(default_factory=tuple)
+    _fields = ("layers",)
+    layers: tuple[Multigraph, ...]
+
+    def __init__(self, layers: tuple[Multigraph, ...] = ()):
+        self._set(layers=layers)
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -21,22 +21,27 @@ copy is made.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .chainlat import ChainEnv
 from .errors import CellBudgetExceeded, WorkspaceError
 from .mcomplex import current_cell_budget
 from .mgraph import Multigraph
+from .value import Value
 
 __all__ = ["Workspace", "load_workspace", "parse_workspace"]
 
 
-@dataclass(frozen=True)
-class Workspace:
+class Workspace(Value):
+    _fields = ("palette", "graphs", "chain_text")
     palette: frozenset[str]
     graphs: dict[str, Multigraph]
     chain_text: str | None
+
+    def __init__(
+        self, palette: frozenset[str], graphs: dict[str, Multigraph], chain_text: str | None
+    ):
+        self._set(palette=palette, graphs=graphs, chain_text=chain_text)
 
     def env(self) -> ChainEnv:
         return ChainEnv(self.graphs)

@@ -198,6 +198,11 @@ class TestBuildFiltration:
 # -- layer memo ----------------------------------------------------------------------
 
 
+# merges in build_filtration, and complexes built by a fresh --json, per workspace
+MERGES = {"sharing_k5": 23, "three_paths": 4}
+JSON_BUILDS = {"sharing_k5": 25, "three_paths": 7}
+
+
 def _workspace_cases():
     for path in (SHARING_K5, REPO_ROOT / "workspaces" / "three_paths.json"):
         for policy in POLICIES:
@@ -290,12 +295,10 @@ class TestLayerMemo:
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_json_builds_each_exact_layer_once(self, path, policy, monkeypatch):
         # copy numbering shows in the cells, so JSON tells layers apart by
-        # their exact edges, not by ``Multigraph`` equality; the class
-        # vectors are read first, so only the layers' builds are counted
+        # their exact edges, not by ``Multigraph`` equality; the layers'
+        # complexes also give the classes' whole vectors, so none other is built
         ws = load_workspace(path)
         p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
-        for n in p.nodes:
-            assert n.betti
         inputs = []
 
         def recording(g, policy=CANONICAL, dim=None):
@@ -304,7 +307,7 @@ class TestLayerMemo:
 
         monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
         p.to_json_dict()
-        assert len(set(inputs)) == len(inputs)
+        assert len(set(inputs)) == len(inputs) == JSON_BUILDS[path.stem]
         assert set(inputs) == {
             (g.nodes, g.edges, policy, None) for n in p.nodes for g in n.layers
         }
@@ -349,6 +352,11 @@ class TestLayerMemo:
         }
         assert len(calls) <= len(met - {tuple(sorted(b)) for b in start.blocks()})
         assert len(calls) < len(p.covers)
+        # one merge per pair of classes: on sharing_k5, where L is bound to
+        # G's graph, blocks with L meet the pairs of G's blocks again
+        pairs = [tuple(sorted((p.classes.ids[g], p.classes.ids[h]))) for g, h in calls]
+        assert len(set(pairs)) == len(pairs)
+        assert len(calls) == MERGES[path.stem]
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_node_betti_matches_fresh_builds(self, path, policy):

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and only
-``mgraph`` sees how a multigraph stores its copies.
+"""Every name a package module imports is used in that module, only
+``mgraph`` sees how a multigraph stores its copies, and importing the CLI
+loads no module it does not need to start.
 
 Stdlib ``ast`` only: a module's imported names are compared with the
 names it loads (annotations included, quoted ones parsed).  A name
@@ -12,6 +13,8 @@ they read copies through ``Multigraph`` methods.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 
 import pytest
 
@@ -103,6 +106,23 @@ def test_no_unused_imports(path):
 )
 def test_only_mgraph_sees_the_copy_storage(path):
     assert storage_reads(path.read_text()) == []
+
+
+def test_cli_import_loads_no_start_up_weight():
+    # every command pays for importing the CLI: dataclasses pulls in
+    # inspect (with ast, dis and tokenize), and only fuzz uses hashlib and csv
+    probe = (
+        "import sys, multihom.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'hashlib', 'csv'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestScanner:

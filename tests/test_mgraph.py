@@ -262,13 +262,13 @@ class TestPairIndex:
         # first copy in colour order, per-combination every copy
         rows = [(u, v, c) for u, v in itertools.combinations(range(4), 2) for c in ("red", "blue")]
         made = []
-        check = EdgeCopy.__post_init__
+        init = EdgeCopy.__init__
 
-        def counted(e):
+        def counted(e, *args, **kwargs):
             made.append(e)
-            check(e)
+            init(e, *args, **kwargs)
 
-        with mock.patch.object(EdgeCopy, "__post_init__", counted):
+        with mock.patch.object(EdgeCopy, "__init__", counted):
             g = canonical(merge(G(range(4), rows[::2]), G(range(4), rows[1::2])))
             for policy in POLICIES:
                 betti(clique_multicomplex(g, policy))
