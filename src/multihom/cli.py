@@ -79,7 +79,7 @@ def _need_workspace(args) -> Workspace:
 
 
 def _resolve_chain(args, ws: Workspace | None) -> ChainExpr:
-    if getattr(args, "chain", None):
+    if args.chain is not None:  # an explicit '' is an empty chain, not no chain
         return parse_chain(args.chain)
     if ws is not None and ws.chain_text:
         return parse_chain(ws.chain_text)

@@ -22,7 +22,11 @@ A complex stores its cells as integer rows.  Each dimension is a
 ``Grade``: the cells' keys in sorted order, and each cell's faces as
 row indices into the grade below (at dimension 1 also each cell's
 colour).  The builder writes those rows by arithmetic: a face's row is
-its clique's first row plus the rank of the restricted assignment.
+its clique's first row plus the rank of the restricted assignment.  One
+table per dimension says which pairs each face position omits, and a
+face's rows over its clique's cells grow from its first row, last pair
+first: a pair the face omits repeats the block, one it keeps appends it
+shifted by each further copy's rank step.
 ``Multicell`` is the value type of one cell; ``cells``, ``find`` and
 ``all_cells`` build it on demand as a view of a row, and
 ``Multicomplex.from_cells`` is the door for hand-built cells, which it
@@ -52,7 +56,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cached_property
 from math import prod
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import CellBudgetExceeded, ComplexStructureError, PaletteMismatch
 from .mgraph import Multigraph, merge
@@ -442,39 +446,45 @@ class Multicomplex:
 # -- clique construction -----------------------------------------------------------
 
 
-def _cliques(
+def _higher_cliques(
     nodes: Iterable[int], pairs: Iterable[tuple[int, int]], size: int | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Every clique of the simple graph on ``nodes`` and ``pairs`` with at
-    most ``size`` vertices (any number if None), as a sorted vertex tuple.
+    """Every clique of 3 to ``size`` vertices (no upper bound if None) of
+    the simple graph on ``nodes`` and sorted ``pairs``, as sorted vertex
+    tuples in lexicographic order.
 
-    Nodes are indexed by bit in sorted order and ``up[i]`` is the bitset
-    of i's higher neighbours, so a clique grows depth-first only by its
-    common higher neighbours (ordered-neighbour expansion, as in Bron &
-    Kerbosch 1973) and each clique is reached exactly once.
+    Nodes are indexed by bit in sorted order and ``up[i]`` is the bitset of
+    i's higher neighbours.  Each pair (i, j) seeds a depth-first growth by
+    common higher neighbours, ``up[i] & up[j]`` first (ordered-neighbour
+    expansion, as in Bron & Kerbosch 1973), so each clique is reached once.
     """
     order = sorted(nodes)
     bit = {v: i for i, v in enumerate(order)}
     up = [0] * len(order)
     for u, v in pairs:
-        i, j = sorted((bit[u], bit[v]))
-        up[i] |= 1 << j
+        up[bit[u]] |= 1 << bit[v]
     # depth-first with an explicit stack of the (clique, candidates not yet
     # tried) to return to, so a clique of any size needs no recursion
     stack: list[tuple[tuple[int, ...], int]] = []
-    clique, cand = (), (1 << len(order)) - 1
-    while cand or stack:
-        if not cand:
-            clique, cand = stack.pop()
-            continue
-        low = cand & -cand
-        cand ^= low
-        i = low.bit_length() - 1
-        tau = clique + (order[i],)
-        yield tau
-        if cand & up[i] and len(tau) != size:
-            stack.append((clique, cand))
-            clique, cand = tau, cand & up[i]
+    for i, later in enumerate(up):
+        while later:
+            low = later & -later
+            later ^= low
+            j = low.bit_length() - 1
+            # ``later`` holds i's neighbours above j, so this is up[i] & up[j]
+            clique, cand = (order[i], order[j]), later & up[j]
+            while cand or stack:
+                if not cand:
+                    clique, cand = stack.pop()
+                    continue
+                low = cand & -cand
+                cand ^= low
+                k = low.bit_length() - 1
+                tau = clique + (order[k],)
+                yield tau
+                if cand & up[k] and len(tau) != size:
+                    stack.append((clique, cand))
+                    clique, cand = tau, cand & up[k]
 
 
 def clique_multicomplex(
@@ -502,17 +512,16 @@ def clique_multicomplex(
     total = len(g.nodes) + sum(mult.values())
     over = False
     size = None if dim is None else dim + 1
-    for tau in _cliques(g.nodes, mult, size) if dim is None or dim >= 2 else ():
+    for tau in _higher_cliques(g.nodes, mult, size) if dim is None or dim >= 2 else ():
         d = len(tau) - 1
         # each of a clique's 2^(d+1) - 1 subcliques is a clique with a cell
         over = total > budget or (2 << d) - 1 > budget
         if over:
             break
-        if d >= 2:
-            single = d >= 3 and policy == CANONICAL
-            n = 1 if single else prod(mult[p] for p in itertools.combinations(tau, 2))
-            total += n
-            cliques.setdefault(d, []).append((tau, n))
+        single = d >= 3 and policy == CANONICAL
+        n = 1 if single else prod(map(mult.__getitem__, itertools.combinations(tau, 2)))
+        total += n
+        cliques.setdefault(d, []).append((tau, n))
     if over or total > budget:
         raise CellBudgetExceeded(
             f"the {policy} clique complex of a graph on {len(g.nodes)} nodes "
@@ -538,65 +547,54 @@ def clique_multicomplex(
     # each shape's first row, one dimension down
     first = dict(zip(mult, itertools.accumulate(mult.values(), initial=0)))
 
-    def first_copy(p: tuple[int, int]) -> int:
-        """The pair's 0-based copy that comes first in (colour, copy) order.
-        The canonical policy glues its single high-dimensional cell along
-        these, so the result is invariant under re-indexing parallel copies
-        (e.g. merging the same two graphs in either order).  Only 3-cells
-        read them: the faces of higher single cells are single cells."""
-        colors = g.colors(p)
-        return colors.index(min(colors))
-
     for d in range(2, max(cliques, default=1) + 1):
         single = d >= 3 and policy == CANONICAL
         vertices, copies = [], []
         faces = tuple([] for _ in range(d + 1))
         below_first, first = first, {}
-        for tau, n in sorted(cliques[d], key=itemgetter(0)):
-            pairs = list(itertools.combinations(tau, 2))  # tau is sorted
-            radix = [mult[p] for p in pairs]
+        # faces are lexicographic (so in sorted face order) and face k omits
+        # vertex d - k: omits[k][j] says whether face k omits pair j
+        positions = list(itertools.combinations(range(d + 1), 2))
+        omits = [[d - k in p for p in positions] for k in range(d + 1)]
+        for tau, n in cliques[d]:  # tau is sorted, and cliques come sorted
             first[tau] = len(copies)
             vertices += [tau] * n
             copies += range(1, n + 1)
-            # faces are lexicographic, so already in sorted face order
-            for rows, sigma in zip(faces, itertools.combinations(tau, d)):
-                base = below_first[sigma]
-                if single and d >= 4:
-                    # faces above dimension 2 are the single cell of their clique
+            bases = map(below_first.__getitem__, itertools.combinations(tau, d))
+            if n == 1 and (not single or d >= 4):
+                # one cell, or a single cell whose faces are single cells
+                for rows, base in zip(faces, bases):
+                    rows.append(base)
+                continue
+            # a face's copy is the rank of the restricted assignment, the last
+            # pair least significant: walk the pairs of several copies from it
+            pairs = list(itertools.combinations(tau, 2))
+            doubled = [(j, r) for j in reversed(range(len(pairs))) if (r := mult[pairs[j]]) > 1]
+            for rows, base, skip in zip(faces, bases, omits):
+                stride = 1
+                if single:
+                    # a canonical 3-cell is glued along each pair's copy first
+                    # in (colour, copy) order, which re-indexing copies keeps
+                    for j, r in doubled:
+                        if not skip[j]:
+                            colors = g.colors(pairs[j])
+                            base += colors.index(min(colors)) * stride
+                            stride *= r
                     rows.append(base)
                     continue
-                # a face's copy is the rank of the restricted assignment
-                weights = _strides(pairs, radix, sigma)
-                if single:
-                    rows.append(base + sum(first_copy(p) * w for p, w in zip(pairs, weights) if w))
-                else:
-                    rows += _face_rows(base, radix, weights)
+                # the face's row under each of the clique's cells, in cell order
+                block = [base]
+                for j, r in doubled:
+                    if skip[j]:
+                        block *= r
+                    else:
+                        head = block[:]
+                        for t in range(stride, r * stride, stride):
+                            block += map(add, head, itertools.repeat(t))
+                        stride *= r
+                rows += block
         grades.append(Grade(grades[-1], vertices, copies, faces))
     return Multicomplex(g.palette, tuple(grades), policy)
-
-
-def _strides(
-    pairs: Sequence[tuple[int, int]], radix: Sequence[int], sigma: tuple[int, ...]
-) -> list[int]:
-    """Mixed-radix weights of ``sigma``'s own pairs (the last one least
-    significant), 0 for the pairs of ``pairs`` that ``sigma`` omits."""
-    weights, stride = [0] * len(pairs), 1
-    for j in reversed(range(len(pairs))):
-        if pairs[j][0] in sigma and pairs[j][1] in sigma:
-            weights[j], stride = stride, stride * radix[j]
-    return weights
-
-
-def _face_rows(base: int, radix: Sequence[int], weights: Sequence[int]) -> list[int]:
-    """``base`` plus a face's rank under every copy combination of its
-    clique, in product order (the first pair most significant), which is
-    the order of the clique's cells."""
-    rows = [base]
-    for r, w in zip(radix, weights):
-        if r > 1:
-            steps = range(0, r * w, w) if w else [0] * r
-            rows = [s + t for s in rows for t in steps]
-    return rows
 
 
 def cell_coloring(x: Multicomplex, c: Multicell) -> tuple[str, ...]:

@@ -185,3 +185,40 @@ def first_copy_by_colour(edges: Sequence, pair: tuple[int, int]) -> int:
     """The copy of ``pair`` that comes first in (colour, copy) order, by a
     scan of the whole edge list."""
     return min((e.color, e.copy) for e in edges if (e.u, e.v) == pair)[1]
+
+
+def reference_grades(g, policy: str) -> list[tuple[list, list, tuple[list[int], ...]]]:
+    """The (vertices, copies, faces) rows of each grade of a clique complex,
+    built cell by cell: every clique's copy assignments by
+    ``itertools.product`` (so in rank order), and each face's row looked up
+    by its vertices and the restricted assignment.  Under the canonical
+    policy a clique of four or more vertices has one cell, over each pair's
+    first copy in (colour, copy) order."""
+    mult = g.multiplicities()
+    if not g.nodes:
+        return []
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for clique in cliques_bruteforce(g.nodes, mult):
+        by_size.setdefault(len(clique), []).append(clique)
+    row_of: dict = {}  # (vertices, assignment) -> row in its grade
+    grades = []
+    for size in sorted(by_size):
+        vertices, copies = [], []
+        faces: tuple[list[int], ...] = tuple([] for _ in range(size)) if size > 1 else ()
+        for clique in sorted(by_size[size]):
+            pairs = list(itertools.combinations(clique, 2))
+            if policy == "canonical" and size >= 4:
+                first = {p: first_copy_by_colour(g.edges, p) for p in pairs}
+                assignments = [tuple(first[p] for p in pairs)]
+            else:
+                assignments = list(itertools.product(*(range(1, mult[p] + 1) for p in pairs)))
+            for copy, assignment in enumerate(assignments, start=1):
+                row_of[clique, assignment] = len(vertices)
+                vertices.append(clique)
+                copies.append(copy)
+                chosen = dict(zip(pairs, assignment))
+                for rows, face in zip(faces, itertools.combinations(clique, size - 1)):
+                    restricted = tuple(chosen[p] for p in itertools.combinations(face, 2))
+                    rows.append(row_of[face, restricted])
+        grades.append((vertices, copies, faces))
+    return grades

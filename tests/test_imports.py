@@ -110,10 +110,11 @@ def test_only_mgraph_sees_the_copy_storage(path):
 
 def test_cli_import_loads_no_start_up_weight():
     # every command pays for importing the CLI: dataclasses pulls in
-    # inspect (with ast, dis and tokenize), and only fuzz uses hashlib and csv
+    # inspect (with ast, dis and tokenize), only fuzz uses hashlib and csv,
+    # and numpy alone would cost more than the whole package
     probe = (
-        "import sys, multihom.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'hashlib', 'csv'} & set(sys.modules)))"
+        "import sys, multihom.cli; print(sorted("
+        "{'dataclasses', 'inspect', 'hashlib', 'csv', 'numpy'} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],

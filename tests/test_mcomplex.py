@@ -12,7 +12,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from multihom import (
     CANONICAL,
@@ -36,7 +36,7 @@ from multihom import (
 )
 
 from multihom.cli import EXIT_OK, main
-from multihom.mcomplex import _cliques
+from multihom.mcomplex import _higher_cliques
 
 from conftest import PALETTE, REPO_ROOT, multigraphs
 from oracles import (
@@ -44,6 +44,7 @@ from oracles import (
     cliques_bruteforce,
     first_copy_by_colour,
     lexicographic_rank,
+    reference_grades,
 )
 
 DATA = REPO_ROOT / "tests" / "data"
@@ -274,6 +275,45 @@ class TestCopyNumbering:
             assert sorted(single) == sorted(t for t in cliques if len(t) >= 4)
 
 
+def mixed_k6() -> Multigraph:
+    """K6 with multiplicities 1 to 3 (two pairs tripled, four doubled).  Each
+    pair lists its copies in falling colour order, so the copy first in
+    colour order is the last one, never copy 1 where there are several."""
+    mults = (3, 1, 2, 1, 1, 2, 1, 1, 2, 1, 3, 1, 1, 2, 1)  # pairs in sorted order
+    colours = ("red", "blue", "black")
+    pairs = itertools.combinations(range(1, 7), 2)
+    return G(range(1, 7), [(u, v, c) for (u, v), m in zip(pairs, mults) for c in colours[3 - m :]])
+
+
+class TestFaceRows:
+    """Every grade's rows equal those of a cell-by-cell build that finds
+    each face by its vertices and restricted copy assignment."""
+
+    @staticmethod
+    def check(g, policy):
+        x = clique_multicomplex(g, policy)
+        got = [(grade.vertices, grade.copies, grade.faces) for grade in x.grades]
+        assert got == reference_grades(g, policy)
+
+    @given(g=multigraphs(max_nodes=6, max_mult=3), policy=st.sampled_from(POLICIES))
+    @settings(max_examples=150)
+    def test_rows_match_the_reference(self, g, policy):
+        # K6 at multiplicity 3 has 3^15 top cells; keep the examples small
+        try:
+            with cell_budget(20_000):
+                clique_multicomplex(g, policy)
+        except CellBudgetExceeded:
+            assume(False)
+        self.check(g, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_mixed_k6(self, policy):
+        # radix-3 steps, 5-cells and colour-first copies other than copy 1
+        g = mixed_k6()
+        assert g.multiplicity((1, 2)) == 3 and g.colors((1, 2))[2] == "black"
+        self.check(g, policy)
+
+
 # -- structure validation -------------------------------------------------------------
 
 
@@ -478,7 +518,7 @@ class TestSkeleton:
     @pytest.mark.parametrize("dim", (0, 1))
     def test_low_skeletons_enumerate_no_cliques(self, dim):
         k4 = k4_with_doubled_edge()
-        with mock.patch("multihom.mcomplex._cliques", side_effect=AssertionError):
+        with mock.patch("multihom.mcomplex._higher_cliques", side_effect=AssertionError):
             x = clique_multicomplex(k4, PER_COMBINATION, dim)
         assert [len(grade) for grade in x.grades] == [4, 7][: dim + 1]
 
@@ -552,14 +592,30 @@ class TestCliqueEnumeration:
         got = [c.vertices for c in x.all_cells()]
         assert sorted(got) == sorted(expected)
 
+    @given(
+        g=st.one_of(
+            multigraphs(max_nodes=7, max_mult=1),
+            multigraphs(max_nodes=8, max_mult=1, sparse_labels=True),
+        ),
+        size=st.one_of(st.none(), st.integers(3, 7)),
+    )
+    @settings(max_examples=80)
+    def test_higher_cliques_match_bruteforce(self, g, size):
+        got = list(_higher_cliques(g.nodes, g.pairs(), size))
+        expected = [
+            t for t in cliques_bruteforce(g.nodes, g.pairs()) if 3 <= len(t) <= (size or len(t))
+        ]
+        # each clique once, in lexicographic order
+        assert got == sorted(expected)
+
     def test_deep_cliques_need_no_recursion(self):
         # depth-first growth of K_1050 nests 1050 cliques, past Python's
         # default recursion limit of 1000
         n = 1050
-        everything = _cliques(range(n), itertools.combinations(range(n), 2))
+        everything = _higher_cliques(range(n), itertools.combinations(range(n), 2))
         cliques = list(itertools.islice(everything, 2000))
         assert len(cliques) == 2000
-        assert cliques[:n] == [tuple(range(k)) for k in range(1, n + 1)]
+        assert cliques[: n - 2] == [tuple(range(k)) for k in range(3, n + 1)]
 
 
 # -- merge of complexes ---------------------------------------------------------------

@@ -201,6 +201,14 @@ class TestCliMergeBetti:
         assert main(["--workspace", str(path), "betti", "G"]) == EXIT_DOMAIN
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["betti", "filtrate"])
+    def test_explicit_empty_chain_is_not_the_default(self, disjoint_triangles_path, capsys, verb):
+        # the workspace declares a default chain, which '' must not fall back to
+        assert main(["--workspace", str(disjoint_triangles_path), verb, ""]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert "empty chain expression" in captured.err
+        assert captured.out == ""
+
     def test_betti_without_any_chain(self, tmp_path, capsys):
         path = tmp_path / "ws.json"
         path.write_text(json.dumps(MINIMAL))
