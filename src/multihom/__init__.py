@@ -44,10 +44,8 @@ from .filtration import (
     betti_trace,
     build_filtration,
     chain_betti,
-    chain_complexes,
     enumerate_chains,
     level_profile,
-    prefix_leq,
     trace_for_chains,
 )
 from .homology import (
@@ -58,9 +56,7 @@ from .homology import (
     boundary_matrix,
     boundary_squares_to_zero,
     coboundary_rows,
-    connected_components,
     euler_characteristic,
-    gf2_rank,
 )
 from .incremental import (
     KNOWN_CASES,
@@ -95,11 +91,8 @@ from .mgraph import (
     Multigraph,
     Multilayer,
     NodeId,
-    canonical,
-    color_count,
     merge,
     tensor,
-    vertex_disjoint,
 )
 from .workspace import Workspace, load_workspace, parse_workspace
 

@@ -320,17 +320,34 @@ def cmd_incremental(args) -> int:
     return EXIT_OK
 
 
+def _open_outputs(*paths: str | None) -> list:
+    """Open each given path for writing (None stays None) before any work
+    starts.  If one cannot be opened, the files opened so far are removed
+    and a domain error names the path."""
+    files = []
+    try:
+        for path in paths:
+            files.append(path and open(path, "w", encoding="utf-8"))
+    except OSError as exc:
+        for f in filter(None, files):
+            f.close()
+            Path(f.name).unlink()
+        raise MultihomError(f"cannot write {path}: {exc.strerror or exc}") from None
+    return files
+
+
 def cmd_fuzz(args) -> int:
+    jsonl, summary = _open_outputs(args.jsonl, args.summary)
     records = list(
         incremental.fuzz_records(args.count, args.seed, policy=args.policy)
     )
-    if args.jsonl:
-        Path(args.jsonl).write_text(
-            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-        )
+    if jsonl:
+        with jsonl:
+            jsonl.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
     rows = incremental.summarize_records(records)
-    if args.summary:
-        Path(args.summary).write_text(incremental.summary_csv(rows))
+    if summary:
+        with summary:
+            summary.write(incremental.summary_csv(rows))
     if args.json:
         print(json.dumps({"count": len(records), "summary": rows}, indent=2))
     else:

@@ -59,23 +59,14 @@ __all__ = [
     "trace_for_chains",
     "level_profile",
     "chain_betti",
-    "chain_complexes",
-    "prefix_leq",
 ]
 
 Block = tuple[str, ...]  # a merged run of atoms, sorted
 
 
-def chain_complexes(
-    x: ChainExpr, env: ChainEnv, policy: str = CANONICAL
-) -> tuple[Multicomplex, ...]:
-    """One clique complex per tensor layer of the evaluated chain."""
-    return tuple(clique_multicomplex(g, policy) for g in evaluate(x, env))
-
-
 def chain_betti(x: ChainExpr, env: ChainEnv, policy: str = CANONICAL) -> BettiVector:
     """Betti vector of a chain: layers are disjoint, so vectors add."""
-    return betti_sum(betti(c) for c in chain_complexes(x, env, policy))
+    return betti_sum(betti(clique_multicomplex(g, policy)) for g in evaluate(x, env))
 
 
 def _chain_of_blocks(blocks: Sequence[Block]) -> ChainExpr:
@@ -417,16 +408,3 @@ def enumerate_chains(
             blocks = tuple(tuple(sorted(b)) for b in x.blocks())
             seen.add(_chain_of_blocks(blocks))
     return tuple(sorted(seen, key=lambda c: (merge_count(c), c.text())))
-
-
-def prefix_leq(x: ChainExpr, y: ChainExpr) -> bool:
-    """Mixed-length comparison: x embeds as a prefix of y and no prefix
-    position downgrades a merge to a tensor."""
-    if x.k > y.k:
-        return False
-    if x.atoms != y.atoms[: x.k]:
-        return False
-    return not any(
-        a is Connective.MERGE and b is Connective.TENSOR
-        for a, b in zip(x.connectives, y.connectives[: x.k - 1])
-    )

@@ -49,13 +49,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence, Set
 
-from .mcomplex import CellKey, Multicomplex
-from .mgraph import Multigraph, Multilayer
+from .mcomplex import Multicomplex
 from .value import Value
 
 __all__ = [
     "Gf2Basis",
-    "gf2_rank",
     "BoundaryMatrix",
     "boundary_matrix",
     "coboundary_rows",
@@ -63,7 +61,6 @@ __all__ = [
     "betti_sum",
     "euler_characteristic",
     "boundary_squares_to_zero",
-    "connected_components",
 ]
 
 BettiVector = tuple[int, ...]
@@ -96,53 +93,33 @@ class Gf2Basis:
         return len(self.pivots)
 
 
-def gf2_rank(columns: Iterable[int]) -> int:
-    """Rank of a GF(2) matrix given as column bitsets."""
-    basis = Gf2Basis()
-    for col in columns:
-        basis.add(col)
-    return basis.rank
-
-
 class BoundaryMatrix(Value):
-    """d-th boundary matrix: rows are (d-1)-cells, columns are d-cells."""
+    """The d-th boundary matrix as its columns, one bitset per d-cell."""
 
-    _fields = ("row_keys", "col_keys", "columns")
-    row_keys: tuple[CellKey, ...]
-    col_keys: tuple[CellKey, ...]
+    _fields = ("columns",)
     columns: tuple[int, ...]
 
-    def __init__(
-        self, row_keys: tuple[CellKey, ...], col_keys: tuple[CellKey, ...], columns: tuple[int, ...]
-    ):
-        self._set(row_keys=row_keys, col_keys=col_keys, columns=columns)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.row_keys), len(self.col_keys))
+    def __init__(self, columns: tuple[int, ...]):
+        self._set(columns=columns)
 
     def rank(self) -> int:
-        return gf2_rank(self.columns)
-
-    def dense(self) -> list[list[int]]:
-        return [
-            [(col >> i) & 1 for col in self.columns]
-            for i in range(len(self.row_keys))
-        ]
+        basis = Gf2Basis()
+        for col in self.columns:
+            basis.add(col)
+        return basis.rank
 
 
 def boundary_matrix(x: Multicomplex, d: int) -> BoundaryMatrix:
     """Boundary matrix for dimension d >= 1 (columns from glued faces)."""
     if d < 1:
         raise ValueError(f"boundary matrices are defined for d >= 1, got {d}")
-    rows, cols = x.grade(d - 1), x.grade(d)
     columns = []
-    for faces in cols.face_rows():
+    for faces in x.grade(d).face_rows():
         col = 0
         for i in faces:
             col ^= 1 << i
         columns.append(col)
-    return BoundaryMatrix(tuple(rows.keys()), tuple(cols.keys()), tuple(columns))
+    return BoundaryMatrix(tuple(columns))
 
 
 def coboundary_rows(x: Multicomplex, d: int) -> list[int]:
@@ -262,12 +239,3 @@ def boundary_squares_to_zero(x: Multicomplex) -> bool:
             if acc:
                 return False
     return True
-
-
-def connected_components(g: Multigraph | Multilayer) -> int:
-    """Components of the underlying simple graph; layers add up."""
-    if isinstance(g, Multilayer):
-        return sum(connected_components(layer) for layer in g.layers)
-    index = {v: i for i, v in enumerate(g.nodes)}
-    links = ((index[u], index[v]) for u, v in g.pairs())
-    return len(index) - len(_forest(len(index), links))

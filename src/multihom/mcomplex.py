@@ -245,10 +245,6 @@ class Multicomplex:
         grade = self.grade(len(key[0]) - 1)
         return grade[grade.row(key)]
 
-    def multiplicity(self, vertices: tuple[int, ...]) -> int:
-        keys = self.grade(len(vertices) - 1).vertices
-        return bisect_right(keys, vertices) - bisect_left(keys, vertices)
-
     def shapes(self, d: int) -> dict[tuple[int, ...], int]:
         return dict(Counter(self.grade(d).vertices))
 

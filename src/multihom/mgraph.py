@@ -13,7 +13,7 @@ colour.  Two graphs over the same palette compose in two ways:
 A graph stores, per endpoint pair (pairs sorted), its copies' colours
 in copy order, so copy indices are contiguous by construction.  Every
 door (``Multigraph(nodes, edges, palette)`` from ``EdgeCopy`` values,
-``build``, ``merge``, ``canonical``, ``empty``) ends in one checked step
+``build``, ``merge``, ``empty``) ends in one checked step
 (endpoints in the node set, colours in the palette, per pair).  The
 views ``edges`` and ``copies`` make ``EdgeCopy`` values on demand.
 
@@ -40,9 +40,6 @@ __all__ = [
     "Multilayer",
     "tensor",
     "merge",
-    "color_count",
-    "canonical",
-    "vertex_disjoint",
 ]
 
 Color = str
@@ -251,19 +248,3 @@ def merge(g: Multigraph, h: Multigraph) -> Multigraph:
     for pair, colors in h._by_pair.items():
         by_pair[pair] = by_pair.get(pair, ()) + colors
     return Multigraph._of(g.nodes | h.nodes, by_pair, g.palette)
-
-
-def color_count(g: Multigraph) -> int:
-    """Number of distinct colours actually used by edges."""
-    return len(g.colors_used())
-
-
-def canonical(g: Multigraph) -> Multigraph:
-    """Re-index copies per pair in colour order; canonical representative
-    of the semantic equality class."""
-    by_pair = {p: tuple(sorted(c)) for p, c in g._by_pair.items()}
-    return Multigraph._of(g.nodes, by_pair, g.palette)
-
-
-def vertex_disjoint(*graphs: Multigraph) -> bool:
-    return all(not (a.nodes & b.nodes) for a, b in itertools.combinations(graphs, 2))

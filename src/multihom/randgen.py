@@ -7,7 +7,7 @@ from typing import Sequence
 
 from .mgraph import Multigraph
 
-__all__ = ["random_multigraph", "random_disjoint_connected"]
+__all__ = ["random_multigraph"]
 
 
 def random_multigraph(
@@ -32,28 +32,3 @@ def random_multigraph(
                 for _ in range(mult):
                     rows.append((nodes[i], nodes[j], rng.choice(list(palette))))
     return Multigraph.build(nodes, rows, palette)
-
-
-def random_disjoint_connected(
-    rng: random.Random,
-    count: int,
-    size: int = 3,
-    palette: Sequence[str] = ("black",),
-) -> list[Multigraph]:
-    """Vertex-disjoint connected multigraphs (a random spanning tree plus
-    optional extra edges), for component-law sweeps."""
-    out = []
-    base = 0
-    for _ in range(count):
-        nodes = list(range(base + 1, base + size + 1))
-        base += size
-        rows = []
-        for idx in range(1, len(nodes)):
-            anchor = rng.choice(nodes[:idx])
-            rows.append((anchor, nodes[idx], rng.choice(list(palette))))
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                if rng.random() < 0.3:
-                    rows.append((nodes[i], nodes[j], rng.choice(list(palette))))
-        out.append(Multigraph.build(nodes, rows, palette))
-    return out

@@ -136,4 +136,6 @@ def load_workspace(path: str | Path) -> Workspace:
         raise WorkspaceError(f"workspace {path} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"workspace is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise WorkspaceError(f"workspace {path} nests too deeply to read") from None
     return parse_workspace(data)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -23,6 +24,16 @@ ATOM_NAMES = ("G", "H", "K", "L", "M")
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 WORKSPACES = REPO_ROOT / "workspaces"
+
+
+def load_spans():
+    """``bench/spans.py``, loaded read-only: nothing is installed."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", REPO_ROOT / "bench" / "spans.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # -- strategies ----------------------------------------------------------------

@@ -3,13 +3,18 @@
 Each oracle recomputes a quantity by a method unrelated to the one the
 package uses (exhaustive span closure, union-find, brute-force subset
 scans), so agreement between the two is evidence rather than tautology.
+The module ends with the seeded generator that acceptance criterion 4
+draws its vertex-disjoint graphs from.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+
+from multihom.mgraph import Multigraph
 
 
 def rank_gf2_span(columns: Iterable[int]) -> int:
@@ -222,3 +227,28 @@ def reference_grades(g, policy: str) -> list[tuple[list, list, tuple[list[int], 
                     rows.append(row_of[face, restricted])
         grades.append((vertices, copies, faces))
     return grades
+
+
+def random_disjoint_connected(
+    rng: random.Random,
+    count: int,
+    size: int = 3,
+    palette: Sequence[str] = ("black",),
+) -> list[Multigraph]:
+    """Vertex-disjoint connected multigraphs (a random spanning tree plus
+    optional extra edges), for component-law sweeps."""
+    out = []
+    base = 0
+    for _ in range(count):
+        nodes = list(range(base + 1, base + size + 1))
+        base += size
+        rows = []
+        for idx in range(1, len(nodes)):
+            anchor = rng.choice(nodes[:idx])
+            rows.append((anchor, nodes[idx], rng.choice(list(palette))))
+        for i in range(len(nodes)):
+            for j in range(i + 1, len(nodes)):
+                if rng.random() < 0.3:
+                    rows.append((nodes[i], nodes[j], rng.choice(list(palette))))
+        out.append(Multigraph.build(nodes, rows, palette))
+    return out

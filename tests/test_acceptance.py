@@ -52,9 +52,9 @@ from multihom import (
     trace_for_chains,
 )
 from multihom.cli import main
-from multihom.randgen import random_disjoint_connected, random_multigraph
+from multihom.randgen import random_multigraph
 
-from oracles import components_union_find
+from oracles import components_union_find, random_disjoint_connected
 
 WORKSPACES = Path(__file__).resolve().parent.parent / "workspaces"
 

@@ -25,7 +25,6 @@ from multihom import (
     betti_trace,
     build_filtration,
     chain_betti,
-    chain_complexes,
     clique_multicomplex,
     enumerate_chains,
     evaluate,
@@ -34,7 +33,6 @@ from multihom import (
     merge,
     merge_count,
     parse_chain,
-    prefix_leq,
     trace_for_chains,
 )
 from multihom.cli import EXIT_OK, main
@@ -506,10 +504,12 @@ class TestTraces:
 
     def test_chain_betti_adds_layers(self, three_paths_env):
         env, _ = three_paths_env
-        beta = chain_betti(parse_chain("G | H | K"), env)
+        x = parse_chain("G | H | K")
+        beta = chain_betti(x, env)
         assert beta[0] == 3
-        layers = chain_complexes(parse_chain("G | H | K"), env)
+        layers = evaluate(x, env)
         assert len(layers) == 3
+        assert beta == betti_sum(betti(clique_multicomplex(g)) for g in layers)
 
 
 # -- reporting -------------------------------------------------------------------------
@@ -554,25 +554,3 @@ class TestLevelProfile:
         assert len(payload["nodes"]) == 5
         assert {c["map"] for c in payload["covers"]} <= {"f1", "f2"}
         assert "level_profile" in payload
-
-
-# -- mixed-length comparison ---------------------------------------------------------
-
-
-class TestPrefixOrder:
-    def test_extension_of_all_tensor(self):
-        assert prefix_leq(parse_chain("G | H | K"), parse_chain("G | H | K | L"))
-
-    def test_merge_survives_extension(self):
-        assert prefix_leq(parse_chain("G . H | K"), parse_chain("G . H | K | L"))
-
-    def test_merge_not_below_tensor_extension(self):
-        assert not prefix_leq(parse_chain("G . H | K"), parse_chain("G | H | K | L"))
-
-    def test_longer_never_below_shorter(self):
-        assert not prefix_leq(parse_chain("G | H | K | L"), parse_chain("G . H | K"))
-
-    def test_reflexive_and_atom_anchored(self):
-        x = parse_chain("G . H | K")
-        assert prefix_leq(x, x)
-        assert not prefix_leq(parse_chain("H | G"), parse_chain("G | H | K"))

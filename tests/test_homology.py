@@ -1,4 +1,4 @@
-"""GF(2) rank, boundary matrices, Betti numbers, component counts."""
+"""GF(2) rank, boundary matrices, Betti numbers and beta_0 as a component count."""
 
 from __future__ import annotations
 
@@ -23,9 +23,7 @@ from multihom import (
     boundary_squares_to_zero,
     clique_multicomplex,
     coboundary_rows,
-    connected_components,
     euler_characteristic,
-    gf2_rank,
     replay_betti,
     tensor,
 )
@@ -45,6 +43,17 @@ from oracles import (
 
 def G(nodes, rows, palette=PALETTE):
     return Multigraph.build(nodes, rows, palette)
+
+
+def basis_rank(columns) -> int:
+    basis = Gf2Basis()
+    for col in columns:
+        basis.add(col)
+    return basis.rank
+
+
+def components(g: Multigraph) -> int:
+    return components_union_find(g.nodes, g.pairs())
 
 
 def filled_triangle():
@@ -106,16 +115,19 @@ def complete_multigraphs(draw, top_cells: int = 2048):
 
 class TestRank:
     def test_identity_rank(self):
-        assert gf2_rank([1 << i for i in range(5)]) == 5
+        columns = [1 << i for i in range(5)]
+        assert basis_rank(columns) == rank_gf2_span(columns) == 5
 
     def test_dependent_columns(self):
-        assert gf2_rank([0b011, 0b101, 0b110]) == 2  # third = xor of first two
+        columns = [0b011, 0b101, 0b110]  # third = xor of first two
+        assert basis_rank(columns) == rank_gf2_span(columns) == 2
 
     def test_zero_columns_ignored(self):
-        assert gf2_rank([0, 0, 0b1]) == 1
+        columns = [0, 0, 0b1]
+        assert basis_rank(columns) == rank_gf2_span(columns) == 1
 
     def test_empty(self):
-        assert gf2_rank([]) == 0
+        assert basis_rank([]) == rank_gf2_span([]) == 0
 
     def test_basis_reports_membership(self):
         basis = Gf2Basis()
@@ -127,7 +139,7 @@ class TestRank:
 
     @given(st.lists(st.integers(0, (1 << 10) - 1), max_size=10))
     def test_matches_span_oracle(self, columns):
-        assert gf2_rank(columns) == rank_gf2_span(columns)
+        assert basis_rank(columns) == rank_gf2_span(columns)
 
 
 # -- boundary matrices ------------------------------------------------------------
@@ -136,20 +148,19 @@ class TestRank:
 class TestBoundaryMatrix:
     def test_triangle_d1(self):
         m = boundary_matrix(filled_triangle(), 1)
-        assert m.shape == (3, 3)
-        assert m.rank() == 2
-        dense = m.dense()
-        assert all(sum(row[j] for row in dense) == 2 for j in range(3))
+        assert len(m.columns) == 3
+        assert all(col < 1 << 3 and col.bit_count() == 2 for col in m.columns)
+        assert m.rank() == rank_gf2_span(m.columns) == 2
 
     def test_pillow_d2_columns_equal(self):
         m = boundary_matrix(pillow(), 2)
-        assert m.shape == (3, 2)
-        assert m.columns[0] == m.columns[1]
+        assert len(m.columns) == 2
+        assert m.columns[0] == m.columns[1] == 0b111
         assert m.rank() == 1
 
     def test_dimension_above_complex_is_empty(self):
         m = boundary_matrix(filled_triangle(), 3)
-        assert m.shape[1] == 0
+        assert m.columns == ()
         assert m.rank() == 0
 
     def test_rejects_dimension_zero(self):
@@ -161,9 +172,11 @@ class TestBoundaryMatrix:
     @given(clique_complexes())
     def test_coboundary_rows_transpose_the_columns(self, x):
         for d in range(1, x.dimension + 2):
-            m = boundary_matrix(x, d)
+            columns = boundary_matrix(x, d).columns
+            assert all(col < 1 << x.cell_count(d - 1) for col in columns)
             assert coboundary_rows(x, d) == [
-                sum(bit << j for j, bit in enumerate(row)) for row in m.dense()
+                sum(((col >> i) & 1) << j for j, col in enumerate(columns))
+                for i in range(x.cell_count(d - 1))
             ]
 
 
@@ -305,7 +318,7 @@ class TestApparentPivots:
             x = clique_multicomplex(g, policy)
             beta = betti(x)
             assert beta == replay_betti(x)
-            assert beta[0] == connected_components(g)
+            assert beta[0] == components(g)
         assert row_builds, "no dimension had two rows share a lowest coface"
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -362,18 +375,20 @@ class TestInvariants:
     @given(multigraphs())
     def test_beta0_equals_components(self, g):
         x = clique_multicomplex(g)
-        expected = components_union_find(g.nodes, g.pairs())
-        assert connected_components(g) == expected
+        expected = components(g)
         if expected:
             assert betti(x)[0] == expected
 
     def test_components_of_multilayer_add(self):
         a = G([1, 2], [(1, 2, "red")])
         b = G([1, 2, 3], [(1, 2, "red")])
-        assert connected_components(tensor(a, b)) == 1 + 2
+        beta = betti_sum(betti(clique_multicomplex(layer)) for layer in tensor(a, b))
+        assert beta[0] == components(a) + components(b) == 1 + 2
 
     def test_components_of_empty(self):
-        assert connected_components(Multigraph.empty(PALETTE)) == 0
+        g = Multigraph.empty(PALETTE)
+        assert components(g) == 0
+        assert betti(clique_multicomplex(g)) == ()
 
     def test_adding_one_cell_moves_one_betti_entry(self):
         # replay a complex cell by cell; each step must either raise

@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in that module, only
-``mgraph`` sees how a multigraph stores its copies, and importing the CLI
-loads no module it does not need to start.
+"""Every name a package module imports is used in that module, every
+name it exports is read somewhere, only ``mgraph`` sees how a multigraph
+stores its copies, and importing the CLI loads no module it does not
+need to start.
 
 Stdlib ``ast`` only: a module's imported names are compared with the
 names it loads (annotations included, quoted ones parsed).  A name
@@ -8,6 +9,12 @@ re-exported through ``__all__`` counts as used, and ``__init__.py``,
 which exists to re-export, is not checked.  Outside ``mgraph.py`` no
 module may construct an ``EdgeCopy`` or read a graph's ``_by_pair``:
 they read copies through ``Multigraph`` methods.
+
+A name in a module's ``__all__`` is read when some other part of the
+code names it: an ``ast`` ``Name``, ``Attribute`` or ``from ... import``
+in a package module (its own definition and ``__init__.py`` excluded),
+in the oracles, fixtures or acceptance criteria under ``tests/``, or a
+part of a qualified name the benchmark tracer wraps.
 """
 
 from __future__ import annotations
@@ -18,10 +25,15 @@ import sys
 
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, load_spans
 
 PACKAGE = REPO_ROOT / "src" / "multihom"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# outside the package, the files whose reads keep an exported name
+READERS = [REPO_ROOT / "tests" / name for name in ("oracles.py", "conftest.py", "test_acceptance.py")]
+# exported and read by nothing, but documented in the README: the
+# paper's tensor (⊗) and the colouring of a cell's edges
+UNREAD_BY_DESIGN = {"mgraph.tensor", "mcomplex.cell_coloring"}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -90,6 +102,60 @@ def storage_reads(source: str) -> list[str]:
     return out
 
 
+def exported_names(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def defined_names(node: ast.stmt) -> set[str]:
+    """The names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def read_names(node: ast.AST) -> set[str]:
+    """Names loaded, attributes read and names imported under ``node``."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def traced_names() -> set[str]:
+    """Each part of the qualified names in the benchmark tracer's ``TARGETS``."""
+    targets = load_spans().TARGETS.values()
+    return {part for _, qualname in targets for part in qualname.split(".")}
+
+
+def unread_exports(modules: dict[str, ast.Module], readers: list[ast.Module], outside: set[str]):
+    """``module.name`` for each exported name read by no top-level
+    statement of the modules but its own definition, by no reader, and
+    not in ``outside``."""
+    reads = set(outside)
+    for tree in readers:
+        reads |= read_names(tree)
+    for tree in modules.values():
+        for node in tree.body:
+            reads |= read_names(node) - defined_names(node)
+    return [
+        f"{stem}.{name}"
+        for stem, tree in modules.items()
+        for name in exported_names(tree)
+        if name not in reads
+    ]
+
+
 def test_package_modules_found():
     assert len(MODULES) >= 10
 
@@ -106,6 +172,13 @@ def test_no_unused_imports(path):
 )
 def test_only_mgraph_sees_the_copy_storage(path):
     assert storage_reads(path.read_text()) == []
+
+
+def test_every_exported_name_is_read():
+    modules = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    readers = [ast.parse(p.read_text()) for p in READERS]
+    unread = unread_exports(modules, readers, traced_names())
+    assert sorted(set(unread) - UNREAD_BY_DESIGN) == []
 
 
 def test_cli_import_loads_no_start_up_weight():
@@ -156,3 +229,16 @@ class TestScanner:
             "EdgeCopy(...) (line 4)",
             "._by_pair (line 5)",
         ]
+
+    def test_an_export_read_only_by_its_own_definition_is_unread(self):
+        a = ast.parse(
+            "__all__ = ['f', 'g', 'h', 'K']\n"
+            "def f(n): return f(n - 1)\n"
+            "def g(): return h\n"
+            "def h(): ...\n"
+            "K = 1\n"
+        )
+        b = ast.parse("from .a import g\n")
+        assert unread_exports({"a": a}, [], set()) == ["a.f", "a.g", "a.K"]
+        assert unread_exports({"a": a, "b": b}, [ast.parse("x.K")], set()) == ["a.f"]
+        assert unread_exports({"a": a}, [], {"f", "g", "K"}) == []

@@ -102,9 +102,9 @@ class TestDoubledEdgeTriangle:
 
     def test_multiplicity_view(self):
         x = clique_multicomplex(doubled_edge_triangle())
-        assert x.multiplicity((1, 3)) == 2
-        assert x.multiplicity((1, 2, 3)) == 2
-        assert x.multiplicity((1, 2)) == 1
+        assert x.shapes(1)[(1, 3)] == 2
+        assert x.shapes(2)[(1, 2, 3)] == 2
+        assert x.shapes(1)[(1, 2)] == 1
 
     def test_validate_passes(self):
         clique_multicomplex(doubled_edge_triangle()).validate()
@@ -149,9 +149,9 @@ class TestK4DoubledEdge:
         x = clique_multicomplex(k4_with_doubled_edge(), PER_COMBINATION)
         assert x.cell_count(3) == 2  # one per copy of the doubled edge
         # triangles touching the doubled edge double as well
-        assert x.multiplicity((1, 2, 3)) == 2
-        assert x.multiplicity((2, 3, 4)) == 2
-        assert x.multiplicity((1, 3, 4)) == 1
+        assert x.shapes(2)[(1, 2, 3)] == 2
+        assert x.shapes(2)[(2, 3, 4)] == 2
+        assert x.shapes(2)[(1, 3, 4)] == 1
 
     def test_policies_agree_below_dimension_three(self):
         a = clique_multicomplex(k4_with_doubled_edge(), CANONICAL)

@@ -20,12 +20,9 @@ from multihom import (
     PaletteMismatch,
     SelfLoopPresent,
     betti,
-    canonical,
     clique_multicomplex,
-    color_count,
     merge,
     tensor,
-    vertex_disjoint,
 )
 
 from conftest import PALETTE, multigraphs
@@ -34,6 +31,12 @@ from oracles import copies_by_pair_scan
 
 def G(nodes, rows, palette=PALETTE):
     return Multigraph.build(nodes, rows, palette)
+
+
+def in_colour_order(g: Multigraph) -> Multigraph:
+    """An equal graph built with each pair's copies in colour order."""
+    rows = [(u, v, c) for u, v in g.pairs() for c in g.color_multiset((u, v))]
+    return Multigraph.build(g.nodes, rows, g.palette)
 
 
 # -- construction and validation -----------------------------------------------
@@ -82,7 +85,7 @@ class TestConstruction:
         g = Multigraph.empty(PALETTE)
         assert g.nodes == frozenset()
         assert g.pairs() == ()
-        assert color_count(g) == 0
+        assert g.colors_used() == frozenset()
 
 
 # -- semantic equality -----------------------------------------------------------
@@ -124,7 +127,7 @@ class TestEquality:
 
     def test_canonical_is_equal_representative(self):
         g = G([1, 2], [(1, 2, "blue"), (1, 2, "black"), (1, 2, "red")])
-        c = canonical(g)
+        c = in_colour_order(g)
         assert c == g
         assert [e.color for e in c.copies((1, 2))] == ["black", "blue", "red"]
 
@@ -158,15 +161,15 @@ class TestMerge:
     def test_colour_count_formula(self):
         a = G([1, 2], [(1, 2, "red")], palette=PALETTE)
         b = G([1, 2], [(1, 2, "black")], palette=PALETTE)
-        assert color_count(merge(a, b)) == 1 + 1 - 0
-        assert color_count(merge(a, a)) == 1
+        assert len(merge(a, b).colors_used()) == 1 + 1 - 0
+        assert len(merge(a, a).colors_used()) == 1
 
     def test_disjoint_colour_merge_counts(self):
         # two colours on each side, no overlap: k + j - s = 4
         palette = ("c1", "c2", "c3", "c4")
         a = G([1, 2, 3], [(1, 2, "c1"), (2, 3, "c2")], palette)
         b = G([1, 2, 3], [(1, 3, "c3"), (2, 3, "c4")], palette)
-        assert color_count(merge(a, b)) == 4
+        assert len(merge(a, b).colors_used()) == 4
 
     def test_palette_mismatch_rejected(self):
         a = G([1, 2], [(1, 2, "red")], palette=("red",))
@@ -221,7 +224,7 @@ class TestPairIndex:
     @given(multigraphs(max_nodes=5), multigraphs(max_nodes=5))
     def test_views_match_a_scan_of_the_edges(self, a, b):
         m = merge(a, b)
-        for g in (a, b, m, canonical(a), canonical(b), canonical(m)):
+        for g in (a, b, m, in_colour_order(a), in_colour_order(b), in_colour_order(m)):
             groups = copies_by_pair_scan(g.edges)
             assert g.pairs() == tuple(groups)
             assert g.multiplicities() == {p: len(c) for p, c in groups.items()}
@@ -235,7 +238,7 @@ class TestPairIndex:
 
     @given(multigraphs(max_nodes=5), multigraphs(max_nodes=5))
     def test_merge_equals_the_validating_constructor(self, a, b):
-        # merge, canonical and build write per-pair colour tuples; the
+        # merge and build write per-pair colour tuples; the
         # EdgeCopy constructor, given the copies each should make, must
         # agree with them on the edge order and on the pair index
         shifted = [
@@ -250,7 +253,7 @@ class TestPairIndex:
         rows = [(e.v, e.u, e.color) for e in sorted(a.edges, key=lambda e: (e.copy, e.pair))]
         for made, checked in [
             (merge(a, b), Multigraph(a.nodes | b.nodes, a.edges + tuple(shifted), a.palette)),
-            (canonical(a), Multigraph(a.nodes, by_colour, a.palette)),
+            (in_colour_order(a), Multigraph(a.nodes, by_colour, a.palette)),
             (Multigraph.build(a.nodes, rows, a.palette), Multigraph(a.nodes, a.edges, a.palette)),
         ]:
             assert (made.nodes, made.palette) == (checked.nodes, checked.palette)
@@ -269,7 +272,8 @@ class TestPairIndex:
             init(e, *args, **kwargs)
 
         with mock.patch.object(EdgeCopy, "__init__", counted):
-            g = canonical(merge(G(range(4), rows[::2]), G(range(4), rows[1::2])))
+            # blue copies first, so each pair's copies are in colour order
+            g = merge(G(range(4), rows[1::2]), G(range(4), rows[::2]))
             for policy in POLICIES:
                 betti(clique_multicomplex(g, policy))
             assert made == []
@@ -328,13 +332,6 @@ class TestTensor:
 
 
 class TestHelpers:
-    def test_vertex_disjoint(self):
-        a = G([1, 2], [(1, 2, "red")])
-        b = G([3, 4], [(3, 4, "black")])
-        c = G([2, 3], [(2, 3, "blue")])
-        assert vertex_disjoint(a, b)
-        assert not vertex_disjoint(a, b, c)
-
     def test_to_json_dict_groups_copies(self):
         g = G([1, 2, 3], [(1, 2, "red", 2), (2, 3, "black")])
         payload = g.to_json_dict()

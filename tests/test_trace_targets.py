@@ -12,7 +12,6 @@ is loaded read-only here and nothing is installed.
 from __future__ import annotations
 
 import importlib
-import importlib.util
 import pkgutil
 from collections import defaultdict
 from collections.abc import Sequence, Sized
@@ -23,17 +22,7 @@ from hypothesis import given
 
 import multihom
 from multihom import POLICIES, clique_multicomplex
-from conftest import REPO_ROOT, multigraphs
-
-
-def load_spans():
-    spec = importlib.util.spec_from_file_location(
-        "bench_spans", REPO_ROOT / "bench" / "spans.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from conftest import load_spans, multigraphs
 
 SPANS = load_spans()
 

@@ -37,7 +37,7 @@ FACTORIES = {
     "ChainEnv": lambda: ChainEnv({"G": edge()}),
     "_Token": lambda: _Token("atom", "G", 0),
     "Multicell": lambda: Multicell((1, 2), 1, (((1,), 1), ((2,), 1))),
-    "BoundaryMatrix": lambda: BoundaryMatrix((((1,), 1),), (((1, 2), 1),), (1,)),
+    "BoundaryMatrix": lambda: BoundaryMatrix((1,)),
     "IncrementalParams": lambda: IncrementalParams(1, 1, 0, 0, 0, 1, 1, 0, 0),
     "IncrementalReport": lambda: validate(edge(), edge()),
     "KnownCase": lambda: KNOWN_CASES[0],
@@ -50,7 +50,7 @@ FIELDS = {
     "ChainEnv": ("graphs",),
     "_Token": ("kind", "value", "pos"),
     "Multicell": ("vertices", "copy", "faces"),
-    "BoundaryMatrix": ("row_keys", "col_keys", "columns"),
+    "BoundaryMatrix": ("columns",),
     "IncrementalParams": ("dim", "beta_g", "beta_h", "n_g", "n_h", "p_g", "p_h", "cl", "dup"),
     "IncrementalReport": (
         "params_d1", "params_d2", "formula_beta1", "formula_beta2", "oracle_beta1",
@@ -63,6 +63,7 @@ FIELDS = {
 UNHASHABLE = {"ChainEnv", "Workspace"}
 
 # recorded when these records were dataclasses: the text must not change
+# (BoundaryMatrix's is newer: it has kept only its columns since)
 REPRS = {
     "EdgeCopy": "EdgeCopy(u=1, v=2, copy=1, color='red')",
     "Multigraph": "Multigraph(|V|=2, |E|=1, colours=['red'])",
@@ -71,9 +72,7 @@ REPRS = {
     "ChainEnv": "ChainEnv(graphs={'G': Multigraph(|V|=2, |E|=1, colours=['red'])})",
     "_Token": "_Token(kind='atom', value='G', pos=0)",
     "Multicell": "Multicell(vertices=(1, 2), copy=1, faces=(((1,), 1), ((2,), 1)))",
-    "BoundaryMatrix": (
-        "BoundaryMatrix(row_keys=(((1,), 1),), col_keys=(((1, 2), 1),), columns=(1,))"
-    ),
+    "BoundaryMatrix": "BoundaryMatrix(columns=(1,))",
     "IncrementalParams": (
         "IncrementalParams(dim=1, beta_g=1, beta_h=0, n_g=0, n_h=0, p_g=1, p_h=1, cl=0, dup=0)"
     ),

@@ -160,13 +160,15 @@ class TestCliMergeBetti:
         code = main(["--workspace", str(tmp_path / "x.json"), "merge", "G", "H"])
         assert code == EXIT_DOMAIN
 
-    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "deeply-nested"])
     def test_unreadable_workspace_is_domain_exit(self, tmp_path, capsys, kind):
         path = tmp_path / "ws.json"
         if kind == "directory":
             path.mkdir()
-        else:
+        elif kind == "not-utf8":
             path.write_bytes(b"\xff\xfe{}")
+        else:  # deeper than the JSON decoder's recursion limit
+            path.write_text("[" * 100_000 + "]" * 100_000)
         assert main(["--workspace", str(path), "betti", "G"]) == EXIT_DOMAIN
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
@@ -490,6 +492,24 @@ class TestCliFuzz:
         assert summary.read_text().startswith("dimension,agree,total,rate")
         out = capsys.readouterr().out
         assert "beta1" in out
+
+    @pytest.mark.parametrize("bad", ["jsonl", "summary"])
+    def test_unwritable_output_is_refused_before_the_fuzz(
+        self, tmp_path, capsys, monkeypatch, bad
+    ):
+        def no_fuzz(*args, **kwargs):
+            raise AssertionError("the fuzz ran before its outputs were opened")
+
+        monkeypatch.setattr(multihom.incremental, "fuzz_records", no_fuzz)
+        paths = {"jsonl": tmp_path / "records.jsonl", "summary": tmp_path / "summary.csv"}
+        paths[bad] = tmp_path / "missing" / f"{bad}.out"
+        argv = ["fuzz", "--count", "1", "--jsonl", str(paths["jsonl"])]
+        argv += ["--summary", str(paths["summary"])]
+        assert main(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and str(paths[bad]) in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []  # no partial file
 
 
 class TestCliRanges:
