@@ -23,7 +23,8 @@ __all__ = ["parse_chain"]
 
 MAX_DEPTH = 100
 
-_TOKEN = re.compile(r"\s*(?:(?P<atom>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[|.()]))")
+ATOM = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"\s*(?:(?P<atom>{ATOM.pattern})|(?P<op>[|.()]))")
 
 
 class _Token(NamedTuple):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import chainlat, filtration, homology, incremental, mcomplex
 from .chainlat import ChainExpr
-from .chainparse import parse_chain
+from .chainparse import ATOM, parse_chain
 from .errors import ChainBudgetExceeded, LawViolation, MultihomError
 from .mgraph import Multigraph, merge
 from .workspace import Workspace, load_workspace
@@ -194,6 +194,9 @@ def _capped_product(factors: Iterable[int], cap: int) -> int:
 
 def cmd_lattice(args) -> int:
     atoms = tuple(args.atoms)
+    for atom in atoms:  # an atom of the chain grammar, so that chains print back as parsed
+        if not ATOM.fullmatch(atom):
+            raise MultihomError(f"lattice atom {atom!r} is not an identifier")
     k, cap = len(atoms), MAX_LATTICE_CHAINS
     # one minimal chain per atom order, and the 2^(k-1) chains of one
     # order, or with --permutations of every order
@@ -244,7 +247,7 @@ def cmd_check_laws(args) -> int:
     for k in range(2, args.k + 1):
         atoms = tuple(f"A{i}" for i in range(1, k + 1))
         violations.extend(chainlat.check_laws(atoms))
-    if len(graphs) < 3:
+    if not graphs:
         palette = ("red", "black")
         graphs = [
             Multigraph.build([1, 2, 3], [(1, 2, "red"), (2, 3, "black")], palette),

@@ -4,7 +4,10 @@
 closes a d-cycle (beta_d += 1) or caps one below (beta_{d-1} -= 1).
 Replaying every cell of a complex through it, with the closes-cycle
 question answered by a GF(2) rank oracle, lands exactly on the direct
-Betti vector; that replay is also how merge parameters are extracted.
+Betti vector.  The merge parameters classify cells the same way, per
+dimension and side, but as rank differences, so no cell order enters:
+the merged complex's full ranks come off its Betti vector, and only
+each side's base cells are reduced.
 
 ``formula_beta1``/``formula_beta2`` are transcriptions of a closed-form
 conjecture for the Betti numbers of a merge.  They are implemented
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NegativeBetti
 from .homology import BettiVector, Gf2Basis, betti, boundary_matrix
@@ -135,45 +138,30 @@ def _provenance(x: Multicomplex, g: Multigraph, h: Multigraph) -> list[list[str]
     return tags
 
 
-def _directional_counts(
-    tags: Sequence[str],
-    columns: Sequence[int],
-    base: Callable[[str], bool],
-) -> tuple[int, int]:
-    """Feed base d-cells into a rank basis silently, then classify the
-    rest in canonical order: (closing, non-closing)."""
-    basis = Gf2Basis()
-    arriving = []
-    for tag, col in zip(tags, columns):
-        if base(tag):
-            basis.add(col)
-        else:
-            arriving.append(col)
-    n = p = 0
-    for col in arriving:
-        if basis.add(col):
-            p += 1
-        else:
-            n += 1
-    return n, p
-
-
 def extract_params(
     g: Multigraph, h: Multigraph, d: int, policy: str = CANONICAL
 ) -> IncrementalParams:
-    """Derive the conjecture's inputs by canonical-order replay.
+    """Derive the conjecture's inputs as a rank ledger of K_{g.h}.
 
     The source never defines how to count these from data, so the rules
-    here are a deterministic reading: n/p classify each side's arriving
-    d-cells against the other operand's complex (g's material added onto
-    K_h and vice versa); cl counts interaction-created (d+1)-cells that
-    cap a d-cycle when the new cells are replayed over the union; dup is
-    the surplus of parallel copies created one dimension below d.
+    here are a deterministic reading: n/p classify the d-cells arriving
+    from g's side (g's and the interaction-created ones) over a base of
+    h's d-cells, and h's symmetrically; cl counts the interaction-created
+    (d+1)-cells that cap a d-cycle over a base of every other (d+1)-cell;
+    dup is the surplus of parallel copies created one dimension below d.
+
+    An arriving d-cell caps a (d-1)-cycle exactly when it raises the rank,
+    and closes a d-cycle otherwise, so the counts do not depend on the
+    order of the cells, and each is a rank difference.  With r_d the rank of
+    K_{g.h}'s d-th boundary: p_g = r_d - rank(h's d-columns), n_g = (the
+    arriving d-cells) - p_g, and cl = r_{d+1} - rank(the (d+1)-columns not
+    interaction-created).  This is the per-cell classification of
+    Delfinado & Edelsbrunner's incremental algorithm (CAGD 1995).
     """
     if d < 1:
         raise ValueError(f"extraction is defined for d >= 1, got {d}")
     kg, kh, km = (clique_multicomplex(x, policy) for x in (g, h, merge(g, h)))
-    (params,) = _extract(g, h, kg, kh, km, dims=(d,))
+    (params,) = _extract(g, h, kg, kh, km, betti(km), dims=(d,))
     return params
 
 
@@ -183,28 +171,36 @@ def _extract(
     kg: Multicomplex,
     kh: Multicomplex,
     km: Multicomplex,
+    beta_m: BettiVector,
     dims: Sequence[int],
 ) -> tuple[IncrementalParams, ...]:
-    """``extract_params`` at each of ``dims`` over complexes built once."""
+    """``extract_params`` at each of ``dims`` over complexes built once,
+    given ``beta_m = betti(km)``."""
     tags = _provenance(km, g, h)
     tags += [[]] * (max(dims) + 2 - len(tags))  # no cells above km's dimension
     # the d-columns serve n/p at d and cl at d - 1
     columns = {e: _columns(km, e) for d in dims for e in (d, d + 1)}
+    # r_e = rank of km's e-th boundary, off its Betti vector:
+    # beta_e = c_e - r_e - r_{e+1}, with r_0 = 0 and r_e = 0 above km's dimension
+    ranks = [0]
+    for e in range(max(dims) + 1):
+        ranks.append(km.cell_count(e) - beta_m[e] - ranks[e] if e < len(beta_m) else 0)
+
+    def rank(e: int, sides: tuple[str, ...]) -> int:
+        """Rank of the e-columns tagged with one of ``sides`` (above
+        dimension 0 every cell is "g", "h" or "new")."""
+        basis = Gf2Basis()
+        for tag, col in zip(tags[e], columns[e]):
+            if tag in sides:
+                basis.add(col)
+        return basis.rank
+
     bg = betti(kg)
     bh = betti(kh)
     out = []
     for d in dims:
-        n_g, p_g = _directional_counts(
-            tags[d], columns[d], base=lambda t: t in ("h", "shared")
-        )
-        n_h, p_h = _directional_counts(
-            tags[d], columns[d], base=lambda t: t in ("g", "shared")
-        )
-
-        # cl: replay only the interaction-created (d+1)-cells over the union
-        _, cl = _directional_counts(
-            tags[d + 1], columns[d + 1], base=lambda t: t != "new"
-        )
+        p_g = ranks[d] - rank(d, ("h",))
+        p_h = ranks[d] - rank(d, ("g",))
 
         dup = 0
         if d - 1 >= 1:
@@ -220,11 +216,12 @@ def _extract(
                 dim=d,
                 beta_g=bg[d] if d < len(bg) else 0,
                 beta_h=bh[d] if d < len(bh) else 0,
-                n_g=n_g,
-                n_h=n_h,
+                # each side's arrivals are its own d-cells and the new ones
+                n_g=sum(t in ("g", "new") for t in tags[d]) - p_g,
+                n_h=sum(t in ("h", "new") for t in tags[d]) - p_h,
                 p_g=p_g,
                 p_h=p_h,
-                cl=cl,
+                cl=ranks[d + 1] - rank(d + 1, ("g", "h")),
                 dup=dup,
             )
         )
@@ -263,8 +260,8 @@ def validate(g: Multigraph, h: Multigraph, policy: str = CANONICAL) -> Increment
     """Extract parameters, apply the formulas, and compare against the
     direct Betti numbers of the merged complex."""
     kg, kh, km = (clique_multicomplex(x, policy) for x in (g, h, merge(g, h)))
-    p1, p2 = _extract(g, h, kg, kh, km, dims=(1, 2))
     oracle = betti(km)
+    p1, p2 = _extract(g, h, kg, kh, km, oracle, dims=(1, 2))
     return IncrementalReport(
         params_d1=p1,
         params_d2=p2,
@@ -326,20 +323,14 @@ def known_case_findings() -> list[dict]:
 # importing the CLI, which every command pays for, does not load them.
 
 
-def _digest(g: Multigraph, h: Multigraph) -> str:
+def _digest(g: dict, h: dict) -> str:
     import hashlib
 
-    blob = json.dumps([g.to_json_dict(), h.to_json_dict()], sort_keys=True)
+    blob = json.dumps([g, h], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def fuzz_records(
-    count: int,
-    seed: int,
-    policy: str = CANONICAL,
-    max_nodes: int = 7,
-    max_mult: int = 3,
-) -> Iterator[dict]:
+def fuzz_records(count: int, seed: int, policy: str = CANONICAL) -> Iterator[dict]:
     """Random merge pairs -> one JSON-able record each (formula vs oracle)."""
     import random
 
@@ -348,13 +339,14 @@ def fuzz_records(
     rng = random.Random(seed)
     palette = ("red", "black", "blue")
     for _ in range(count):
-        g = random_multigraph(rng, max_nodes=max_nodes, max_mult=max_mult, palette=palette)
-        h = random_multigraph(rng, max_nodes=max_nodes, max_mult=max_mult, palette=palette)
+        g = random_multigraph(rng, max_nodes=7, max_mult=3, palette=palette)
+        h = random_multigraph(rng, max_nodes=7, max_mult=3, palette=palette)
         report = validate(g, h, policy)
+        g_dict, h_dict = g.to_json_dict(), h.to_json_dict()
         yield {
-            "digest": _digest(g, h),
-            "g": g.to_json_dict(),
-            "h": h.to_json_dict(),
+            "digest": _digest(g_dict, h_dict),
+            "g": g_dict,
+            "h": h_dict,
             **report.to_json_dict(),
         }
 

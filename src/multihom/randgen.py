@@ -16,14 +16,13 @@ def random_multigraph(
     max_mult: int = 3,
     palette: Sequence[str] = ("red", "black", "blue"),
     node_universe: Sequence[int] | None = None,
-    edge_prob: float | None = None,
 ) -> Multigraph:
     """Random edge-coloured multigraph on a shared node universe; density
-    is itself randomized unless pinned."""
+    is itself randomized."""
     universe = list(node_universe) if node_universe is not None else list(range(1, max_nodes + 1))
     n = rng.randint(1, min(max_nodes, len(universe)))
     nodes = sorted(rng.sample(universe, n))
-    p = edge_prob if edge_prob is not None else rng.uniform(0.15, 0.6)
+    p = rng.uniform(0.15, 0.6)
     rows = []
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):

@@ -181,6 +181,20 @@ def test_every_exported_name_is_read():
     assert sorted(set(unread) - UNREAD_BY_DESIGN) == []
 
 
+# the library modules the package republishes; cli, randgen and value are not
+LIBRARY = ("chainlat", "chainparse", "errors", "filtration", "homology",
+           "incremental", "mcomplex", "mgraph", "workspace")
+
+
+@pytest.mark.parametrize("stem", LIBRARY)
+def test_package_republishes_every_exported_name(stem):
+    import multihom
+
+    exported = exported_names(ast.parse((PACKAGE / f"{stem}.py").read_text()))
+    assert exported
+    assert [name for name in exported if not hasattr(multihom, name)] == []
+
+
 def test_cli_import_loads_no_start_up_weight():
     # every command pays for importing the CLI: dataclasses pulls in
     # inspect (with ast, dis and tokenize), only fuzz uses hashlib and csv,

@@ -7,6 +7,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multihom.incremental
 from multihom import (
@@ -16,7 +17,10 @@ from multihom import (
     IncrementalParams,
     Multigraph,
     NegativeBetti,
+    POLICIES,
+    Gf2Basis,
     betti,
+    boundary_matrix,
     clique_multicomplex,
     extract_params,
     formula_beta1,
@@ -31,6 +35,7 @@ from multihom import (
 )
 
 from multihom.cli import EXIT_OK, main
+from multihom.incremental import _provenance
 
 from conftest import PALETTE, REPO_ROOT, multigraphs, path_graph
 
@@ -119,6 +124,37 @@ class TestExtractParams:
         p = extract_params(g, h, 1)
         assert p.beta_g == 1
         assert p.beta_h == 0
+
+    @given(
+        g=multigraphs(max_nodes=5, max_mult=2),
+        h=multigraphs(max_nodes=5, max_mult=2),
+        policy=st.sampled_from(POLICIES),
+    )
+    @settings(max_examples=40)
+    def test_ledger_matches_the_replay_definition(self, g, h, policy):
+        # the definition: add the base columns silently, then classify the
+        # arriving ones one at a time (rank grew: p, it did not: n)
+        km = clique_multicomplex(merge(g, h), policy)
+        tags = _provenance(km, g, h) + [[]] * 5
+
+        def replay(e, base):
+            basis = Gf2Basis()
+            arriving = []
+            for tag, col in zip(tags[e], boundary_matrix(km, e).columns):
+                if tag in base:
+                    basis.add(col)
+                else:
+                    arriving.append(col)
+            grew = [basis.add(col) for col in arriving]
+            return grew.count(False), grew.count(True), len(arriving)
+
+        for d in (1, 2, 3):
+            p = extract_params(g, h, d, policy)
+            n_g, p_g, from_g = replay(d, {"h", "shared"})
+            n_h, p_h, from_h = replay(d, {"g", "shared"})
+            _, cl, _ = replay(d + 1, {"g", "h", "shared"})
+            assert (p.n_g, p.p_g, p.n_h, p.p_h, p.cl) == (n_g, p_g, n_h, p_h, cl)
+            assert (p.n_g + p.p_g, p.n_h + p.p_h) == (from_g, from_h)
 
     def test_dimension_zero_rejected(self):
         g = G([1, 2], [(1, 2, "red")])

@@ -343,6 +343,14 @@ class TestCliLattice:
         assert payload["count"] == 13
         assert len(payload["minimals"]) == 6
 
+    @pytest.mark.parametrize("atom", ["G | H", "", "G.H", "(G)", "1G", "G H", " G"])
+    def test_atoms_outside_the_grammar_refused(self, capsys, atom):
+        # each printed chain must parse back to itself, so atoms are identifiers
+        assert main(["lattice", atom, "K"]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and repr(atom) in captured.err
+
 
 class TestCliLaws:
     def test_laws_hold(self, capsys):
@@ -361,6 +369,32 @@ class TestCliLaws:
     def test_workspace_graphs_are_used(self, three_paths_path, capsys):
         code = main(["--workspace", str(three_paths_path), "check-laws", "--k", "2"])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3])
+    def test_witnesses_see_the_workspace_graphs(self, tmp_path, capsys, monkeypatch, count):
+        # any graphs of the workspace are checked; none falls back to a built-in triple
+        from multihom import cli
+
+        graphs = {
+            f"P{i}": {"nodes": [i, i + 1], "edges": [{"u": i, "v": i + 1, "color": "red"}]}
+            for i in range(1, count + 1)
+        }
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({"colors": ["red"], "graphs": graphs}))
+        seen = []
+        witnesses = cli._monoid_law_witnesses
+
+        def spy(graphs, policy):
+            seen.append(list(graphs))
+            return witnesses(graphs, policy)
+
+        monkeypatch.setattr(cli, "_monoid_law_witnesses", spy)
+        assert main(["--workspace", str(path), "check-laws", "--k", "2"]) == EXIT_OK
+        (checked,) = seen
+        if count:
+            assert checked == list(load_workspace(str(path)).graphs.values())
+        else:
+            assert len(checked) == 3 and all(g.palette == {"red", "black"} for g in checked)
 
 
 def atoms(k: int) -> list[str]:
