@@ -16,12 +16,14 @@ by one, and the top is the single fully merged complex.
 Building the diagram builds no complex.  Each block's graph gets the id
 of its class in a ``ClassTable`` when the block is first met, by one
 merge per pair of classes, and a node is known by the sorted ids of its
-layers.  The table builds a class's clique complex only when a Betti
-number is read: the (d+1)-skeleton for a trace of beta_d, the whole
-complex for whole vectors (``--dot``).  A node's exact layer graphs,
-whose copy numbering shows in ``--json``, are replayed along first
-parents only when asked for; ``--json`` builds their complexes and takes
-the classes' whole vectors from them.
+layers.  The table reads beta_0 off a class's graph, and builds its
+clique complex only when a deeper Betti number is read: the
+(d+1)-skeleton for a trace of beta_d, the whole complex for whole
+vectors (``--dot``).  Nor are covers kept: ``covers`` finds them again
+from the nodes' blocks for ``--dot`` and ``--json``.  A node's exact
+layer graphs, whose copy numbering shows in ``--json``, are replayed
+along first parents only when asked for; ``--json`` builds their
+complexes and takes the classes' whole vectors from them.
 
 The level profile deliberately reports two channels per level — a
 closed-form size and the measured size — because they disagree in
@@ -46,7 +48,7 @@ from .chainlat import (
     merge_count,
 )
 from .errors import IndexOutOfRange
-from .homology import BettiVector, betti, betti_sum
+from .homology import BettiVector, betti, betti0, betti_sum
 from .mcomplex import CANONICAL, Multicomplex, clique_multicomplex
 from .mgraph import Multigraph, merge
 
@@ -83,14 +85,15 @@ def _chain_of_blocks(blocks: Sequence[Block]) -> ChainExpr:
 class ClassTable:
     """The layer graphs met while building a filtration, one class per
     ``Multigraph`` equality class: the class's first graph, and its Betti
-    vectors memoized per depth.  Equal graphs give equal clique complexes,
-    so a class is built at most once per depth, and only when a vector is
-    read."""
+    vectors memoized per depth; and the class id of each block met.  Equal
+    graphs give equal clique complexes, so a class is built at most once
+    per depth, and only when a vector of depth 1 or more is read."""
 
     def __init__(self, policy: str):
         self.policy = policy
         self.ids: dict[Multigraph, int] = {}
         self.graphs: list[Multigraph] = []
+        self.block_ids: dict[Block, int] = {}
         self._betti: dict[tuple[int, int | None], BettiVector] = {}
 
     def id(self, g: Multigraph) -> int:
@@ -101,12 +104,15 @@ class ClassTable:
         return self.ids[g]
 
     def betti(self, c: int, dim: int | None = None) -> BettiVector:
-        """Class c's whole Betti vector, or with ``dim`` beta_0..beta_dim,
-        read off the (dim+1)-skeleton."""
+        """Class c's whole Betti vector, or with ``dim`` beta_0..beta_dim:
+        beta_0 off the class graph, deeper ones off the (dim+1)-skeleton."""
         if (c, dim) not in self._betti:
-            top = None if dim is None else dim + 1
-            x = clique_multicomplex(self.graphs[c], self.policy, top)
-            self._betti[c, dim] = betti(x)[:top]
+            if dim == 0:
+                self._betti[c, dim] = betti0(self.graphs[c])
+            else:
+                top = None if dim is None else dim + 1
+                x = clique_multicomplex(self.graphs[c], self.policy, top)
+                self._betti[c, dim] = betti(x)[:top]
         return self._betti[c, dim]
 
     def remember(self, g: Multigraph, x: Multicomplex) -> None:
@@ -158,7 +164,7 @@ class FiltrationNode:
         return betti_sum(map(self.classes.betti, self.key))
 
     def beta(self, dim: int) -> int:
-        """beta_dim alone, read off (dim+1)-skeletons of the layers."""
+        """beta_dim alone: off the layer graphs for dim 0, else their (dim+1)-skeletons."""
         vectors = (self.classes.betti(c, dim) for c in self.key)
         return sum(v[dim] for v in vectors if dim < len(v))
 
@@ -183,7 +189,6 @@ class FiltrationPoset:
         k: int,
         start: ChainExpr,
         nodes: tuple[FiltrationNode, ...],
-        covers: tuple[tuple[int, int, str], ...],  # (src node idx, dst node idx, f label)
         env: ChainEnv,
         classes: ClassTable,
         policy: str = CANONICAL,
@@ -191,7 +196,6 @@ class FiltrationPoset:
         self.k = k
         self.start = start
         self.nodes = nodes
-        self.covers = covers
         self.env = env
         self.classes = classes
         self.policy = policy
@@ -199,9 +203,26 @@ class FiltrationPoset:
     def __repr__(self):
         return (
             f"FiltrationPoset(k={self.k!r}, start={self.start!r}, nodes={self.nodes!r}, "
-            f"covers={self.covers!r}, env={self.env!r}, classes={self.classes!r}, "
-            f"policy={self.policy!r})"
+            f"env={self.env!r}, classes={self.classes!r}, policy={self.policy!r})"
         )
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int, str], ...]:
+        """The covers (src node idx, dst node idx, f label), sorted.  Each
+        merge of two of a node's layers is one, and the label f_j names the
+        seam's position in the successor's canonical block order."""
+        at = {n.key: t for t, n in enumerate(self.nodes)}
+        block_ids = self.classes.block_ids
+        covers = set()
+        for s, n in enumerate(self.nodes):
+            blocks, ids = n.blocks, [block_ids[b] for b in n.blocks]
+            for i, j in itertools.combinations(range(len(blocks)), 2):
+                block = tuple(sorted(blocks[i] + blocks[j]))
+                rest = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
+                seam = sum(map(len, rest[: bisect_left(rest, block)])) + len(blocks[i])
+                t = at[_merged_key(n.key, ids[i], ids[j], block_ids[block])]
+                covers.add((s, t, f"f{seam}"))
+        return tuple(sorted(covers))
 
     def level(self, j: int) -> tuple[FiltrationNode, ...]:
         if not (0 <= j <= self.k - 1):
@@ -278,15 +299,25 @@ class FiltrationPoset:
         }
 
 
+def _merged_key(key: tuple[int, ...], a: int, b: int, ab: int) -> tuple[int, ...]:
+    """A node's key after its layers of classes a and b merge into one of
+    class ab."""
+    succ = list(key)
+    succ.remove(a)
+    succ.remove(b)
+    insort(succ, ab)
+    return tuple(succ)
+
+
 def build_filtration(
     x: ChainExpr, env: ChainEnv, policy: str = CANONICAL
 ) -> FiltrationPoset:
     """Close a start chain under the flow maps and dedup evaluated nodes.
 
-    Successors merge one unordered pair of layers at a time; the edge
-    label f_j names the flow position realizing the cover against the
-    successor's canonical block order.  No complex is built here: the
-    class table builds one when a Betti vector is first read.
+    Successors merge one unordered pair of layers at a time.  No complex
+    is built here: the class table builds one when a Betti vector of depth
+    1 or more is first read.  Nor is any cover: ``covers`` finds them
+    again from the nodes' blocks when first read.
     """
     k = x.k
     start = sorted(
@@ -299,48 +330,34 @@ def build_filtration(
     # gets the id of its graph's class when it is first met, and the key
     # is the sorted tuple of the block ids.  Each pair of classes is
     # merged once: blocks whose parts have equal graphs meet it again.
-    block_ids = {b: classes.id(g) for b, g in start}
+    block_ids = classes.block_ids
+    block_ids.update((b, classes.id(g)) for b, g in start)
     key = tuple(sorted(block_ids[b] for b, _ in start))
     nodes = [FiltrationNode(tuple(b for b, _ in start), k - len(start), key, classes)]
     nodes[0].layers = tuple(g for _, g in start)
-    seen = {key: 0}
+    seen = {key}
     merged: dict[tuple[int, int], int] = {}  # sorted pair of class ids -> their merge's
-    covers: set[tuple[int, int, int]] = set()  # (src, dst, seam)
-    for idx, parent in enumerate(nodes):  # breadth first: nodes grows as it goes
+    for parent in nodes:  # breadth first: nodes grows as it goes
         blocks = parent.blocks  # atoms, and so blocks, may repeat
         ids = [block_ids[c] for c in blocks]
         for i, j in itertools.combinations(range(len(blocks)), 2):
-            a, b = blocks[i], blocks[j]
-            block = tuple(sorted(a + b))
+            block = tuple(sorted(blocks[i] + blocks[j]))
             if block not in block_ids:
                 pair = (ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
                 if pair not in merged:
                     g, h = classes.graphs[ids[i]], classes.graphs[ids[j]]
                     merged[pair] = classes.id(merge(g, h))
                 block_ids[block] = merged[pair]
-            succ = list(parent.key)
-            succ.remove(ids[i])
-            succ.remove(ids[j])
-            insort(succ, block_ids[block])
-            key = tuple(succ)
-            rest = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
+            key = _merged_key(parent.key, ids[i], ids[j], block_ids[block])
             if key not in seen:
-                seen[key] = len(nodes)
+                seen.add(key)
+                rest = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
                 at = bisect_right(rest, block)  # after equal blocks, as the layers replay
                 succ = rest[:at] + (block,) + rest[at:]
                 nodes.append(FiltrationNode(succ, k - len(succ), key, classes, parent, (i, j)))
-            # f label: position of the seam inside the successor's blocks
-            offset = sum(map(len, rest[: bisect_left(rest, block)]))
-            covers.add((idx, seen[key], offset + len(a)))
 
-    # re-sort nodes by (level, chain text) and remap cover indices
-    order = sorted(range(len(nodes)), key=lambda i: (nodes[i].level, nodes[i].text))
-    remap = {old: new for new, old in enumerate(order)}
-    nodes_sorted = tuple(nodes[i] for i in order)
-    covers_sorted = tuple(
-        sorted((remap[s], remap[t], f"f{seam}") for s, t, seam in covers)
-    )
-    return FiltrationPoset(k, x, nodes_sorted, covers_sorted, env, classes, policy)
+    nodes.sort(key=lambda n: (n.level, n.text))
+    return FiltrationPoset(k, x, tuple(nodes), env, classes, policy)
 
 
 def _trace_rows(nodes: Sequence[FiltrationNode], dim: int) -> list[dict]:

@@ -21,7 +21,9 @@ reduced.  The rows of the first boundary matrix span the cut space of
 the 1-skeleton, and an edge is the lowest edge of some cut exactly when
 no lower edges join its ends.  So that pivot set is the spanning forest
 Kruskal's algorithm picks in row order, found by a union-find over the
-1-cells' faces (``_forest``).
+1-cells' faces (``_forest``).  Parallel copies never join two trees, so
+the same forest over a graph's pairs gives beta_0 of its clique complex:
+``betti0`` reads it there and builds no complex.
 
 A row whose lowest set bit is no pivot stored yet lies outside the span
 of the stored vectors, so it is independent and can stand in the basis
@@ -50,6 +52,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence, Set
 
 from .mcomplex import Multicomplex
+from .mgraph import Multigraph
 from .value import Value
 
 __all__ = [
@@ -58,6 +61,7 @@ __all__ = [
     "boundary_matrix",
     "coboundary_rows",
     "betti",
+    "betti0",
     "betti_sum",
     "euler_characteristic",
     "boundary_squares_to_zero",
@@ -141,7 +145,7 @@ def betti(x: Multicomplex) -> BettiVector:
     if x.dimension < 0:
         return ()
     # the pivots of the first boundary matrix: the spanning forest in row order
-    pivots: Set[int] = set(_forest(x.cell_count(0), zip(*x.grade(1).faces)))
+    pivots: Set[int] = set(_forest(list(range(x.cell_count(0))), zip(*x.grade(1).faces)))
     ranks = [0, len(pivots)] + [0] * x.dimension
     for d in range(2, x.dimension + 1):
         pivots = _pivots(x, d, pivots)
@@ -151,11 +155,19 @@ def betti(x: Multicomplex) -> BettiVector:
     )
 
 
-def _forest(n: int, links: Iterable[tuple[int, int]]) -> list[int]:
-    """Positions of the links that join two trees when a forest on the
-    items 0..n-1 grows link by link in the given order (Kruskal's choice),
-    by union-find with path halving."""
-    parent = list(range(n))
+def betti0(g: Multigraph) -> BettiVector:
+    """(beta_0,) of g's clique complex under either policy, or () if g has
+    no nodes: the count of g's components, as parallel copies never join
+    two trees.  No complex is built."""
+    if not g.nodes:
+        return ()
+    return (len(g.nodes) - len(_forest({v: v for v in g.nodes}, g.pairs())),)
+
+
+def _forest(parent: list[int] | dict[int, int], links: Iterable[tuple[int, int]]) -> list[int]:
+    """Positions of the links that join two trees when a forest grows link
+    by link in the given order (Kruskal's choice), by union-find with path
+    halving over ``parent``, which maps each item to itself at the start."""
     kept = []
     for pos, (a, b) in enumerate(links):
         while (p := parent[a]) != a:

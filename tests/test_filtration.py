@@ -247,7 +247,8 @@ class TestLayerMemo:
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_one_build_per_graph_class(self, path, policy, monkeypatch):
-        # per depth: the (d+1)-skeleton for a beta_d trace, the whole
+        # per depth: none for a beta_0 trace, which reads the class graphs,
+        # the (d+1)-skeleton for a beta_d trace, d >= 1, and the whole
         # complex for whole vectors, each read twice
         ws = load_workspace(path)
         built = []
@@ -264,31 +265,44 @@ class TestLayerMemo:
             for n in p.nodes:
                 assert n.betti
         classes = {g for n in p.nodes for g in n.layers}
-        for top in (1, 2, 3, None):
+        assert {dim for _, dim in built} == {2, 3, None}
+        for top in (2, 3, None):
             graphs = [g for g, dim in built if dim == top]
             assert len(graphs) == len(classes), top
             assert set(graphs) == classes, top
 
+    @pytest.mark.parametrize("dim", (0, 1, 2))
     @pytest.mark.parametrize("path, policy", _workspace_cases())
-    def test_text_trace_builds_one_skeletons_once_per_class(
-        self, path, policy, monkeypatch, capsys
+    def test_text_trace_builds_only_the_skeletons_it_reads(
+        self, path, policy, dim, monkeypatch, capsys
     ):
-        ws = load_workspace(path)
-        p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
-        classes = {g for n in p.nodes for g in n.layers}
-        built = []
+        # beta_0 is read off the class graphs, so --dim 0 builds no complex;
+        # beta_d, d >= 1, builds each class's (d+1)-skeleton once.  The text
+        # trace reads no cover, so none is built.
+        built, posets = [], []
 
         def recording(g, policy=CANONICAL, dim=None):
             built.append((g, dim))
             return clique_multicomplex(g, policy, dim)
 
+        def keeping(*args):
+            posets.append(build_filtration(*args))
+            return posets[-1]
+
         monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
-        argv = ["--workspace", str(path), "--policy", policy, "filtrate", "--dim", "0"]
+        monkeypatch.setattr(multihom.filtration, "build_filtration", keeping)
+        argv = ["--workspace", str(path), "--policy", policy, "filtrate", "--dim", str(dim)]
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out
-        assert {dim for _, dim in built} == {1}
-        assert len(built) == len(classes)
-        assert {g for g, _ in built} == classes
+        (p,) = posets
+        assert "covers" not in vars(p)
+        if dim == 0:
+            assert built == []
+        else:
+            classes = {g for n in p.nodes for g in n.layers}
+            assert {d for _, d in built} == {dim + 1}
+            assert len(built) == len(classes)
+            assert {g for g, _ in built} == classes
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_json_builds_each_exact_layer_once(self, path, policy, monkeypatch):
@@ -447,6 +461,27 @@ class TestNodeIdentity:
         ]
         for n, key in zip(p.nodes, keys):
             assert n.betti == betti_sum(betti(c) for c in fresh(classes[key])), n.chain.text()
+        assert {(keys[s], keys[t]) for s, t, _ in p.covers} == covers
+
+    @pytest.mark.parametrize("path, policy", _workspace_cases())
+    def test_covers_are_the_coarsening_oracles(self, path, policy):
+        # covers are found again from the nodes' blocks when first read
+        ws = load_workspace(path)
+        env, start = ws.env(), parse_chain(ws.chain_text)
+        blocks = start.blocks()
+
+        def judge(part):
+            graphs = (reduce(merge, [env.graphs[a] for i in g for a in blocks[i]]) for g in part)
+            return tuple(sorted(clique_multicomplex(g, policy).canonical_form() for g in graphs))
+
+        classes, covers = coarsening_classes(len(blocks), judge)
+        p = build_filtration(start, env, policy)
+        assert "covers" not in vars(p)
+        keys = [
+            tuple(sorted(clique_multicomplex(g, policy).canonical_form() for g in n.layers))
+            for n in p.nodes
+        ]
+        assert sorted(keys) == sorted(classes)
         assert {(keys[s], keys[t]) for s, t, _ in p.covers} == covers
 
 

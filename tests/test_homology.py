@@ -18,6 +18,7 @@ from multihom import (
     Multicomplex,
     Multigraph,
     betti,
+    betti0,
     betti_sum,
     boundary_matrix,
     boundary_squares_to_zero,
@@ -378,6 +379,30 @@ class TestInvariants:
         expected = components(g)
         if expected:
             assert betti(x)[0] == expected
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @given(seed=st.integers(0, 2**32 - 1), max_mult=st.integers(1, 3))
+    def test_betti0_of_the_graph_is_the_1_skeletons(self, policy, seed, max_mult):
+        # isolated vertices and pairs of multiplicity >= 2 are drawn often
+        rng = random.Random(seed)
+        g = random_multigraph(rng, 7, max_mult, PALETTE, node_universe=range(-3, 12))
+        assert betti0(g) == betti(clique_multicomplex(g, policy, 1))[:1]
+        assert sum(betti0(g)) == components(g)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            (Multigraph.empty(PALETTE), ()),
+            (G([2, 5, 9], []), (3,)),
+            (G([1, 2, 3, 7], [(1, 2, "red", 3), (2, 3, "black"), (2, 3, "red")]), (2,)),
+            (G([1, 2, 3, 4], [(1, 2, "red", 2), (3, 4, "black", 2), (1, 2, "black")]), (2,)),
+        ],
+        ids=["nodeless", "isolated", "parallel-path", "parallel-pairs"],
+    )
+    def test_betti0_of_the_graph_edge_cases(self, g, expected, policy):
+        assert betti0(g) == expected == betti(clique_multicomplex(g, policy, 1))[:1]
+        assert sum(expected) == components(g)
 
     def test_components_of_multilayer_add(self):
         a = G([1, 2], [(1, 2, "red")])

@@ -277,9 +277,12 @@ class TestCliCellBudget:
         assert "Traceback" not in err
 
     def test_text_trace_counts_only_its_skeletons(self, tmp_path, capsys):
+        # beta_0 needs no cell, so only the 42 edge copies meet the budget;
         # beta_1 needs the 2-skeleton: 7 + 42 + 35 * 8 = 329 cells
         path = self.doubled_k7(tmp_path)
         argv = ["--workspace", path, "--policy", "per-combination"]
+        assert main([*argv, "--max-cells", "42", "filtrate", "G", "--dim", "0"]) == EXIT_OK
+        assert "beta_0=1  G" in capsys.readouterr().out
         assert main([*argv, "--max-cells", "329", "filtrate", "G", "--dim", "1"]) == EXIT_OK
         assert "beta_1=0  G" in capsys.readouterr().out
         assert main([*argv, "--max-cells", "328", "filtrate", "G", "--dim", "1"]) == EXIT_DOMAIN
