@@ -11,6 +11,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from collections.abc import Iterable
 from pathlib import Path
@@ -323,34 +324,35 @@ def cmd_incremental(args) -> int:
     return EXIT_OK
 
 
-def _open_outputs(*paths: str | None) -> list:
-    """Open each given path for writing (None stays None) before any work
-    starts.  If one cannot be opened, the files opened so far are removed
-    and a domain error names the path."""
-    files = []
-    try:
-        for path in paths:
-            files.append(path and open(path, "w", encoding="utf-8"))
-    except OSError as exc:
-        for f in filter(None, files):
-            f.close()
-            Path(f.name).unlink()
-        raise MultihomError(f"cannot write {path}: {exc.strerror or exc}") from None
-    return files
+def _check_outputs(*paths: str | None) -> None:
+    """Refuse, before any work starts, one file named twice and a path
+    that cannot be opened for writing (None is skipped).  No file is
+    truncated, and one the check makes is removed again, so a run that
+    fails leaves what was there as it was."""
+    given = [path for path in paths if path]
+    if len(set(map(os.path.realpath, given))) < len(given):
+        raise MultihomError(f"one file is named for two outputs: {' and '.join(given)}")
+    for path in given:
+        existed = os.path.exists(path)
+        try:
+            open(path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise MultihomError(f"cannot write {path}: {exc.strerror or exc}") from None
+        if not existed:
+            os.unlink(path)
 
 
 def cmd_fuzz(args) -> int:
-    jsonl, summary = _open_outputs(args.jsonl, args.summary)
+    _check_outputs(args.jsonl, args.summary)
     records = list(
         incremental.fuzz_records(args.count, args.seed, policy=args.policy)
     )
-    if jsonl:
-        with jsonl:
-            jsonl.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
     rows = incremental.summarize_records(records)
-    if summary:
-        with summary:
-            summary.write(incremental.summary_csv(rows))
+    if args.jsonl:
+        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        Path(args.jsonl).write_text(text, encoding="utf-8")
+    if args.summary:
+        Path(args.summary).write_text(incremental.summary_csv(rows), encoding="utf-8")
     if args.json:
         print(json.dumps({"count": len(records), "summary": rows}, indent=2))
     else:

@@ -13,17 +13,19 @@ back, so unequal graphs never give equal complexes.  Levels are
 graded by the interaction count (number of merges), each cover raises it
 by one, and the top is the single fully merged complex.
 
-Building the diagram builds no complex.  Each block's graph gets the id
-of its class in a ``ClassTable`` when the block is first met, by one
-merge per pair of classes, and a node is known by the sorted ids of its
-layers.  The table reads beta_0 off a class's graph, and builds its
-clique complex only when a deeper Betti number is read: the
-(d+1)-skeleton for a trace of beta_d, the whole complex for whole
-vectors (``--dot``).  Nor are covers kept: ``covers`` finds them again
-from the nodes' blocks for ``--dot`` and ``--json``.  A node's exact
-layer graphs, whose copy numbering shows in ``--json``, are replayed
-along first parents only when asked for; ``--json`` builds their
-complexes and takes the classes' whole vectors from them.
+Building the diagram builds no complex.  One walk, ``_successors``,
+gives each merge of two of a node's layers: the merged block, the
+other blocks and the successor's key.  ``build_filtration`` adds nodes
+from it, ``covers`` labels its maps from it, and each node records
+where the walk put its merged layer, so ``layers`` replays by index.
+A block's graph gets the id of its class in a ``ClassTable`` when the
+block is first met, ``ClassTable.merges`` merges each pair of classes
+once, and a node is known by the sorted ids of its layers.  The table
+reads beta_0 off a class's graph, and builds its clique complex only
+when a deeper Betti number is read: the (d+1)-skeleton for a trace of
+beta_d, the whole complex for whole vectors (``--dot``).  ``--json``
+replays the exact layer graphs, whose copy numbering shows there,
+builds their complexes and takes the classes' whole vectors from them.
 
 The level profile deliberately reports two channels per level — a
 closed-form size and the measured size — because they disagree in
@@ -85,15 +87,18 @@ def _chain_of_blocks(blocks: Sequence[Block]) -> ChainExpr:
 class ClassTable:
     """The layer graphs met while building a filtration, one class per
     ``Multigraph`` equality class: the class's first graph, and its Betti
-    vectors memoized per depth; and the class id of each block met.  Equal
-    graphs give equal clique complexes, so a class is built at most once
-    per depth, and only when a vector of depth 1 or more is read."""
+    vectors memoized per depth; the class id of each block met; and in
+    ``merges`` the class id of each merged pair of classes (sorted), so
+    each pair is merged once.  Equal graphs give equal clique complexes,
+    so a class is built at most once per depth, and only when a vector of
+    depth 1 or more is read."""
 
     def __init__(self, policy: str):
         self.policy = policy
         self.ids: dict[Multigraph, int] = {}
         self.graphs: list[Multigraph] = []
         self.block_ids: dict[Block, int] = {}
+        self.merges: dict[tuple[int, int], int] = {}
         self._betti: dict[tuple[int, int | None], BettiVector] = {}
 
     def id(self, g: Multigraph) -> int:
@@ -126,21 +131,21 @@ class ClassTable:
 class FiltrationNode:
     """One configuration: its blocks (merged runs of atoms, sorted), grade,
     and ``key``, the sorted class ids of its layer graphs.  Every node but
-    the start records its first parent and the two of the parent's layers
-    it merges; ``layers`` replays those merges from the start, so only
-    output that shows copy numbering pays for them."""
+    the start records its first parent and ``merged``, (i, j, at): its
+    layer at ``at`` is the merge of the parent's layers i < j.  ``layers``
+    replays those merges from the start, so only output that shows copy
+    numbering pays for them."""
 
     def __init__(
         self,
         blocks: tuple[Block, ...],
-        level: int,
         key: tuple[int, ...],
         classes: ClassTable,
         parent: FiltrationNode | None = None,
-        merged: tuple[int, int] = (0, 0),
+        merged: tuple[int, int, int] = (0, 0, 0),
     ):
         self.blocks = blocks
-        self.level = level
+        self.level = sum(map(len, blocks)) - len(blocks)
         self.key = key
         self.classes = classes
         self.parent = parent
@@ -170,40 +175,38 @@ class FiltrationNode:
 
     @cached_property
     def layers(self) -> tuple[Multigraph, ...]:
-        """The layer graphs in block order, as the first parent's layers
-        with its layers i < j replaced by their merge at the merged
-        block's place.  The start node's layers are set when it is made."""
-        i, j = self.merged
-        blocks, layers = list(self.parent.blocks), list(self.parent.layers)
-        block, merged = tuple(sorted(blocks[i] + blocks[j])), merge(layers[i], layers[j])
-        del blocks[j], blocks[i], layers[j], layers[i]
-        layers.insert(bisect_right(blocks, block), merged)
+        """The layer graphs in block order: the first parent's, with its
+        layers i < j replaced by their merge at ``at``.  The start node's
+        layers are set when it is made."""
+        i, j, at = self.merged
+        layers = list(self.parent.layers)
+        merged = merge(layers[i], layers[j])
+        del layers[j], layers[i]
+        layers.insert(at, merged)
         return tuple(layers)
 
 
 class FiltrationPoset:
-    """Hasse diagram over filtration nodes, graded by interaction count."""
+    """Hasse diagram over filtration nodes, graded by interaction count;
+    its chain length is the start's, its policy the class table's."""
 
     def __init__(
         self,
-        k: int,
         start: ChainExpr,
         nodes: tuple[FiltrationNode, ...],
         env: ChainEnv,
         classes: ClassTable,
-        policy: str = CANONICAL,
     ):
-        self.k = k
+        self.k = start.k
         self.start = start
         self.nodes = nodes
         self.env = env
         self.classes = classes
-        self.policy = policy
 
     def __repr__(self):
         return (
-            f"FiltrationPoset(k={self.k!r}, start={self.start!r}, nodes={self.nodes!r}, "
-            f"env={self.env!r}, classes={self.classes!r}, policy={self.policy!r})"
+            f"FiltrationPoset(start={self.start!r}, nodes={self.nodes!r}, "
+            f"env={self.env!r}, classes={self.classes!r})"
         )
 
     @cached_property
@@ -211,17 +214,11 @@ class FiltrationPoset:
         """The covers (src node idx, dst node idx, f label), sorted.  Each
         merge of two of a node's layers is one, and the label f_j names the
         seam's position in the successor's canonical block order."""
-        at = {n.key: t for t, n in enumerate(self.nodes)}
-        block_ids = self.classes.block_ids
         covers = set()
         for s, n in enumerate(self.nodes):
-            blocks, ids = n.blocks, [block_ids[b] for b in n.blocks]
-            for i, j in itertools.combinations(range(len(blocks)), 2):
-                block = tuple(sorted(blocks[i] + blocks[j]))
-                rest = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
-                seam = sum(map(len, rest[: bisect_left(rest, block)])) + len(blocks[i])
-                t = at[_merged_key(n.key, ids[i], ids[j], block_ids[block])]
-                covers.add((s, t, f"f{seam}"))
+            for i, _, block, rest, key in _successors(n):
+                seam = sum(map(len, rest[: bisect_left(rest, block)])) + len(n.blocks[i])
+                covers.add((s, self._index[key], f"f{seam}"))
         return tuple(sorted(covers))
 
     def level(self, j: int) -> tuple[FiltrationNode, ...]:
@@ -230,14 +227,15 @@ class FiltrationPoset:
         return tuple(n for n in self.nodes if n.level == j)
 
     @cached_property
-    def _by_key(self) -> dict[tuple[int, ...], FiltrationNode]:
-        return {n.key: n for n in self.nodes}
+    def _index(self) -> dict[tuple[int, ...], int]:
+        """Each node's index, by key."""
+        return {n.key: t for t, n in enumerate(self.nodes)}
 
     def node_for_chain(self, x: ChainExpr) -> FiltrationNode:
         """Find the node a chain evaluates into (up to layer reordering)."""
         try:
             key = sorted(self.classes.ids[g] for g in evaluate(x, self.env))
-            return self._by_key[tuple(key)]
+            return self.nodes[self._index[tuple(key)]]
         except KeyError:
             raise KeyError(
                 f"chain {x.text()!r} does not evaluate into this filtration"
@@ -265,7 +263,7 @@ class FiltrationPoset:
         def layer(g: Multigraph) -> dict:
             key = (g.nodes, tuple((p, g.colors(p)) for p in g.pairs()))
             if key not in layer_json:
-                x = clique_multicomplex(g, self.policy)
+                x = clique_multicomplex(g, self.classes.policy)
                 self.classes.remember(g, x)
                 layer_json[key] = x.to_json_dict()
             return layer_json[key]
@@ -285,7 +283,7 @@ class FiltrationPoset:
         return {
             "k": self.k,
             "start": self.start.text(),
-            "policy": self.policy,
+            "policy": self.classes.policy,
             "nodes": nodes,
             "covers": [
                 {
@@ -299,14 +297,26 @@ class FiltrationPoset:
         }
 
 
-def _merged_key(key: tuple[int, ...], a: int, b: int, ab: int) -> tuple[int, ...]:
-    """A node's key after its layers of classes a and b merge into one of
-    class ab."""
-    succ = list(key)
-    succ.remove(a)
-    succ.remove(b)
-    insort(succ, ab)
-    return tuple(succ)
+def _successors(node: FiltrationNode):
+    """Each merge of two of a node's layers i < j, as (i, j, merged block,
+    the other blocks, successor key).  A block first met gets its class
+    id, by one merge per pair of classes."""
+    classes, blocks, key = node.classes, node.blocks, node.key
+    block_ids, merges = classes.block_ids, classes.merges
+    ids = [block_ids[b] for b in blocks]  # atoms, and so blocks, may repeat
+    for i, j in itertools.combinations(range(len(blocks)), 2):
+        block = tuple(sorted(blocks[i] + blocks[j]))
+        if block not in block_ids:
+            pair = (ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
+            if pair not in merges:
+                g, h = classes.graphs[ids[i]], classes.graphs[ids[j]]
+                merges[pair] = classes.id(merge(g, h))
+            block_ids[block] = merges[pair]
+        succ = list(key)
+        succ.remove(ids[i])
+        succ.remove(ids[j])
+        insort(succ, block_ids[block])
+        yield i, j, block, blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :], tuple(succ)
 
 
 def build_filtration(
@@ -317,47 +327,30 @@ def build_filtration(
     Successors merge one unordered pair of layers at a time.  No complex
     is built here: the class table builds one when a Betti vector of depth
     1 or more is first read.  Nor is any cover: ``covers`` finds them
-    again from the nodes' blocks when first read.
+    again from the nodes when first read.
     """
-    k = x.k
     start = sorted(
         zip((tuple(sorted(b)) for b in x.blocks()), evaluate(x, env)),
         key=itemgetter(0),
     )
     classes = ClassTable(policy)
-
-    # A node's identity is the multiset of its layer graphs: each block
-    # gets the id of its graph's class when it is first met, and the key
-    # is the sorted tuple of the block ids.  Each pair of classes is
-    # merged once: blocks whose parts have equal graphs meet it again.
-    block_ids = classes.block_ids
-    block_ids.update((b, classes.id(g)) for b, g in start)
-    key = tuple(sorted(block_ids[b] for b, _ in start))
-    nodes = [FiltrationNode(tuple(b for b, _ in start), k - len(start), key, classes)]
+    # A node's identity is the multiset of its layer graphs: its key is
+    # the sorted class ids of its blocks.
+    classes.block_ids.update((b, classes.id(g)) for b, g in start)
+    key = tuple(sorted(classes.block_ids[b] for b, _ in start))
+    nodes = [FiltrationNode(tuple(b for b, _ in start), key, classes)]
     nodes[0].layers = tuple(g for _, g in start)
     seen = {key}
-    merged: dict[tuple[int, int], int] = {}  # sorted pair of class ids -> their merge's
     for parent in nodes:  # breadth first: nodes grows as it goes
-        blocks = parent.blocks  # atoms, and so blocks, may repeat
-        ids = [block_ids[c] for c in blocks]
-        for i, j in itertools.combinations(range(len(blocks)), 2):
-            block = tuple(sorted(blocks[i] + blocks[j]))
-            if block not in block_ids:
-                pair = (ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
-                if pair not in merged:
-                    g, h = classes.graphs[ids[i]], classes.graphs[ids[j]]
-                    merged[pair] = classes.id(merge(g, h))
-                block_ids[block] = merged[pair]
-            key = _merged_key(parent.key, ids[i], ids[j], block_ids[block])
+        for i, j, block, rest, key in _successors(parent):
             if key not in seen:
                 seen.add(key)
-                rest = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
-                at = bisect_right(rest, block)  # after equal blocks, as the layers replay
+                at = bisect_right(rest, block)  # after equal blocks
                 succ = rest[:at] + (block,) + rest[at:]
-                nodes.append(FiltrationNode(succ, k - len(succ), key, classes, parent, (i, j)))
+                nodes.append(FiltrationNode(succ, key, classes, parent, (i, j, at)))
 
     nodes.sort(key=lambda n: (n.level, n.text))
-    return FiltrationPoset(k, x, tuple(nodes), env, classes, policy)
+    return FiltrationPoset(x, tuple(nodes), env, classes)
 
 
 def _trace_rows(nodes: Sequence[FiltrationNode], dim: int) -> list[dict]:

@@ -57,20 +57,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _edge_error(where: str, edge) -> WorkspaceError:
-    """The first problem of an edge entry that failed the check in
-    ``parse_workspace``, named in the order the fields are read."""
-    if not isinstance(edge, dict):
-        return WorkspaceError(f"{where} must be an object")
-    for field in ("u", "v", "color"):
-        if field not in edge:
-            return WorkspaceError(f"{where} missing {field!r}")
-    for field in ("u", "v"):
-        if not _is_int(edge[field]):
-            return WorkspaceError(f"{where} endpoint {field!r} must be an integer")
-    if not isinstance(edge["color"], str):
-        return WorkspaceError(f"{where} colour must be a string")
-    return WorkspaceError(f"{where} multiplicity must be an integer >= 1")
+def _edge_error(name: str, i: int, problem: str) -> WorkspaceError:
+    return WorkspaceError(f"graph {name!r}: edge #{i} {problem}")
 
 
 def parse_workspace(data: dict) -> Workspace:
@@ -102,12 +90,22 @@ def parse_workspace(data: dict) -> Workspace:
         rows = []
         copies = 0
         for i, edge in enumerate(edges):
-            if not (isinstance(edge, dict) and "u" in edge and "v" in edge and "color" in edge):
-                raise _edge_error(f"graph {name!r}: edge #{i}", edge)
-            u, v, color, mult = edge["u"], edge["v"], edge["color"], edge.get("mult", 1)
-            ok = _is_int(u) and _is_int(v) and isinstance(color, str)
-            if not (ok and _is_int(mult) and mult >= 1):
-                raise _edge_error(f"graph {name!r}: edge #{i}", edge)
+            # each field is checked once, in the order it is read
+            if not isinstance(edge, dict):
+                raise _edge_error(name, i, "must be an object")
+            try:
+                u, v, color = edge["u"], edge["v"], edge["color"]
+            except KeyError as exc:
+                raise _edge_error(name, i, f"missing {exc.args[0]!r}") from None
+            if not _is_int(u):
+                raise _edge_error(name, i, "endpoint 'u' must be an integer")
+            if not _is_int(v):
+                raise _edge_error(name, i, "endpoint 'v' must be an integer")
+            if not isinstance(color, str):
+                raise _edge_error(name, i, "colour must be a string")
+            mult = edge.get("mult", 1)
+            if not (_is_int(mult) and mult >= 1):
+                raise _edge_error(name, i, "multiplicity must be an integer >= 1")
             rows.append((u, v, color, mult))
             copies += mult
         # every edge copy is a 1-cell of any complex built from the graph

@@ -37,7 +37,15 @@ from multihom import (
 )
 from multihom.cli import EXIT_OK, main
 
-from conftest import ATOM_NAMES, REPO_ROOT, connectives, multigraphs, path_graph, triangle
+from conftest import (
+    ATOM_NAMES,
+    PALETTE,
+    REPO_ROOT,
+    connectives,
+    multigraphs,
+    path_graph,
+    triangle,
+)
 from oracles import coarsening_classes, ordered_set_partitions
 
 DATA = REPO_ROOT / "tests" / "data"
@@ -178,6 +186,20 @@ class TestBuildFiltration:
             (merge(env.resolve("G"), env.resolve("H")), env.resolve("K")),
             (merge(merge(env.resolve("G"), env.resolve("H")), env.resolve("K")),),
         ]
+
+    def test_a_merge_equal_to_another_block_keeps_both_conventions(self):
+        # merging G with H makes a second G . H block: the cover's seam
+        # counts the merged block first among equal blocks, while its layer
+        # is replayed after the equal layer already there
+        g = path_graph([1, 2], "red", PALETTE)
+        h = path_graph([1, 2], "black", PALETTE)
+        p = build_filtration(parse_chain("H . G | G | H"), ChainEnv({"G": g, "H": h}))
+        start = p.node_for_chain(parse_chain("G | G . H | H"))
+        both = p.node_for_chain(parse_chain("G . H | G . H"))
+        s, t = p.nodes.index(start), p.nodes.index(both)
+        assert [c for c in p.covers if c[:2] == (s, t)] == [(s, t, "f1")]
+        assert [x.edges for x in both.layers] == [merge(h, g).edges, merge(g, h).edges]
+        assert merge(h, g).edges != merge(g, h).edges
 
     def test_node_for_chain_ignores_layer_order(self, disjoint_env):
         env, start = disjoint_env
@@ -363,12 +385,14 @@ class TestLayerMemo:
             for a, b in itertools.combinations(n.chain.blocks(), 2)
         }
         assert len(calls) <= len(met - {tuple(sorted(b)) for b in start.blocks()})
-        assert len(calls) < len(p.covers)
+        built = len(calls)
+        assert built < len(p.covers)
+        assert len(calls) == built  # covers merge nothing: the table has every pair
         # one merge per pair of classes: on sharing_k5, where L is bound to
         # G's graph, blocks with L meet the pairs of G's blocks again
         pairs = [tuple(sorted((p.classes.ids[g], p.classes.ids[h]))) for g, h in calls]
         assert len(set(pairs)) == len(pairs)
-        assert len(calls) == MERGES[path.stem]
+        assert len(calls) == len(p.classes.merges) == MERGES[path.stem]
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_node_betti_matches_fresh_builds(self, path, policy):

@@ -82,6 +82,27 @@ class TestWorkspaceSchema:
         with pytest.raises(WorkspaceError):
             parse_workspace(data)
 
+    @pytest.mark.parametrize(
+        "edge, problem",
+        [
+            ([1, 2, "red"], "must be an object"),
+            ({"v": 2}, "missing 'u'"),
+            ({"u": "1", "color": "red"}, "missing 'v'"),
+            ({"u": 1, "v": 2, "mult": 0}, "missing 'color'"),
+            ({"u": "1", "v": "2", "color": 3}, "endpoint 'u' must be an integer"),
+            ({"u": 1, "v": True, "color": 3}, "endpoint 'v' must be an integer"),
+            ({"u": 1, "v": 2, "color": ["red"], "mult": 0}, "colour must be a string"),
+            ({"u": 1, "v": 2, "color": "red", "mult": 0}, "multiplicity must be an integer >= 1"),
+            ({"u": 1, "v": 2, "color": "red", "mult": True}, "multiplicity must be an integer >= 1"),
+        ],
+    )
+    def test_edge_problem_is_the_first_in_field_order(self, edge, problem):
+        data = ws_variant()
+        data["graphs"]["G"]["edges"].append(edge)
+        with pytest.raises(WorkspaceError) as info:
+            parse_workspace(data)
+        assert str(info.value) == f"graph 'G': edge #1 {problem}"
+
     def test_graph_layer_errors_surface_as_domain_errors(self):
         bad_colour = ws_variant()
         bad_colour["graphs"]["G"]["edges"][0]["color"] = "violet"
@@ -547,6 +568,36 @@ class TestCliFuzz:
         assert captured.err.startswith("error:") and str(paths[bad]) in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
         assert list(tmp_path.iterdir()) == []  # no partial file
+
+    @pytest.mark.parametrize("spelling", ["{d}/out", "{d}/./out", "{d}/sub/../out", "link"])
+    def test_one_file_named_twice_is_refused_before_the_fuzz(
+        self, tmp_path, capsys, monkeypatch, spelling
+    ):
+        def no_fuzz(*args, **kwargs):
+            raise AssertionError("the fuzz ran with one file named twice")
+
+        monkeypatch.setattr(multihom.incremental, "fuzz_records", no_fuzz)
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "out"
+        out.write_bytes(b"kept\n")
+        (tmp_path / "link").symlink_to(out)
+        other = str(tmp_path / "link") if spelling == "link" else spelling.format(d=tmp_path)
+        argv = ["fuzz", "--count", "1", "--jsonl", str(out), "--summary", other]
+        assert main(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert out.read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "out", "sub"]
+
+    def test_failed_fuzz_leaves_outputs_as_they_were(self, tmp_path, capsys):
+        keep = tmp_path / "keep.jsonl"
+        keep.write_bytes(b'{"kept": true}\n')
+        argv = ["--max-cells", "5", "fuzz", "--count", "50", "--jsonl", str(keep)]
+        argv += ["--summary", str(tmp_path / "new.csv")]
+        assert main(argv) == EXIT_DOMAIN
+        assert "error:" in capsys.readouterr().err
+        assert keep.read_bytes() == b'{"kept": true}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.jsonl"]  # no new file
 
 
 class TestCliRanges:
