@@ -324,13 +324,23 @@ def cmd_incremental(args) -> int:
     return EXIT_OK
 
 
+def _file_identity(path: str) -> tuple[int, int] | str:
+    """The device and inode of a file that exists, so that hard links
+    and symbolic links to one file match; else the resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return (st.st_dev, st.st_ino)
+
+
 def _check_outputs(*paths: str | None) -> None:
     """Refuse, before any work starts, one file named twice and a path
     that cannot be opened for writing (None is skipped).  No file is
     truncated, and one the check makes is removed again, so a run that
     fails leaves what was there as it was."""
     given = [path for path in paths if path]
-    if len(set(map(os.path.realpath, given))) < len(given):
+    if len(set(map(_file_identity, given))) < len(given):
         raise MultihomError(f"one file is named for two outputs: {' and '.join(given)}")
     for path in given:
         existed = os.path.exists(path)

@@ -21,11 +21,13 @@ where the walk put its merged layer, so ``layers`` replays by index.
 A block's graph gets the id of its class in a ``ClassTable`` when the
 block is first met, ``ClassTable.merges`` merges each pair of classes
 once, and a node is known by the sorted ids of its layers.  The table
-reads beta_0 off a class's graph, and builds its clique complex only
-when a deeper Betti number is read: the (d+1)-skeleton for a trace of
-beta_d, the whole complex for whole vectors (``--dot``).  ``--json``
-replays the exact layer graphs, whose copy numbering shows there,
-builds their complexes and takes the classes' whole vectors from them.
+reads a class's Betti numbers with ``homology.clique_betti``: beta_0 off
+the class's graph, and under ``canonical`` every deeper one too, so
+neither builds a cell.  Under ``per-combination`` a deeper one builds
+the (d+1)-skeleton for a trace of beta_d, and the whole complex for
+whole vectors (``--dot``).  ``--json`` replays the exact layer graphs,
+whose copy numbering shows there, builds their complexes and takes the
+classes' whole vectors from them.
 
 The level profile deliberately reports two channels per level — a
 closed-form size and the measured size — because they disagree in
@@ -50,7 +52,7 @@ from .chainlat import (
     merge_count,
 )
 from .errors import IndexOutOfRange
-from .homology import BettiVector, betti, betti0, betti_sum
+from .homology import BettiVector, betti, betti_sum, clique_betti
 from .mcomplex import CANONICAL, Multicomplex, clique_multicomplex
 from .mgraph import Multigraph, merge
 
@@ -70,7 +72,7 @@ Block = tuple[str, ...]  # a merged run of atoms, sorted
 
 def chain_betti(x: ChainExpr, env: ChainEnv, policy: str = CANONICAL) -> BettiVector:
     """Betti vector of a chain: layers are disjoint, so vectors add."""
-    return betti_sum(betti(clique_multicomplex(g, policy)) for g in evaluate(x, env))
+    return betti_sum(clique_betti(g, policy) for g in evaluate(x, env))
 
 
 def _chain_of_blocks(blocks: Sequence[Block]) -> ChainExpr:
@@ -90,8 +92,8 @@ class ClassTable:
     vectors memoized per depth; the class id of each block met; and in
     ``merges`` the class id of each merged pair of classes (sorted), so
     each pair is merged once.  Equal graphs give equal clique complexes,
-    so a class is built at most once per depth, and only when a vector of
-    depth 1 or more is read."""
+    so a class's vector is read at most once per depth, by
+    ``clique_betti``."""
 
     def __init__(self, policy: str):
         self.policy = policy
@@ -103,21 +105,15 @@ class ClassTable:
 
     def id(self, g: Multigraph) -> int:
         """The class id of g, a new one if no graph met so far equals it."""
-        if g not in self.ids:
-            self.ids[g] = len(self.graphs)
+        c = self.ids.setdefault(g, len(self.graphs))
+        if c == len(self.graphs):
             self.graphs.append(g)
-        return self.ids[g]
+        return c
 
     def betti(self, c: int, dim: int | None = None) -> BettiVector:
-        """Class c's whole Betti vector, or with ``dim`` beta_0..beta_dim:
-        beta_0 off the class graph, deeper ones off the (dim+1)-skeleton."""
+        """Class c's whole Betti vector, or with ``dim`` beta_0..beta_dim."""
         if (c, dim) not in self._betti:
-            if dim == 0:
-                self._betti[c, dim] = betti0(self.graphs[c])
-            else:
-                top = None if dim is None else dim + 1
-                x = clique_multicomplex(self.graphs[c], self.policy, top)
-                self._betti[c, dim] = betti(x)[:top]
+            self._betti[c, dim] = clique_betti(self.graphs[c], self.policy, dim)
         return self._betti[c, dim]
 
     def remember(self, g: Multigraph, x: Multicomplex) -> None:
@@ -169,7 +165,7 @@ class FiltrationNode:
         return betti_sum(map(self.classes.betti, self.key))
 
     def beta(self, dim: int) -> int:
-        """beta_dim alone: off the layer graphs for dim 0, else their (dim+1)-skeletons."""
+        """beta_dim alone, from each layer's class at depth dim."""
         vectors = (self.classes.betti(c, dim) for c in self.key)
         return sum(v[dim] for v in vectors if dim < len(v))
 

@@ -5,11 +5,12 @@ bitsets, indexed by the rows of the complex's store: bit i stands for
 row i of a grade, and a cell's faces are already row indices into the
 grade below, so no key is looked up.  ``boundary_matrix`` builds
 the columns of the d-th boundary matrix (one bitset per d-cell);
-``coboundary_rows`` builds its rows (one bitset per (d-1)-cell), which
-is the short side whenever a dimension has more cells than the one
-below.  Neither makes a ``Multicell``.  Over GF(2) no orientation
-bookkeeping is needed, and parallel copies contribute independent
-vectors exactly when their glued boundaries differ.
+``coboundary_rows`` builds its rows (one bitset per (d-1)-cell) from the
+d-cells' face rows, which is the short side whenever a dimension has
+more cells than the one below.  Neither makes a ``Multicell``.  Over
+GF(2) no orientation bookkeeping is needed, and parallel copies
+contribute independent vectors exactly when their glued boundaries
+differ.
 
 ``betti`` takes the rank of each boundary matrix as the number of
 pivots (lowest set bits) of a reduced basis of its rows.  Two facts let
@@ -45,13 +46,46 @@ set bits of r sum to zero.  Every other set bit of r lies above i, so
 row i is the sum of rows with higher indices.  By descending induction
 on the index, the rows kept span the same space as all rows.  Betti
 numbers then come from the usual rank formula.
+
+``clique_betti`` gives the Betti numbers of a graph's clique complex.
+Under ``canonical`` it builds no cell: it reduces the ranks of S, the
+clique complex of g's simple graph, with the same forest and pivot
+routine, and adds sums over the pair multiplicities m_e.  With T the
+triangles of g:
+
+    beta_1(K_g) = beta_1(S) + sum over pairs e in no triangle of (m_e - 1)
+    beta_2(K_g) = beta_2(S) + sum over uvw in T of (m_uv m_uw m_vw - 1)
+                            - sum over pairs e in some triangle of (m_e - 1)
+    beta_d(K_g) = beta_d(S) for d = 0 and d >= 3
+
+Proof sketch.  The ``canonical`` cells above dimension 2 are glued along
+each pair's first copy in colour order, one choice per pair, so they and
+the 2-cells they reach form a copy s(S) of S.  Let A be the 2-skeleton
+of K_g: then K_g = A u s(S) and A n s(S) = s(S)^(2), and Mayer-Vietoris
+holds over GF(2) for any two subcomplexes.  H_2 of a 2-dimensional
+complex is its cycle space, so H_2(s(S)^(2)) -> H_2(A) is injective,
+and H_1(s(S)^(2)) -> H_1(s(S)) is an isomorphism; so the sequence splits
+into the three lines.  For beta_1(A): two copies of an edge in a
+triangle differ by the boundary of two parallel 2-cells, and each edge
+in no triangle adds m_e - 1 loops.  beta_2(A) then follows from A's
+Euler characteristic.  The 2-skeletons of the two policies are equal,
+so the beta_1 line holds under ``per-combination`` too.
+
+The rank path stays beside the closed form, and both reduce ranks with
+``_forest`` and ``_pivots``: the closed form adds only the multiplicity
+sums.  ``betti`` is needed for what has no closed form here
+(``per-combination`` above beta_0, and hand-built complexes, which are
+the clique complex of no graph), for callers that hold the complex
+anyway (``merge --emit-complex``, ``filtrate --json``), and as the
+oracle the closed form is tested against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence, Set
+from collections.abc import Callable, Iterable, Sequence, Set
+from itertools import combinations
 
-from .mcomplex import Multicomplex
+from .mcomplex import CANONICAL, Multicomplex, clique_cells, clique_multicomplex
 from .mgraph import Multigraph
 from .value import Value
 
@@ -62,6 +96,7 @@ __all__ = [
     "coboundary_rows",
     "betti",
     "betti0",
+    "clique_betti",
     "betti_sum",
     "euler_characteristic",
     "boundary_squares_to_zero",
@@ -126,14 +161,14 @@ def boundary_matrix(x: Multicomplex, d: int) -> BoundaryMatrix:
     return BoundaryMatrix(tuple(columns))
 
 
-def coboundary_rows(x: Multicomplex, d: int) -> list[int]:
-    """Rows of the d-th boundary matrix, d >= 1: bit j of row i is set
-    when the j-th d-cell is glued to the i-th (d-1)-cell."""
-    if d < 1:
-        raise ValueError(f"boundary matrices are defined for d >= 1, got {d}")
-    rows = [0] * x.cell_count(d - 1)
-    for faces in x.grade(d).faces:  # one list per face position
-        for j, i in enumerate(faces):
+def coboundary_rows(faces: Sequence[Sequence[int]], below: int) -> list[int]:
+    """Rows of a boundary matrix of dimension d >= 1, given as its
+    d-cells' face rows, one list per face position (a ``Grade``'s
+    ``faces``), over ``below`` (d-1)-cells: bit j of row i is set when
+    the j-th d-cell is glued to the i-th (d-1)-cell."""
+    rows = [0] * below
+    for at in faces:
+        for j, i in enumerate(at):
             rows[i] ^= 1 << j
     return rows
 
@@ -142,17 +177,70 @@ def betti(x: Multicomplex) -> BettiVector:
     """Betti numbers beta_0..beta_D via the GF(2) rank formula, each rank
     the number of pivots of the boundary rows, taken in ascending
     dimension with clearing (see the module docstring)."""
-    if x.dimension < 0:
-        return ()
+    counts = [x.cell_count(d) for d in range(x.dimension + 1)]
     # the pivots of the first boundary matrix: the spanning forest in row order
-    pivots: Set[int] = set(_forest(list(range(x.cell_count(0))), zip(*x.grade(1).faces)))
-    ranks = [0, len(pivots)] + [0] * x.dimension
-    for d in range(2, x.dimension + 1):
-        pivots = _pivots(x, d, pivots)
+    forest = _forest(list(range(x.cell_count(0))), zip(*x.grade(1).faces))
+    return _ranked(counts, forest, lambda d: x.grade(d).faces)
+
+
+def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None) -> BettiVector:
+    """Betti numbers of g's clique multicomplex, beta_0..beta_D, or with
+    ``dim`` beta_0..beta_dim: what ``betti`` gives on the complex, or on
+    its (dim+1)-skeleton cut to dim + 1 entries.
+
+    beta_0 alone is ``betti0``'s forest, under either policy and with no
+    cell counted.  Deeper vectors are counted against the cell budget as
+    the complex or skeleton would be, and refused as it would be.  Under
+    ``canonical`` they come from S(g) in closed form (see the module
+    docstring) and no cell is built; under ``per-combination`` from the
+    built complex.
+    """
+    if dim is not None and dim < 0:
+        raise ValueError(f"Betti numbers need dim >= 0, got {dim}")
+    if dim == 0:
+        return betti0(g)
+    top = None if dim is None else dim + 1
+    if policy != CANONICAL:
+        return betti(clique_multicomplex(g, policy, top))[:top]
+    mult, cliques = clique_cells(g, policy, top)
+    if not g.nodes:
+        return ()
+    pairs = list(mult)  # in g.pairs() order, which numbers S's 1-cells
+    counts = [len(g.nodes)] + [len(pairs)] * bool(pairs)
+    counts += [len(cliques[d]) for d in range(2, 2 + len(cliques))]
+
+    def faces(d: int) -> tuple[Sequence[int], ...]:
+        """S's d-cells' face rows: the rows of their d-vertex subcliques."""
+        below = pairs if d == 2 else [tau for tau, _ in cliques[d - 1]]
+        row = dict(zip(below, range(len(below))))
+        at = (map(row.__getitem__, combinations(tau, d)) for tau, _ in cliques[d])
+        return tuple(zip(*at))
+
+    forest = _forest({v: v for v in g.nodes}, pairs)
+    beta = list(_ranked(counts, forest, faces))
+    triangles = cliques.get(2, ())
+    tight = {p for tau, _ in triangles for p in combinations(tau, 2)}
+    if len(beta) > 1:
+        beta[1] += sum(m - 1 for p, m in mult.items() if p not in tight)
+    if len(beta) > 2:
+        beta[2] += sum(n - 1 for _, n in triangles) - sum(mult[p] - 1 for p in tight)
+    return tuple(beta[:top])
+
+
+def _ranked(
+    counts: Sequence[int],
+    forest: Sequence[int],
+    faces: Callable[[int], Sequence[Sequence[int]]],
+) -> BettiVector:
+    """beta_0..beta_D of a complex with ``counts[d]`` cells of dimension
+    d, the first boundary matrix's pivots ``forest`` and the d-cells'
+    face rows ``faces(d)`` for d >= 2, read in ascending d."""
+    pivots: Set[int] = set(forest)
+    ranks = [0, len(pivots)] + [0] * len(counts)
+    for d in range(2, len(counts)):
+        pivots = _pivots(faces(d), counts[d - 1], pivots)
         ranks[d] = len(pivots)
-    return tuple(
-        x.cell_count(d) - ranks[d] - ranks[d + 1] for d in range(x.dimension + 1)
-    )
+    return tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(counts))
 
 
 def betti0(g: Multigraph) -> BettiVector:
@@ -180,14 +268,15 @@ def _forest(parent: list[int] | dict[int, int], links: Iterable[tuple[int, int]]
     return kept
 
 
-def _pivots(x: Multicomplex, d: int, cleared: Set[int]) -> Set[int]:
-    """Pivots of the row space of the d-th boundary matrix, d >= 2, from
-    its rows not in ``cleared``.  Rows are built only if two rows share
-    a lowest coface."""
-    low = _lowest_cofaces(x.grade(d).faces, x.cell_count(d))
+def _pivots(faces: Sequence[Sequence[int]], below: int, cleared: Set[int]) -> Set[int]:
+    """Pivots of the row space of a boundary matrix of dimension d >= 2,
+    given as its d-cells' face rows (one list per face position) over
+    ``below`` (d-1)-cells, from its rows not in ``cleared``.  Rows are
+    built only if two rows share a lowest coface."""
+    low = _lowest_cofaces(faces, len(faces[0]))
     if low is None:  # a cell repeats a face: reduce every row
         basis = Gf2Basis()
-        for i, row in enumerate(coboundary_rows(x, d)):
+        for i, row in enumerate(coboundary_rows(faces, below)):
             if i not in cleared:
                 basis.add(row)
         return {p.bit_length() - 1 for p in basis.pivots}
@@ -200,7 +289,7 @@ def _pivots(x: Multicomplex, d: int, cleared: Set[int]) -> Set[int]:
             if j not in taken:
                 taken[j] = i
                 continue
-            rows = coboundary_rows(x, d)
+            rows = coboundary_rows(faces, below)
             basis = Gf2Basis()
             basis.pivots = {1 << p: rows[r] for p, r in taken.items()}
         basis.add(rows[i])

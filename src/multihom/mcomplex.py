@@ -32,8 +32,10 @@ shifted by each further copy's rank step.
 ``Multicomplex.from_cells`` is the door for hand-built cells, which it
 converts into the same rows.
 
-``clique_multicomplex`` counts the cells in closed form from the cliques
-before it makes any, and refuses a complex larger than the cell budget
+``clique_cells`` counts the cells in closed form from the cliques before
+any is made, for ``clique_multicomplex`` and for the Betti numbers that
+``homology.clique_betti`` reads off a graph without building its
+complex.  It refuses a complex larger than the cell budget
 (``MAX_CELLS`` unless ``cell_budget`` sets another).  It refuses as soon
 as the count passes the budget, or a clique of k vertices appears with
 2^k - 1 > budget (each subclique gives at least one cell), keeping only
@@ -72,6 +74,7 @@ __all__ = [
     "Multicomplex",
     "cell_budget",
     "current_cell_budget",
+    "clique_cells",
     "clique_multicomplex",
     "complex_merge",
     "cell_coloring",
@@ -84,6 +87,8 @@ POLICIES = (CANONICAL, PER_COMBINATION)
 MAX_CELLS = 1_000_000
 
 CellKey = tuple[tuple[int, ...], int]
+# cliques of three or more vertices by dimension, each with its cell count
+Cliques = dict[int, list[tuple[tuple[int, ...], int]]]
 
 _max_cells: ContextVar[int] = ContextVar("max_cells", default=MAX_CELLS)
 
@@ -483,17 +488,15 @@ def _higher_cliques(
                     clique, cand = tau, cand & up[k]
 
 
-def clique_multicomplex(
+def clique_cells(
     g: Multigraph, policy: str = CANONICAL, dim: int | None = None
-) -> Multicomplex:
-    """Build the clique multicomplex of a multigraph, or with ``dim`` its
-    ``dim``-skeleton (the cells of dimension at most ``dim``).
-
-    Every clique of the underlying simple graph contributes cells; see
-    the module docstring for how multiplicities propagate upward under
-    each policy.  The cell count is summed clique by clique before any
-    cell is made, and a complex above the cell budget is refused with
-    ``CellBudgetExceeded``.
+) -> tuple[dict[tuple[int, int], int], Cliques]:
+    """The cells ``clique_multicomplex(g, policy, dim)`` would build,
+    counted clique by clique before any is made: g's pair multiplicities
+    (none for a 0-skeleton), and its cliques of three or more vertices
+    by dimension, each with its cell count, in lexicographic order.
+    A count above the cell budget is refused with ``CellBudgetExceeded``
+    (see the module docstring).
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -502,9 +505,8 @@ def clique_multicomplex(
     mult = g.multiplicities() if dim != 0 else {}  # a 0-skeleton has no edges
     budget = current_cell_budget()
 
-    # cliques of dimension >= 2 by dimension: (clique, cells); a skeleton
-    # below dimension 2 is its nodes and edge copies, and needs none
-    cliques: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    # a skeleton below dimension 2 is its nodes and edge copies, and needs no clique
+    cliques: Cliques = {}
     total = len(g.nodes) + sum(mult.values())
     over = False
     size = None if dim is None else dim + 1
@@ -523,6 +525,22 @@ def clique_multicomplex(
             f"the {policy} clique complex of a graph on {len(g.nodes)} nodes "
             f"has more than {budget} cells"
         )
+    return mult, cliques
+
+
+def clique_multicomplex(
+    g: Multigraph, policy: str = CANONICAL, dim: int | None = None
+) -> Multicomplex:
+    """Build the clique multicomplex of a multigraph, or with ``dim`` its
+    ``dim``-skeleton (the cells of dimension at most ``dim``).
+
+    Every clique of the underlying simple graph contributes cells; see
+    the module docstring for how multiplicities propagate upward under
+    each policy.  The cells are counted by ``clique_cells`` before any
+    is made, and a complex above the cell budget is refused with
+    ``CellBudgetExceeded``.
+    """
+    mult, cliques = clique_cells(g, policy, dim)
     if not g.nodes:
         return Multicomplex(g.palette, (), policy)
 

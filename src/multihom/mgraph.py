@@ -183,13 +183,17 @@ class Multigraph(Value):
         per_pair = tuple((p, self.color_multiset(p)) for p in self._by_pair)
         return (self.nodes, self.palette, per_pair)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._key)
+
     def __eq__(self, other):
         if not isinstance(other, Multigraph):
             return NotImplemented
         return self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         copies = sum(self.multiplicities().values())

@@ -61,6 +61,28 @@ def _edge_error(name: str, i: int, problem: str) -> WorkspaceError:
     return WorkspaceError(f"graph {name!r}: edge #{i} {problem}")
 
 
+def _checked_edge(name: str, i: int, edge) -> tuple[int, int, str, int]:
+    """Edge #i of graph ``name`` as a ``(u, v, color, mult)`` row, each
+    field checked once, in the order it is read; the first problem is
+    raised.  Integer subclasses other than bool pass."""
+    if not isinstance(edge, dict):
+        raise _edge_error(name, i, "must be an object")
+    try:
+        u, v, color = edge["u"], edge["v"], edge["color"]
+    except KeyError as exc:
+        raise _edge_error(name, i, f"missing {exc.args[0]!r}") from None
+    if not _is_int(u):
+        raise _edge_error(name, i, "endpoint 'u' must be an integer")
+    if not _is_int(v):
+        raise _edge_error(name, i, "endpoint 'v' must be an integer")
+    if not isinstance(color, str):
+        raise _edge_error(name, i, "colour must be a string")
+    mult = edge.get("mult", 1)
+    if not (_is_int(mult) and mult >= 1):
+        raise _edge_error(name, i, "multiplicity must be an integer >= 1")
+    return u, v, color, mult
+
+
 def parse_workspace(data: dict) -> Workspace:
     """Check and build a workspace; error messages are formatted only
     for a check that fails."""
@@ -90,24 +112,21 @@ def parse_workspace(data: dict) -> Workspace:
         rows = []
         copies = 0
         for i, edge in enumerate(edges):
-            # each field is checked once, in the order it is read
-            if not isinstance(edge, dict):
-                raise _edge_error(name, i, "must be an object")
-            try:
-                u, v, color = edge["u"], edge["v"], edge["color"]
-            except KeyError as exc:
-                raise _edge_error(name, i, f"missing {exc.args[0]!r}") from None
-            if not _is_int(u):
-                raise _edge_error(name, i, "endpoint 'u' must be an integer")
-            if not _is_int(v):
-                raise _edge_error(name, i, "endpoint 'v' must be an integer")
-            if not isinstance(color, str):
-                raise _edge_error(name, i, "colour must be a string")
-            mult = edge.get("mult", 1)
-            if not (_is_int(mult) and mult >= 1):
-                raise _edge_error(name, i, "multiplicity must be an integer >= 1")
-            rows.append((u, v, color, mult))
-            copies += mult
+            # an edge as JSON loads it passes one inline test; any other
+            # goes through the checks that name its first problem
+            if type(edge) is dict:
+                u, v, color = edge.get("u"), edge.get("v"), edge.get("color")
+                mult = edge.get("mult", 1)
+                if (
+                    type(u) is int and type(v) is int and type(color) is str
+                    and type(mult) is int and mult >= 1
+                ):
+                    rows.append((u, v, color, mult))
+                    copies += mult
+                    continue
+            row = _checked_edge(name, i, edge)
+            rows.append(row)
+            copies += row[3]
         # every edge copy is a 1-cell of any complex built from the graph
         if copies > budget:
             raise CellBudgetExceeded(

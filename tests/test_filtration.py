@@ -13,6 +13,7 @@ from hypothesis import given
 
 import multihom.chainlat
 import multihom.filtration
+import multihom.homology
 from multihom import (
     CANONICAL,
     PER_COMBINATION,
@@ -229,6 +230,21 @@ def _workspace_cases():
             yield pytest.param(path, policy, id=f"{path.stem}-{policy}")
 
 
+@pytest.fixture
+def built(monkeypatch) -> list[tuple[Multigraph, str, int | None]]:
+    """Records (graph, policy, dim) of each complex built where the
+    filtration and the class table's ``clique_betti`` build them."""
+    calls = []
+
+    def recording(g, policy=CANONICAL, dim=None):
+        calls.append((g, policy, dim))
+        return clique_multicomplex(g, policy, dim)
+
+    monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
+    monkeypatch.setattr(multihom.homology, "clique_multicomplex", recording)
+    return calls
+
+
 class TestLayerMemo:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_filtrate_json_matches_golden(self, policy, capsys):
@@ -248,99 +264,84 @@ class TestLayerMemo:
             pytest.fail(f"filtrate --json differs from the golden at line {line + 1}")
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
-    def test_each_layer_graph_built_once(self, path, policy, monkeypatch):
-        # build_filtration builds nothing; the class table builds when a
-        # node's Betti vector is first read
+    def test_each_layer_graph_built_once(self, path, policy, built):
+        # build_filtration builds nothing; under per-combination the class
+        # table builds when a node's Betti vector is first read, and under
+        # canonical it reads the vector off the class graph
         ws = load_workspace(path)
-        inputs = []
-
-        def recording(g, policy=CANONICAL, dim=None):
-            inputs.append((g.nodes, g.edges, dim))
-            return clique_multicomplex(g, policy, dim)
-
-        monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
         p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
-        assert inputs == []
+        assert built == []
         for n in p.nodes:
             assert n.betti
+        if policy == CANONICAL:
+            assert built == []
+            return
+        inputs = [(g.nodes, g.edges, dim) for g, _, dim in built]
         assert inputs
         assert len(set(inputs)) == len(inputs)
         assert len(inputs) < sum(len(n.layers) for n in p.nodes)
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
-    def test_one_build_per_graph_class(self, path, policy, monkeypatch):
+    def test_one_build_per_graph_class(self, path, policy, built):
         # per depth: none for a beta_0 trace, which reads the class graphs,
-        # the (d+1)-skeleton for a beta_d trace, d >= 1, and the whole
-        # complex for whole vectors, each read twice
+        # and none at all under canonical; under per-combination the
+        # (d+1)-skeleton for a beta_d trace, d >= 1, and the whole complex
+        # for whole vectors, each read twice
         ws = load_workspace(path)
-        built = []
-
-        def recording(g, policy=CANONICAL, dim=None):
-            built.append((g, dim))
-            return clique_multicomplex(g, policy, dim)
-
-        monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
         p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
         for _ in range(2):
             for dim in range(3):
                 betti_trace(p, dim)
             for n in p.nodes:
                 assert n.betti
+        if policy == CANONICAL:
+            assert built == []
+            return
         classes = {g for n in p.nodes for g in n.layers}
-        assert {dim for _, dim in built} == {2, 3, None}
+        assert {dim for _, _, dim in built} == {2, 3, None}
         for top in (2, 3, None):
-            graphs = [g for g, dim in built if dim == top]
+            graphs = [g for g, _, dim in built if dim == top]
             assert len(graphs) == len(classes), top
             assert set(graphs) == classes, top
 
     @pytest.mark.parametrize("dim", (0, 1, 2))
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_text_trace_builds_only_the_skeletons_it_reads(
-        self, path, policy, dim, monkeypatch, capsys
+        self, path, policy, dim, built, monkeypatch, capsys
     ):
-        # beta_0 is read off the class graphs, so --dim 0 builds no complex;
-        # beta_d, d >= 1, builds each class's (d+1)-skeleton once.  The text
-        # trace reads no cover, so none is built.
-        built, posets = [], []
-
-        def recording(g, policy=CANONICAL, dim=None):
-            built.append((g, dim))
-            return clique_multicomplex(g, policy, dim)
+        # beta_0 is read off the class graphs, so --dim 0 builds no complex,
+        # and under canonical neither does any deeper beta_d; under
+        # per-combination beta_d, d >= 1, builds each class's
+        # (d+1)-skeleton once.  The text trace reads no cover, so none is built.
+        posets = []
 
         def keeping(*args):
             posets.append(build_filtration(*args))
             return posets[-1]
 
-        monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
         monkeypatch.setattr(multihom.filtration, "build_filtration", keeping)
         argv = ["--workspace", str(path), "--policy", policy, "filtrate", "--dim", str(dim)]
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out
         (p,) = posets
         assert "covers" not in vars(p)
-        if dim == 0:
+        if dim == 0 or policy == CANONICAL:
             assert built == []
         else:
             classes = {g for n in p.nodes for g in n.layers}
-            assert {d for _, d in built} == {dim + 1}
+            assert {d for _, _, d in built} == {dim + 1}
             assert len(built) == len(classes)
-            assert {g for g, _ in built} == classes
+            assert {g for g, _, _ in built} == classes
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
-    def test_json_builds_each_exact_layer_once(self, path, policy, monkeypatch):
+    def test_json_builds_each_exact_layer_once(self, path, policy, built):
         # copy numbering shows in the cells, so JSON tells layers apart by
         # their exact edges, not by ``Multigraph`` equality; the layers'
         # complexes also give the classes' whole vectors, so none other is built
         ws = load_workspace(path)
         p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
-        inputs = []
-
-        def recording(g, policy=CANONICAL, dim=None):
-            inputs.append((g.nodes, g.edges, policy, dim))
-            return clique_multicomplex(g, policy, dim)
-
-        monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
         p.to_json_dict()
+        inputs = [(g.nodes, g.edges, used, dim) for g, used, dim in built]
         assert len(set(inputs)) == len(inputs) == JSON_BUILDS[path.stem]
         assert set(inputs) == {
             (g.nodes, g.edges, policy, None) for n in p.nodes for g in n.layers

@@ -1,4 +1,5 @@
-"""GF(2) rank, boundary matrices, Betti numbers and beta_0 as a component count."""
+"""GF(2) rank, boundary matrices, Betti numbers, beta_0 as a component
+count, and the closed form that reads Betti numbers off a graph."""
 
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from multihom import (
+    CANONICAL,
     PER_COMBINATION,
     POLICIES,
+    CellBudgetExceeded,
     Gf2Basis,
     Multicell,
     Multicomplex,
@@ -22,16 +25,19 @@ from multihom import (
     betti_sum,
     boundary_matrix,
     boundary_squares_to_zero,
+    cell_budget,
+    clique_betti,
     clique_multicomplex,
     coboundary_rows,
     euler_characteristic,
     replay_betti,
     tensor,
 )
-from multihom import homology
+from multihom import filtration, homology, mcomplex
+from multihom.cli import EXIT_OK, main
 from multihom.randgen import random_multigraph
 
-from conftest import PALETTE, multigraphs
+from conftest import PALETTE, REPO_ROOT, multigraphs
 from test_mcomplex import simple_triangle_cells
 
 from oracles import (
@@ -167,15 +173,13 @@ class TestBoundaryMatrix:
     def test_rejects_dimension_zero(self):
         with pytest.raises(Exception):
             boundary_matrix(filled_triangle(), 0)
-        with pytest.raises(Exception):
-            coboundary_rows(filled_triangle(), 0)
 
     @given(clique_complexes())
     def test_coboundary_rows_transpose_the_columns(self, x):
         for d in range(1, x.dimension + 2):
             columns = boundary_matrix(x, d).columns
             assert all(col < 1 << x.cell_count(d - 1) for col in columns)
-            assert coboundary_rows(x, d) == [
+            assert coboundary_rows(x.grade(d).faces, x.cell_count(d - 1)) == [
                 sum(((col >> i) & 1) << j for j, col in enumerate(columns))
                 for i in range(x.cell_count(d - 1))
             ]
@@ -299,9 +303,9 @@ def row_builds(monkeypatch) -> list[int]:
     calls: list[int] = []
     build = homology.coboundary_rows
 
-    def counted(x, d):
-        calls.append(d)
-        return build(x, d)
+    def counted(faces, below):
+        calls.append(len(faces) - 1)  # a d-cell has d + 1 face positions
+        return build(faces, below)
 
     monkeypatch.setattr(homology, "coboundary_rows", counted)
     return calls
@@ -353,6 +357,89 @@ class TestApparentPivots:
         )
         assert boundary_squares_to_zero(x)
         assert betti(x) == replay_betti(x) == (2, 1, 1)
+
+
+# -- Betti numbers off the graph ------------------------------------------------------
+
+
+def rank_path(g: Multigraph, policy: str, dim: int | None):
+    """What ``clique_betti`` must give: ``betti`` on the complex, or on
+    its (dim+1)-skeleton cut to dim + 1 entries."""
+    top = None if dim is None else dim + 1
+    return betti(clique_multicomplex(g, policy, top))[:top]
+
+
+def doubled(n: int) -> Multigraph:
+    """K_n with a red and a black copy on every pair."""
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return G(range(1, n + 1), [(u, v, c) for u, v in pairs for c in ("red", "black")])
+
+
+K4_RED = [(u, v, "red") for u, v in itertools.combinations(range(1, 5), 2)]
+
+
+class TestCliqueBetti:
+    """``clique_betti`` under ``canonical`` reads S(g) and the pair
+    multiplicities and builds no cell; the rank path is its oracle, vector
+    length included."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @given(seed=st.integers(0, 2**32 - 1), colours=st.integers(2, 3))
+    def test_matches_the_rank_path(self, policy, seed, colours):
+        # per-combination draws stay within six nodes and multiplicity 2
+        rng = random.Random(seed)
+        small = policy == PER_COMBINATION
+        g = random_multigraph(rng, 6 if small else 9, 2 if small else 3, PALETTE[:colours])
+        for dim in (None, 0, 1, 2):
+            assert clique_betti(g, policy, dim) == rank_path(g, policy, dim), dim
+
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            (Multigraph.empty(PALETTE), ()),
+            (G([2, 5, 9], []), (3,)),
+            (doubled(7), (1, 0, 224, 0, 0, 0, 0)),
+            (G(range(1, 5), K4_RED + [(1, 2, "black")]), (1, 0, 1, 0)),
+        ],
+        ids=["nodeless", "edgeless", "doubled-K7", "K4-and-a-copy"],
+    )
+    @pytest.mark.parametrize("dim", [None, 0, 1, 2])
+    def test_edge_cases(self, g, expected, dim):
+        top = None if dim is None else dim + 1
+        assert clique_betti(g, CANONICAL, dim) == expected[:top] == rank_path(g, CANONICAL, dim)
+
+    @pytest.mark.parametrize("dim", [None, 1, 2])
+    def test_refused_as_the_builder_refuses(self, dim):
+        # a doubled K5 with a tail: cells at every depth, loops and voids
+        k5 = [(u, v, "red", 2) for u, v in itertools.combinations(range(1, 6), 2)]
+        g = G(range(1, 8), k5 + [(5, 6, "black"), (6, 7, "blue", 3)])
+        top = None if dim is None else dim + 1
+        total = len(clique_multicomplex(g, CANONICAL, top).all_cells())
+        with cell_budget(total - 1):
+            with pytest.raises(CellBudgetExceeded) as built:
+                clique_multicomplex(g, CANONICAL, top)
+            with pytest.raises(CellBudgetExceeded) as read:
+                clique_betti(g, CANONICAL, dim)
+        assert str(read.value) == str(built.value)
+        with cell_budget(total):
+            assert clique_betti(g, CANONICAL, dim) == rank_path(g, CANONICAL, dim)
+
+    def test_a_negative_depth_is_refused(self):
+        with pytest.raises(ValueError):
+            clique_betti(doubled(3), CANONICAL, -1)
+
+    def test_betti_verb_builds_no_complex_under_canonical(self, monkeypatch, capsys):
+        def spy(*args, **kwargs):
+            raise AssertionError("a complex was built or reduced")
+
+        for module in (mcomplex, homology, filtration):
+            monkeypatch.setattr(module, "clique_multicomplex", spy)
+        monkeypatch.setattr(homology, "betti", spy)
+        argv = ["--workspace", str(REPO_ROOT / "tests" / "data" / "sharing_k5.json")]
+        assert main([*argv, "betti", "G . K | H . L . M"]) == EXIT_OK
+        assert "betti (" in capsys.readouterr().out
+        with pytest.raises(AssertionError, match="was built"):
+            main([*argv, "--policy", PER_COMBINATION, "betti", "G . K | H . L . M"])
 
 
 # -- global invariants ---------------------------------------------------------------

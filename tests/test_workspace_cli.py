@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -102,6 +103,35 @@ class TestWorkspaceSchema:
         with pytest.raises(WorkspaceError) as info:
             parse_workspace(data)
         assert str(info.value) == f"graph 'G': edge #1 {problem}"
+
+    def test_subclasses_of_the_field_types_still_load(self):
+        # the inline test takes exact types; the checks behind it keep
+        # accepting subclasses, bool aside
+        class Count(int):
+            pass
+
+        class Name(str):
+            pass
+
+        class Edge(dict):
+            pass
+
+        data = ws_variant()
+        data["graphs"]["G"]["edges"] = [
+            {"u": Count(1), "v": 2, "color": "red", "mult": Count(2)},
+            Edge(u=1, v=Count(3), color=Name("red")),
+        ]
+        data["graphs"]["G"]["nodes"] = [1, 2, 3]
+        g = parse_workspace(data).graphs["G"]
+        assert g.multiplicities() == {(1, 2): 2, (1, 3): 1}
+
+    @pytest.mark.parametrize("field", ["u", "v"])
+    def test_a_bool_endpoint_is_refused_by_name(self, field):
+        data = ws_variant()
+        data["graphs"]["G"]["edges"][0][field] = True
+        with pytest.raises(WorkspaceError) as info:
+            parse_workspace(data)
+        assert str(info.value) == f"graph 'G': edge #0 endpoint {field!r} must be an integer"
 
     def test_graph_layer_errors_surface_as_domain_errors(self):
         bad_colour = ws_variant()
@@ -588,6 +618,36 @@ class TestCliFuzz:
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
         assert out.read_bytes() == b"kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "out", "sub"]
+
+    def test_hard_links_to_one_file_are_refused_before_the_fuzz(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # two names, one inode: writing the summary would overwrite the records
+        def no_fuzz(*args, **kwargs):
+            raise AssertionError("the fuzz ran with one file named twice")
+
+        monkeypatch.setattr(multihom.incremental, "fuzz_records", no_fuzz)
+        out, twin = tmp_path / "out", tmp_path / "twin"
+        out.write_bytes(b"kept\n")
+        os.link(out, twin)
+        for first, second in ((out, twin), (twin, out)):
+            argv = ["fuzz", "--count", "2", "--jsonl", str(first), "--summary", str(second)]
+            assert main(argv) == EXIT_DOMAIN
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and "Traceback" not in captured.err
+            assert out.read_bytes() == twin.read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "twin"]
+
+    def test_distinct_files_still_pass_the_check(self, tmp_path, capsys):
+        # equal contents are no identity: two existing files both get written
+        jsonl, summary = tmp_path / "a.jsonl", tmp_path / "b.csv"
+        jsonl.write_bytes(b"old\n")
+        summary.write_bytes(b"old\n")
+        argv = ["fuzz", "--count", "2", "--jsonl", str(jsonl), "--summary", str(summary)]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert len(jsonl.read_text().splitlines()) == 2
+        assert summary.read_text().startswith("dimension")
 
     def test_failed_fuzz_leaves_outputs_as_they_were(self, tmp_path, capsys):
         keep = tmp_path / "keep.jsonl"
