@@ -165,21 +165,21 @@ def cmd_filtrate(args) -> int:
     if args.json:
         print(json.dumps(poset.to_json_dict(), indent=2))
         return EXIT_OK
-    print(f"interaction filtration of {x.text()} ({len(poset.nodes)} nodes)")
-    for row in filtration.betti_trace(poset, dim=args.dim):
-        print(
-            f"  delta={row['delta']}  level={row['level']}  "
-            f"beta_{args.dim}={row['beta']}  {row['chain']}"
-        )
+    lines = [f"interaction filtration of {x.text()} ({len(poset.nodes)} nodes)"]
+    lines += [
+        f"  delta={row['delta']}  level={row['level']}  "
+        f"beta_{args.dim}={row['beta']}  {row['chain']}"
+        for row in filtration.betti_trace(poset, dim=args.dim)
+    ]
     profile = filtration.level_profile(poset)
-    print("level sizes (formula vs measured):")
-    for lv in profile["levels"]:
-        print(
-            f"  level {lv['level']}: formula {lv['formula_size']}, "
-            f"measured {lv['measured_size']}"
-        )
+    lines.append("level sizes (formula vs measured):")
+    lines += [
+        f"  level {lv['level']}: formula {lv['formula_size']}, measured {lv['measured_size']}"
+        for lv in profile["levels"]
+    ]
     folds = profile["folds"]
-    print(f"folds: formula {folds['formula']}, measured {folds['measured']}")
+    lines.append(f"folds: formula {folds['formula']}, measured {folds['measured']}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

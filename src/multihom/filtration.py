@@ -13,21 +13,30 @@ back, so unequal graphs never give equal complexes.  Levels are
 graded by the interaction count (number of merges), each cover raises it
 by one, and the top is the single fully merged complex.
 
-Building the diagram builds no complex.  One walk, ``_successors``,
-gives each merge of two of a node's layers: the merged block, the
-other blocks and the successor's key.  ``build_filtration`` adds nodes
-from it, ``covers`` labels its maps from it, and each node records
-where the walk put its merged layer, so ``layers`` replays by index.
-A block's graph gets the id of its class in a ``ClassTable`` when the
-block is first met, ``ClassTable.merges`` merges each pair of classes
-once, and a node is known by the sorted ids of its layers.  The table
-reads a class's Betti numbers with ``homology.clique_betti``: beta_0 off
-the class's graph, and under ``canonical`` every deeper one too, so
-neither builds a cell.  Under ``per-combination`` a deeper one builds
-the (d+1)-skeleton for a trace of beta_d, and the whole complex for
-whole vectors (``--dot``).  ``--json`` replays the exact layer graphs,
-whose copy numbering shows there, builds their complexes and takes the
-classes' whole vectors from them.
+Building the diagram builds no complex and merges no graph.  A layer's
+class in a ``ClassTable`` is known by its graph's ``key``, the identity
+``Multigraph`` equality compares, and the class of a merge of two
+classes by ``merged_key`` of their keys, once per pair of classes.  A
+class first met as a merge makes its graph only when something reads
+it, by ``merge`` of the two class graphs that first made it, in block
+order.  beta_0 of a class comes off its key's node set and pairs, so a
+beta_0 trace makes no graph beyond the start's.  A deeper Betti number
+comes from ``homology.clique_betti`` on the class graph: under
+``canonical`` in closed form, with no cell built; under
+``per-combination`` from the (d+1)-skeleton for a trace of beta_d, and
+from the whole complex for whole vectors (``--dot``).  ``--json``
+replays the exact layer graphs, whose copy numbering shows there,
+builds their complexes and takes the classes' whole vectors from them.
+
+One walk, ``_successors``, gives each merge of two of a node's layers
+whose successor is new, over integer codes: a block's code is the sum
+of (k+1)^rank over its atoms (an atom occurs at most k times, so no
+digit carries), so a merged block's code is the sum of its parts'; a
+node's code is the sum of 2^(s*c) over its layers' classes c, with s
+the bit length of the start's block count (a class occurs at most that
+often).  ``build_filtration`` adds nodes from it level by level, and
+``covers`` labels its maps from it.  Each node records where its merged
+layer went, so ``layers`` replays by index.
 
 The level profile deliberately reports two channels per level — a
 closed-form size and the measured size — because they disagree in
@@ -38,9 +47,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from collections.abc import Container, Iterable
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from .chainlat import (
@@ -52,9 +63,9 @@ from .chainlat import (
     merge_count,
 )
 from .errors import IndexOutOfRange
-from .homology import BettiVector, betti, betti_sum, clique_betti
+from .homology import BettiVector, betti, betti0_of, betti_sum, clique_betti
 from .mcomplex import CANONICAL, Multicomplex, clique_multicomplex
-from .mgraph import Multigraph, merge
+from .mgraph import GraphKey, Multigraph, merge, merged_key
 
 __all__ = [
     "FiltrationNode",
@@ -87,39 +98,89 @@ def _chain_of_blocks(blocks: Sequence[Block]) -> ChainExpr:
 
 
 class ClassTable:
-    """The layer graphs met while building a filtration, one class per
-    ``Multigraph`` equality class: the class's first graph, and its Betti
-    vectors memoized per depth; the class id of each block met; and in
-    ``merges`` the class id of each merged pair of classes (sorted), so
-    each pair is merged once.  Equal graphs give equal clique complexes,
-    so a class's vector is read at most once per depth, by
-    ``clique_betti``."""
+    """The layer classes met while building a filtration from the start's
+    (block, graph) pairs, one per ``Multigraph`` equality class.
 
-    def __init__(self, policy: str):
+    ``ids`` gives each class's key its id, ``keys`` each id its key.  A
+    start class holds its graph in ``graphs``; a class first met as a
+    merge holds in ``made_from`` the two classes that first made it, in
+    block order, and its graph is made when ``graph`` reads it.
+    ``merges`` holds the class of each merged pair of classes (sorted),
+    so each pair is merged once, by key.  ``codes`` gives each block met
+    its code, ``code_ids`` each code its class and ``blocks`` its block,
+    one tuple shared by every node with that block, and ``weights[c]`` is
+    class c's term in a node's code.  A class's Betti vectors are
+    memoized per depth: beta_0 is read off its key, deeper ones by
+    ``clique_betti`` on its graph."""
+
+    def __init__(self, policy: str, start: Sequence[tuple[Block, Multigraph]]):
         self.policy = policy
-        self.ids: dict[Multigraph, int] = {}
-        self.graphs: list[Multigraph] = []
-        self.block_ids: dict[Block, int] = {}
+        self.ids: dict[GraphKey, int] = {}
+        self.keys: list[GraphKey] = []
+        self.graphs: dict[int, Multigraph] = {}
+        self.made_from: dict[int, tuple[int, int]] = {}
         self.merges: dict[tuple[int, int], int] = {}
+        self.codes: dict[Block, int] = {}
+        self.code_ids: dict[int, int] = {}
+        self.blocks: dict[int, Block] = {}
+        self.weights: list[int] = []
+        self._shift = len(start).bit_length()
         self._betti: dict[tuple[int, int | None], BettiVector] = {}
+        atoms = sorted({a for b, _ in start for a in b})
+        base = sum(len(b) for b, _ in start) + 1
+        term = {a: base**r for r, a in enumerate(atoms)}
+        for b, g in start:
+            self.codes[b] = code = sum(map(term.__getitem__, b))
+            self.blocks.setdefault(code, b)
+            self.code_ids[code] = c = self._class(g.key)
+            self.graphs.setdefault(c, g)
 
-    def id(self, g: Multigraph) -> int:
-        """The class id of g, a new one if no graph met so far equals it."""
-        c = self.ids.setdefault(g, len(self.graphs))
-        if c == len(self.graphs):
-            self.graphs.append(g)
+    def _class(self, key: GraphKey) -> int:
+        """The class id of key, a new one if no class met so far has it."""
+        c = self.ids.setdefault(key, len(self.keys))
+        if c == len(self.keys):
+            self.keys.append(key)
+            self.weights.append(1 << (self._shift * c))
         return c
+
+    def merged(self, a: int, b: int) -> int:
+        """The class of the merge of classes a and b, in that order."""
+        pair = (a, b) if a <= b else (b, a)
+        if pair not in self.merges:
+            new = len(self.keys)
+            self.merges[pair] = c = self._class(merged_key(self.keys[a], self.keys[b]))
+            if c == new:
+                self.made_from[c] = (a, b)
+        return self.merges[pair]
+
+    def code(self, ids: Iterable[int]) -> int:
+        """The code of a node whose layers have the classes ids."""
+        weights = self.weights
+        return sum([weights[c] for c in ids])
+
+    def graph(self, c: int) -> Multigraph:
+        """Class c's graph: the first graph met, or made, in it."""
+        if c not in self.graphs:
+            a, b = self.made_from[c]
+            self.graphs[c] = merge(self.graph(a), self.graph(b))
+        return self.graphs[c]
 
     def betti(self, c: int, dim: int | None = None) -> BettiVector:
         """Class c's whole Betti vector, or with ``dim`` beta_0..beta_dim."""
-        if (c, dim) not in self._betti:
-            self._betti[c, dim] = clique_betti(self.graphs[c], self.policy, dim)
-        return self._betti[c, dim]
+        vector = self._betti.get((c, dim))
+        if vector is None:
+            if dim == 0:
+                nodes, _, per_pair = self.keys[c]
+                vector = betti0_of(nodes, map(itemgetter(0), per_pair))
+            else:
+                vector = clique_betti(self.graph(c), self.policy, dim)
+            self._betti[c, dim] = vector
+        return vector
 
     def remember(self, g: Multigraph, x: Multicomplex) -> None:
         """Take the whole Betti vector of g's class from x, g's whole
         complex, unless it is known."""
-        c = self.ids[g]
+        c = self.ids[g.key]
         if (c, None) not in self._betti:
             self._betti[c, None] = betti(x)
 
@@ -166,8 +227,12 @@ class FiltrationNode:
 
     def beta(self, dim: int) -> int:
         """beta_dim alone, from each layer's class at depth dim."""
-        vectors = (self.classes.betti(c, dim) for c in self.key)
-        return sum(v[dim] for v in vectors if dim < len(v))
+        betti, total = self.classes.betti, 0
+        for c in self.key:
+            vector = betti(c, dim)
+            if dim < len(vector):
+                total += vector[dim]
+        return total
 
     @cached_property
     def layers(self) -> tuple[Multigraph, ...]:
@@ -212,9 +277,10 @@ class FiltrationPoset:
         seam's position in the successor's canonical block order."""
         covers = set()
         for s, n in enumerate(self.nodes):
-            for i, _, block, rest, key in _successors(n):
+            for i, j, block, code in _successors(n, ()):
+                rest = _others(n.blocks, i, j)
                 seam = sum(map(len, rest[: bisect_left(rest, block)])) + len(n.blocks[i])
-                covers.add((s, self._index[key], f"f{seam}"))
+                covers.add((s, self._index[code], f"f{seam}"))
         return tuple(sorted(covers))
 
     def level(self, j: int) -> tuple[FiltrationNode, ...]:
@@ -223,19 +289,23 @@ class FiltrationPoset:
         return tuple(n for n in self.nodes if n.level == j)
 
     @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        """Each node's index, by key."""
-        return {n.key: t for t, n in enumerate(self.nodes)}
+    def _index(self) -> dict[int, int]:
+        """Each node's index, by code."""
+        return {self.classes.code(n.key): t for t, n in enumerate(self.nodes)}
 
     def node_for_chain(self, x: ChainExpr) -> FiltrationNode:
         """Find the node a chain evaluates into (up to layer reordering)."""
+        classes = self.classes
         try:
-            key = sorted(self.classes.ids[g] for g in evaluate(x, self.env))
-            return self.nodes[self._index[tuple(key)]]
+            key = tuple(sorted(classes.ids[g.key] for g in evaluate(x, self.env)))
+            # a class repeated more often than any node repeats one can
+            # carry into another node's code, so the key is compared too
+            node = self.nodes[self._index[classes.code(key)]]
         except KeyError:
-            raise KeyError(
-                f"chain {x.text()!r} does not evaluate into this filtration"
-            ) from None
+            node = None
+        if node is None or node.key != key:
+            raise KeyError(f"chain {x.text()!r} does not evaluate into this filtration")
+        return node
 
     def to_dot(self) -> str:
         lines = ["digraph filtration {", "  rankdir=BT;"]
@@ -293,26 +363,33 @@ class FiltrationPoset:
         }
 
 
-def _successors(node: FiltrationNode):
-    """Each merge of two of a node's layers i < j, as (i, j, merged block,
-    the other blocks, successor key).  A block first met gets its class
-    id, by one merge per pair of classes."""
-    classes, blocks, key = node.classes, node.blocks, node.key
-    block_ids, merges = classes.block_ids, classes.merges
-    ids = [block_ids[b] for b in blocks]  # atoms, and so blocks, may repeat
-    for i, j in itertools.combinations(range(len(blocks)), 2):
-        block = tuple(sorted(blocks[i] + blocks[j]))
-        if block not in block_ids:
-            pair = (ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
-            if pair not in merges:
-                g, h = classes.graphs[ids[i]], classes.graphs[ids[j]]
-                merges[pair] = classes.id(merge(g, h))
-            block_ids[block] = merges[pair]
-        succ = list(key)
-        succ.remove(ids[i])
-        succ.remove(ids[j])
-        insort(succ, block_ids[block])
-        yield i, j, block, blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :], tuple(succ)
+def _others(blocks: tuple[Block, ...], i: int, j: int) -> tuple[Block, ...]:
+    """The blocks but i < j."""
+    return blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
+
+
+def _successors(node: FiltrationNode, seen: Container[int]):
+    """Each merge of two of a node's layers i < j whose successor's code
+    is not in ``seen``, as (i, j, merged block, successor code).  A block
+    first met gets its class, by one key merge per pair of classes."""
+    classes, blocks = node.classes, node.blocks
+    code_ids, code_blocks, weights = classes.code_ids, classes.blocks, classes.weights
+    codes = list(map(classes.codes.__getitem__, blocks))  # atoms, and so blocks, may repeat
+    ids = list(map(code_ids.__getitem__, codes))
+    terms = list(map(weights.__getitem__, ids))
+    code = sum(terms)
+    for i in range(len(codes) - 1):
+        a, without = codes[i], code - terms[i]
+        for j in range(i + 1, len(codes)):
+            merged = a + codes[j]
+            c = code_ids.get(merged)
+            if c is None:
+                c = code_ids[merged] = classes.merged(ids[i], ids[j])
+                block = tuple(sorted(blocks[i] + blocks[j]))
+                classes.codes[block], code_blocks[merged] = merged, block
+            succ = without - terms[j] + weights[c]
+            if succ not in seen:
+                yield i, j, code_blocks[merged], succ
 
 
 def build_filtration(
@@ -321,31 +398,41 @@ def build_filtration(
     """Close a start chain under the flow maps and dedup evaluated nodes.
 
     Successors merge one unordered pair of layers at a time.  No complex
-    is built here: the class table builds one when a Betti vector of depth
-    1 or more is first read.  Nor is any cover: ``covers`` finds them
-    again from the nodes when first read.
+    is built here, and no graph merged: the class table builds a complex
+    when a Betti vector of depth 1 or more is first read, and a class's
+    graph when first read.  Nor is any cover: ``covers`` finds them again
+    from the nodes when first read.
     """
     start = sorted(
         zip((tuple(sorted(b)) for b in x.blocks()), evaluate(x, env)),
         key=itemgetter(0),
     )
-    classes = ClassTable(policy)
-    # A node's identity is the multiset of its layer graphs: its key is
-    # the sorted class ids of its blocks.
-    classes.block_ids.update((b, classes.id(g)) for b, g in start)
-    key = tuple(sorted(classes.block_ids[b] for b, _ in start))
-    nodes = [FiltrationNode(tuple(b for b, _ in start), key, classes)]
-    nodes[0].layers = tuple(g for _, g in start)
-    seen = {key}
-    for parent in nodes:  # breadth first: nodes grows as it goes
-        for i, j, block, rest, key in _successors(parent):
-            if key not in seen:
-                seen.add(key)
-                at = bisect_right(rest, block)  # after equal blocks
-                succ = rest[:at] + (block,) + rest[at:]
-                nodes.append(FiltrationNode(succ, key, classes, parent, (i, j, at)))
+    classes = ClassTable(policy, start)
+    codes, code_ids = classes.codes, classes.code_ids
 
-    nodes.sort(key=lambda n: (n.level, n.text))
+    def key(blocks: tuple[Block, ...]) -> tuple[int, ...]:
+        # a node's identity is the multiset of its layers' classes: its
+        # key is their sorted ids
+        return tuple(sorted([code_ids[codes[b]] for b in blocks]))
+
+    blocks = tuple(b for b, _ in start)
+    nodes = [FiltrationNode(blocks, key(blocks), classes)]
+    nodes[0].layers = tuple(g for _, g in start)
+    level = nodes
+    while level:  # every cover raises the level by one
+        seen: set[int] = set()
+        made = []
+        for parent in level:
+            for i, j, block, code in _successors(parent, seen):
+                seen.add(code)
+                rest = _others(parent.blocks, i, j)
+                at = bisect_right(rest, block)  # after equal blocks
+                blocks = rest[:at] + (block,) + rest[at:]
+                made.append(FiltrationNode(blocks, key(blocks), classes, parent, (i, j, at)))
+        nodes += made
+        level = made
+
+    nodes.sort(key=attrgetter("level", "text"))
     return FiltrationPoset(x, tuple(nodes), env, classes)
 
 
@@ -368,7 +455,7 @@ def trace_for_chains(
     """Trace restricted to the nodes the given chains evaluate into; this
     is how a drawn sub-diagram (a union of covering chains) is read off."""
     picked = list({id(n): n for n in map(p.node_for_chain, chains)}.values())
-    picked.sort(key=lambda n: (n.level, n.text))
+    picked.sort(key=attrgetter("level", "text"))
     return _trace_rows(picked, dim)
 
 
@@ -377,16 +464,11 @@ def level_profile(p: FiltrationPoset) -> dict:
     count.  The two disagree in general; both are reported, neither is
     adjusted."""
     k = p.k
-    levels = []
-    for j in range(k):
-        measured = len(p.level(j))
-        levels.append(
-            {
-                "level": j,
-                "formula_size": math.comb(k, j + 1),
-                "measured_size": measured,
-            }
-        )
+    measured = Counter(n.level for n in p.nodes)
+    levels = [
+        {"level": j, "formula_size": math.comb(k, j + 1), "measured_size": measured[j]}
+        for j in range(k)
+    ]
     return {
         "levels": levels,
         "folds": {"formula": 2**k - k, "measured": len(p.nodes)},

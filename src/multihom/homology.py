@@ -96,6 +96,7 @@ __all__ = [
     "coboundary_rows",
     "betti",
     "betti0",
+    "betti0_of",
     "clique_betti",
     "betti_sum",
     "euler_characteristic",
@@ -247,9 +248,14 @@ def betti0(g: Multigraph) -> BettiVector:
     """(beta_0,) of g's clique complex under either policy, or () if g has
     no nodes: the count of g's components, as parallel copies never join
     two trees.  No complex is built."""
-    if not g.nodes:
+    return betti0_of(g.nodes, g.pairs())
+
+
+def betti0_of(nodes: Set[int], pairs: Iterable[tuple[int, int]]) -> BettiVector:
+    """``betti0`` of a graph given by its node set and its linked pairs."""
+    if not nodes:
         return ()
-    return (len(g.nodes) - len(_forest({v: v for v in g.nodes}, g.pairs())),)
+    return (len(nodes) - len(_forest({v: v for v in nodes}, pairs)),)
 
 
 def _forest(parent: list[int] | dict[int, int], links: Iterable[tuple[int, int]]) -> list[int]:

@@ -12,14 +12,18 @@ colour.  Two graphs over the same palette compose in two ways:
 
 A graph stores, per endpoint pair (pairs sorted), its copies' colours
 in copy order, so copy indices are contiguous by construction.  Every
-door (``Multigraph(nodes, edges, palette)`` from ``EdgeCopy`` values,
-``build``, ``merge``, ``empty``) ends in one checked step
-(endpoints in the node set, colours in the palette, per pair).  The
-views ``edges`` and ``copies`` make ``EdgeCopy`` values on demand.
+door from outside (``Multigraph(nodes, edges, palette)`` from
+``EdgeCopy`` values, ``build``, ``empty``) ends in one checked step
+(endpoints in the node set, colours in the palette, per pair).
+``merge`` checks only that its operands share a palette: each operand
+passed that step, so their union does too.  The views ``edges`` and
+``copies`` make ``EdgeCopy`` values on demand.
 
 Graphs are immutable values.  Equality is semantic: node set, palette,
 and the colour multiset per endpoint pair — the copy indices used to
-tell parallel edges apart are bookkeeping, not identity.
+tell parallel edges apart are bookkeeping, not identity.  ``key`` is
+that identity as a hashable value, and ``merged_key`` gives the key of
+a merge from its operands' keys, with no graph made.
 """
 
 from __future__ import annotations
@@ -40,12 +44,15 @@ __all__ = [
     "Multilayer",
     "tensor",
     "merge",
+    "merged_key",
 ]
 
 Color = str
 NodeId = int
 Pair = tuple[NodeId, NodeId]
 ColorsByPair = dict[Pair, tuple[Color, ...]]  # per pair, the colour of copy 1, 2, ...
+# the node set, the palette, and each pair (sorted) with its colours sorted
+GraphKey = tuple[frozenset[NodeId], frozenset[Color], tuple[tuple[Pair, tuple[Color, ...]], ...]]
 
 
 class EdgeCopy(OrderedValue):
@@ -179,18 +186,20 @@ class Multigraph(Value):
     # -- identity ----------------------------------------------------------------
 
     @cached_property
-    def _key(self):
+    def key(self) -> GraphKey:
+        """What equality compares: the node set, the palette, and each
+        pair with its colour multiset, as a sorted tuple."""
         per_pair = tuple((p, self.color_multiset(p)) for p in self._by_pair)
         return (self.nodes, self.palette, per_pair)
 
     @cached_property
     def _hash(self) -> int:
-        return hash(self._key)
+        return hash(self.key)
 
     def __eq__(self, other):
         if not isinstance(other, Multigraph):
             return NotImplemented
-        return self._key == other._key
+        return self.key == other.key
 
     def __hash__(self):
         return self._hash
@@ -236,6 +245,11 @@ def tensor(g: Multigraph | Multilayer, h: Multigraph | Multilayer) -> Multilayer
     return Multilayer(_as_layers(g) + _as_layers(h))
 
 
+def _check_palettes(a: frozenset[Color], b: frozenset[Color]) -> None:
+    if a != b:
+        raise PaletteMismatch(f"operands disagree on palette: {sorted(a)} vs {sorted(b)}")
+
+
 def merge(g: Multigraph, h: Multigraph) -> Multigraph:
     """Overlay on the shared node universe.
 
@@ -244,11 +258,25 @@ def merge(g: Multigraph, h: Multigraph) -> Multigraph:
     copy identities on the g side are stable across a merge: per pair,
     h's colours are concatenated after g's.
     """
-    if g.palette != h.palette:
-        raise PaletteMismatch(
-            f"operands disagree on palette: {sorted(g.palette)} vs {sorted(h.palette)}"
-        )
+    _check_palettes(g.palette, h.palette)
     by_pair = dict(g._by_pair)
     for pair, colors in h._by_pair.items():
         by_pair[pair] = by_pair.get(pair, ()) + colors
-    return Multigraph._of(g.nodes | h.nodes, by_pair, g.palette)
+    # both operands passed the checked step over this palette, and so
+    # does every pair of their union
+    out = object.__new__(Multigraph)
+    out._set(nodes=g.nodes | h.nodes, palette=g.palette, _by_pair=dict(sorted(by_pair.items())))
+    return out
+
+
+def merged_key(a: GraphKey, b: GraphKey) -> GraphKey:
+    """``merge(g, h).key`` from ``g.key`` and ``h.key``: the node sets
+    unite, a pair in one operand keeps its colours, and a shared pair
+    gets the sorted concatenation of both.  Raises ``PaletteMismatch``
+    as ``merge`` does."""
+    nodes, palette, per_pair = a
+    _check_palettes(palette, b[1])
+    by_pair = dict(per_pair)
+    for pair, colors in b[2]:
+        by_pair[pair] = tuple(sorted(by_pair[pair] + colors)) if pair in by_pair else colors
+    return (nodes | b[0], palette, tuple(sorted(by_pair.items())))

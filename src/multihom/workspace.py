@@ -144,7 +144,8 @@ def parse_workspace(data: dict) -> Workspace:
 
 def load_workspace(path: str | Path) -> Workspace:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            data = json.loads(f.read())
     except FileNotFoundError:
         raise WorkspaceError(f"workspace file not found: {path}") from None
     except OSError as exc:  # a directory, no permission, ...

@@ -12,9 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from multihom.mgraph import Multigraph
+from multihom.chainlat import ChainEnv, ChainExpr, evaluate
+from multihom.mgraph import Multigraph, merge
 
 
 def rank_gf2_span(columns: Iterable[int]) -> int:
@@ -154,6 +157,84 @@ def coarsening_classes(
             coarser = tuple(sorted(rest + [tuple(sorted(p[i] + p[j]))]))
             covers.add((judged[p], judged[coarser]))
     return classes, covers
+
+
+def filtration_by_tuples(x: ChainExpr, env: ChainEnv) -> tuple[list, dict, dict, list, list]:
+    """The filtration walk with blocks and nodes named by tuples, and
+    layer classes by ``Multigraph`` equality over graphs merged as they
+    are met: each node's blocks are read off its sorted atom tuples, and
+    a successor's key is its parent's sorted class ids with two removed
+    and one inserted.
+
+    Returns the nodes as (blocks, key, level, text, merged, parent index)
+    rows in (level, text) order, the class of each merged pair of classes
+    and of each block met (both in the order met), each class's first
+    graph by id, and the sorted covers (src, dst, "f<seam>").
+    """
+    ids: dict[Multigraph, int] = {}
+    graphs: list[Multigraph] = []
+
+    def class_id(g: Multigraph) -> int:
+        c = ids.setdefault(g, len(graphs))
+        if c == len(graphs):
+            graphs.append(g)
+        return c
+
+    start = sorted(
+        zip((tuple(sorted(b)) for b in x.blocks()), evaluate(x, env)), key=itemgetter(0)
+    )
+    block_ids = {}
+    for b, g in start:
+        block_ids[b] = class_id(g)
+    merges: dict[tuple[int, int], int] = {}
+
+    def successors(blocks, key):
+        layer_ids = [block_ids[b] for b in blocks]
+        for i, j in itertools.combinations(range(len(blocks)), 2):
+            block = tuple(sorted(blocks[i] + blocks[j]))
+            if block not in block_ids:
+                pair = tuple(sorted((layer_ids[i], layer_ids[j])))
+                if pair not in merges:
+                    merged = merge(graphs[layer_ids[i]], graphs[layer_ids[j]])
+                    merges[pair] = class_id(merged)
+                block_ids[block] = merges[pair]
+            succ = list(key)
+            succ.remove(layer_ids[i])
+            succ.remove(layer_ids[j])
+            insort(succ, block_ids[block])
+            yield i, j, block, blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :], tuple(succ)
+
+    blocks = tuple(b for b, _ in start)
+    key = tuple(sorted(block_ids[b] for b in blocks))
+    found = [(blocks, key, None, (0, 0, 0))]  # (blocks, key, parent position, merged)
+    seen = {key}
+    for t, (blocks, key, _, _) in enumerate(found):  # breadth first: found grows
+        for i, j, block, rest, succ in successors(blocks, key):
+            if succ not in seen:
+                seen.add(succ)
+                at = bisect_right(rest, block)
+                found.append((rest[:at] + (block,) + rest[at:], succ, t, (i, j, at)))
+
+    def level(blocks):
+        return sum(map(len, blocks)) - len(blocks)
+
+    def text(blocks):
+        return " | ".join(map(" . ".join, blocks))
+
+    order = sorted(range(len(found)), key=lambda t: (level(found[t][0]), text(found[t][0])))
+    position = {t: s for s, t in enumerate(order)}
+    nodes = []
+    for t in order:
+        blocks, key, parent, merged = found[t]
+        parent_index = None if parent is None else position[parent]
+        nodes.append((blocks, key, level(blocks), text(blocks), merged, parent_index))
+    index = {row[1]: s for s, row in enumerate(nodes)}
+    covers = set()
+    for s, (blocks, key, *_) in enumerate(nodes):
+        for i, _, block, rest, succ in successors(blocks, key):
+            seam = sum(map(len, rest[: bisect_left(rest, block)])) + len(blocks[i])
+            covers.add((s, index[succ], f"f{seam}"))
+    return nodes, merges, block_ids, graphs, sorted(covers)
 
 
 def assignment_through_faces(x, cell) -> dict[tuple[int, int], int]:

@@ -33,10 +33,12 @@ from multihom import (
     load_workspace,
     merge,
     merge_count,
+    merged_key,
     parse_chain,
     trace_for_chains,
 )
 from multihom.cli import EXIT_OK, main
+from multihom.randgen import random_multigraph
 
 from conftest import (
     ATOM_NAMES,
@@ -47,7 +49,7 @@ from conftest import (
     path_graph,
     triangle,
 )
-from oracles import coarsening_classes, ordered_set_partitions
+from oracles import coarsening_classes, filtration_by_tuples, ordered_set_partitions
 
 DATA = REPO_ROOT / "tests" / "data"
 # k = 5 atoms that share vertices and carry same-colour parallel copies;
@@ -334,6 +336,43 @@ class TestLayerMemo:
             assert {g for g, _, _ in built} == classes
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
+    def test_text_beta0_trace_merges_and_makes_no_graph(self, path, policy, monkeypatch, capsys):
+        # classes are merged by key and beta_0 read off the keys, so past
+        # the start's graphs (here the workspace's own: the chains are all
+        # tensor) building and tracing make no Multigraph at all
+        made, merged, inside = [], [], []
+        store = Multigraph._set
+
+        def recording(g, **fields):
+            if inside:
+                made.append(fields)
+            store(g, **fields)
+
+        def spying(fn):
+            def spy(*args, **kwargs):
+                inside.append(fn.__name__)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            return spy
+
+        monkeypatch.setattr(Multigraph, "_set", recording)
+        monkeypatch.setattr(multihom.filtration, "merge", lambda g, h: merged.append((g, h)))
+        monkeypatch.setattr(multihom.filtration, "build_filtration", spying(build_filtration))
+        monkeypatch.setattr(multihom.filtration, "betti_trace", spying(betti_trace))
+        argv = ["--workspace", str(path), "--policy", policy, "filtrate", "--dim", "0"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("interaction filtration of ")
+        assert made == [] and merged == []
+        # the spy sees graphs made inside its spans
+        g, h = triangle(1, 2, 3), triangle(3, 4, 5)
+        inside.append("probe")
+        merge(g, h)
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_json_builds_each_exact_layer_once(self, path, policy, built):
         # copy numbering shows in the cells, so JSON tells layers apart by
         # their exact edges, not by ``Multigraph`` equality; the layers'
@@ -367,14 +406,17 @@ class TestLayerMemo:
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_merges_follow_nodes_and_blocks_not_covers(self, path, policy, monkeypatch):
+        # classes merge by key: one key merge per pair of classes met, and
+        # no graph merged at all while building or reading covers
         ws = load_workspace(path)
         calls = []
 
-        def counting(g, h):
-            calls.append((g, h))
-            return merge(g, h)
+        def counting(a, b):
+            calls.append((a, b))
+            return merged_key(a, b)
 
-        monkeypatch.setattr(multihom.filtration, "merge", counting)
+        monkeypatch.setattr(multihom.filtration, "merged_key", counting)
+        monkeypatch.setattr(multihom.filtration, "merge", None)
         start = parse_chain(ws.chain_text)
         p = build_filtration(start, ws.env(), policy)
         # the blocks met: each node's, and the merge of any two of them (a
@@ -391,7 +433,7 @@ class TestLayerMemo:
         assert len(calls) == built  # covers merge nothing: the table has every pair
         # one merge per pair of classes: on sharing_k5, where L is bound to
         # G's graph, blocks with L meet the pairs of G's blocks again
-        pairs = [tuple(sorted((p.classes.ids[g], p.classes.ids[h]))) for g, h in calls]
+        pairs = [tuple(sorted((p.classes.ids[a], p.classes.ids[b]))) for a, b in calls]
         assert len(set(pairs)) == len(pairs)
         assert len(calls) == len(p.classes.merges) == MERGES[path.stem]
 
@@ -487,6 +529,42 @@ class TestNodeIdentity:
         for n, key in zip(p.nodes, keys):
             assert n.betti == betti_sum(betti(c) for c in fresh(classes[key])), n.chain.text()
         assert {(keys[s], keys[t]) for s, t, _ in p.covers} == covers
+
+    @given(data=st.data())
+    def test_walk_matches_the_tuple_keyed_oracle(self, data):
+        # 3-6 atoms over up to 5 names, so atoms repeat; some names are
+        # bound to a graph equal to another name's (rebuilt with its
+        # copies reversed), and graphs share a small node universe
+        rng = data.draw(st.randoms(use_true_random=False), label="rng")
+        names = ATOM_NAMES[: data.draw(st.integers(1, 5), label="names")]
+        graphs: dict[str, Multigraph] = {}
+        for name in names:
+            if graphs and data.draw(st.booleans(), label=f"{name} equals another"):
+                g = graphs[data.draw(st.sampled_from(sorted(graphs)), label=name)]
+                rows = [(u, v, c) for u, v in reversed(g.pairs()) for c in reversed(g.colors((u, v)))]
+                graphs[name] = Multigraph.build(g.nodes, rows, g.palette)
+            else:
+                graphs[name] = random_multigraph(
+                    rng, max_nodes=4, max_mult=2, palette=PALETTE, node_universe=range(1, 6)
+                )
+        k = data.draw(st.integers(3, 6), label="k")
+        atoms = tuple(data.draw(st.lists(st.sampled_from(names), min_size=k, max_size=k)))
+        start = ChainExpr(atoms, data.draw(connectives(k), label="connectives"))
+        env = ChainEnv(graphs)
+        nodes, merges, block_ids, class_graphs, covers = filtration_by_tuples(start, env)
+        p = build_filtration(start, env)
+        index = {id(n): t for t, n in enumerate(p.nodes)}
+        assert [
+            (n.blocks, n.key, n.level, n.text, n.merged, n.parent and index[id(n.parent)])
+            for n in p.nodes
+        ] == nodes
+        assert list(p.classes.merges.items()) == list(merges.items())
+        codes = p.classes.codes.items()
+        assert [(b, p.classes.code_ids[code]) for b, code in codes] == list(block_ids.items())
+        assert list(p.covers) == covers
+        # a class's graph, made when read, is the oracle's, copy for copy
+        made = map(p.classes.graph, range(len(p.classes.keys)))
+        assert [(g.nodes, g.edges) for g in made] == [(g.nodes, g.edges) for g in class_graphs]
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_covers_are_the_coarsening_oracles(self, path, policy):

@@ -8,6 +8,7 @@ import time
 from collections import Counter
 from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -22,8 +23,10 @@ from multihom import (
     betti,
     clique_multicomplex,
     merge,
+    merged_key,
     tensor,
 )
+from multihom.randgen import random_multigraph
 
 from conftest import PALETTE, multigraphs
 from oracles import copies_by_pair_scan
@@ -194,6 +197,47 @@ class TestMerge:
     @given(multigraphs())
     def test_merge_with_empty_is_identity(self, g):
         assert merge(g, Multigraph.empty(PALETTE)) == g
+
+    @given(multigraphs(max_nodes=5), multigraphs(max_nodes=5))
+    def test_merge_is_the_checked_build_over_both_row_lists(self, a, b):
+        # merge checks only the palettes, so its graph must be the one the
+        # checked build makes from a's rows, then b's, copy for copy
+        rows = [(u, v, c) for g in (a, b) for u, v in g.pairs() for c in g.colors((u, v))]
+        built = Multigraph.build(a.nodes | b.nodes, rows, a.palette)
+        m = merge(a, b)
+        assert (m.nodes, m.palette, m.pairs()) == (built.nodes, built.palette, built.pairs())
+        assert [m.colors(p) for p in m.pairs()] == [built.colors(p) for p in built.pairs()]
+        assert m == built
+
+    @given(st.randoms(use_true_random=False))
+    def test_merged_key_is_the_key_of_the_merge(self, rng):
+        # over four nodes most pairs of graphs share a pair
+        a, b = (
+            random_multigraph(rng, max_nodes=4, max_mult=2, palette=PALETTE, node_universe=range(1, 5))
+            for _ in range(2)
+        )
+        assert merged_key(a.key, b.key) == merge(a, b).key == merge(b, a).key
+        assert merged_key(b.key, a.key) == merge(a, b).key
+
+    def test_merged_key_of_shared_pairs_sorts_their_colours(self):
+        a = G([1, 2, 3], [(1, 2, "red"), (2, 3, "blue")])
+        b = G([2, 3, 4], [(2, 3, "black"), (2, 3, "red"), (3, 4, "red")])
+        assert merged_key(a.key, b.key) == (
+            frozenset({1, 2, 3, 4}),
+            frozenset(PALETTE),
+            (((1, 2), ("red",)), ((2, 3), ("black", "blue", "red")), ((3, 4), ("red",))),
+        )
+
+    def test_merged_key_refuses_a_palette_mismatch_as_merge_does(self):
+        a = G([1, 2], [(1, 2, "red")], palette=("red",))
+        b = G([1, 2], [(1, 2, "black")], palette=("black",))
+        with pytest.raises(PaletteMismatch) as by_graph:
+            merge(a, b)
+        with pytest.raises(PaletteMismatch) as by_key:
+            merged_key(a.key, b.key)
+        assert str(by_key.value) == str(by_graph.value) == (
+            "operands disagree on palette: ['red'] vs ['black']"
+        )
 
     @given(multigraphs(), multigraphs())
     def test_multiplicity_additivity(self, a, b):

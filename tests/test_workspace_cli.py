@@ -153,6 +153,37 @@ class TestWorkspaceSchema:
         with pytest.raises(WorkspaceError):
             load_workspace(path)
 
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            pytest.param(kind, message, id=kind)
+            for kind, message in [
+                ("missing", "workspace file not found: {path}"),
+                ("directory", "cannot read workspace {path}: Is a directory"),
+                ("not-utf8", "workspace {path} is not UTF-8 text: invalid start byte"),
+                (
+                    "invalid-json",
+                    "workspace is not valid JSON: Expecting property name enclosed in "
+                    "double quotes: line 1 column 2 (char 1)",
+                ),
+                ("deeply-nested", "workspace {path} nests too deeply to read"),
+            ]
+        ],
+    )
+    def test_unreadable_workspace_messages(self, tmp_path, kind, message):
+        path = tmp_path / "ws.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe{}")
+        elif kind == "invalid-json":
+            path.write_text("{not json")
+        elif kind == "deeply-nested":  # deeper than the JSON decoder's recursion limit
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(WorkspaceError) as caught:
+            load_workspace(path)
+        assert str(caught.value) == message.format(path=path)
+
     def test_load_real_workspaces(self, three_paths_path, disjoint_triangles_path):
         for path in (three_paths_path, disjoint_triangles_path):
             ws = load_workspace(path)
