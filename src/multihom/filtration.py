@@ -64,7 +64,7 @@ from .chainlat import (
 )
 from .errors import IndexOutOfRange
 from .homology import BettiVector, betti, betti0_of, betti_sum, clique_betti
-from .mcomplex import CANONICAL, Multicomplex, clique_multicomplex
+from .mcomplex import CANONICAL, Multicomplex, check_policy, clique_multicomplex
 from .mgraph import GraphKey, Multigraph, merge, merged_key
 
 __all__ = [
@@ -401,8 +401,9 @@ def build_filtration(
     is built here, and no graph merged: the class table builds a complex
     when a Betti vector of depth 1 or more is first read, and a class's
     graph when first read.  Nor is any cover: ``covers`` finds them again
-    from the nodes when first read.
+    from the nodes when first read.  An unknown policy is refused first.
     """
+    check_policy(policy)
     start = sorted(
         zip((tuple(sorted(b)) for b in x.blocks()), evaluate(x, env)),
         key=itemgetter(0),

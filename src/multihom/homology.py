@@ -85,7 +85,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence, Set
 from itertools import combinations
 
-from .mcomplex import CANONICAL, Multicomplex, clique_cells, clique_multicomplex
+from .mcomplex import CANONICAL, Multicomplex, check_policy, clique_cells, clique_multicomplex
 from .mgraph import Multigraph
 from .value import Value
 
@@ -194,8 +194,9 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
     the complex or skeleton would be, and refused as it would be.  Under
     ``canonical`` they come from S(g) in closed form (see the module
     docstring) and no cell is built; under ``per-combination`` from the
-    built complex.
+    built complex.  An unknown policy is refused at every depth.
     """
+    check_policy(policy)
     if dim is not None and dim < 0:
         raise ValueError(f"Betti numbers need dim >= 0, got {dim}")
     if dim == 0:

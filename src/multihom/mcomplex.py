@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -78,7 +77,7 @@ __all__ = [
     "clique_multicomplex",
     "complex_merge",
     "cell_coloring",
-    "duplications",
+    "check_policy",
 ]
 
 CANONICAL = "canonical"
@@ -102,6 +101,12 @@ def cell_budget(max_cells: int) -> Iterator[None]:
         yield
     finally:
         _max_cells.reset(token)
+
+
+def check_policy(policy: str) -> None:
+    """Refuse a policy outside ``POLICIES`` with ``ValueError``."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 
 def current_cell_budget() -> int:
@@ -249,9 +254,6 @@ class Multicomplex:
     def find(self, key: CellKey) -> Multicell:
         grade = self.grade(len(key[0]) - 1)
         return grade[grade.row(key)]
-
-    def shapes(self, d: int) -> dict[tuple[int, ...], int]:
-        return dict(Counter(self.grade(d).vertices))
 
     def __repr__(self):
         counts = ",".join(str(len(g)) for g in self.grades)
@@ -498,8 +500,7 @@ def clique_cells(
     A count above the cell budget is refused with ``CellBudgetExceeded``
     (see the module docstring).
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    check_policy(policy)
     if dim is not None and dim < 0:
         raise ValueError(f"a skeleton needs dim >= 0, got {dim}")
     mult = g.multiplicities() if dim != 0 else {}  # a 0-skeleton has no edges
@@ -622,12 +623,6 @@ def cell_coloring(x: Multicomplex, c: Multicell) -> tuple[str, ...]:
     for _ in range(c.dim - 1):
         keys = {f for k in keys for f in x.find(k).faces}
     return tuple(x.coloring[k] for k in sorted(keys))
-
-
-def duplications(x: Multicomplex, d: int) -> int:
-    """Number of parallel-copy surpluses at dimension d: sum of (m-1)
-    over cell shapes."""
-    return sum(count - 1 for count in x.shapes(d).values())
 
 
 def complex_merge(a: Multicomplex, b: Multicomplex) -> Multicomplex:

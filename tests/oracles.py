@@ -69,6 +69,42 @@ def cliques_bruteforce(
     return out
 
 
+def clique_betti_bruteforce(g: Multigraph) -> tuple[int, ...]:
+    """Betti vector of g's ``canonical`` clique multicomplex, from S(g),
+    the clique complex of g's simple graph, plus the multiplicity sums.
+
+    S(g)'s cliques come from the subset scan and each boundary rank from
+    exhaustive span closure.  With m_e the multiplicity of pair e,
+    beta_1 adds m_e - 1 for each pair in no triangle; beta_2 adds
+    m_uv m_uw m_vw - 1 for each triangle uvw and takes m_e - 1 away for
+    each pair in some triangle.  Only sensible for small graphs (span
+    sizes are 2^rank).
+    """
+    mult = g.multiplicities()
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    for clique in cliques_bruteforce(g.nodes, mult):
+        by_dim.setdefault(len(clique) - 1, []).append(clique)
+    top = max(by_dim, default=-1)
+    ranks = [0] * (top + 2)
+    for d in range(1, top + 1):
+        row = {face: i for i, face in enumerate(by_dim[d - 1])}
+        ranks[d] = rank_gf2_span(
+            sum(1 << row[face] for face in itertools.combinations(clique, d))
+            for clique in by_dim[d]
+        )
+    beta = [len(by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
+    triangles = by_dim.get(2, [])
+    tight = {pair for t in triangles for pair in itertools.combinations(t, 2)}
+    if top >= 1:
+        beta[1] += sum(m - 1 for pair, m in mult.items() if pair not in tight)
+    if top >= 2:
+        beta[2] += sum(
+            math.prod(mult[pair] for pair in itertools.combinations(t, 2)) - 1
+            for t in triangles
+        ) - sum(mult[pair] - 1 for pair in tight)
+    return tuple(beta)
+
+
 def ordered_set_partitions(
     items: Iterable[str],
 ) -> Iterator[tuple[tuple[str, ...], ...]]:

@@ -118,6 +118,19 @@ class TestEnumeration:
 
 
 class TestBuildFiltration:
+    def test_an_unknown_policy_is_refused_before_any_work(self, disjoint_env, monkeypatch):
+        env, start = disjoint_env
+        with pytest.raises(ValueError) as built:
+            clique_multicomplex(triangle(1, 2, 3), "bogus")
+
+        def spy(*args, **kwargs):
+            raise AssertionError("the start chain was evaluated")
+
+        monkeypatch.setattr(multihom.filtration, "evaluate", spy)
+        with pytest.raises(ValueError) as refused:
+            build_filtration(start, env, "bogus")
+        assert str(refused.value) == str(built.value)
+
     def test_k3_level_sizes(self, disjoint_env):
         env, start = disjoint_env
         p = build_filtration(start, env)

@@ -41,6 +41,7 @@ from conftest import PALETTE, REPO_ROOT, multigraphs
 from test_mcomplex import simple_triangle_cells
 
 from oracles import (
+    clique_betti_bruteforce,
     complete_multigraph_betti,
     components_union_find,
     euler_from_counts,
@@ -393,6 +394,12 @@ class TestCliqueBetti:
         for dim in (None, 0, 1, 2):
             assert clique_betti(g, policy, dim) == rank_path(g, policy, dim), dim
 
+    @given(seed=st.integers(0, 2**32 - 1), colours=st.integers(2, 3))
+    def test_matches_an_oracle_sharing_no_rank_code(self, seed, colours):
+        # subset-scanned cliques and span-closure ranks of S(g)
+        g = random_multigraph(random.Random(seed), 7, 3, PALETTE[:colours])
+        assert clique_betti(g, CANONICAL) == clique_betti_bruteforce(g)
+
     @pytest.mark.parametrize(
         "g, expected",
         [
@@ -423,6 +430,24 @@ class TestCliqueBetti:
         assert str(read.value) == str(built.value)
         with cell_budget(total):
             assert clique_betti(g, CANONICAL, dim) == rank_path(g, CANONICAL, dim)
+
+    @pytest.mark.parametrize(
+        "g", [Multigraph.empty(PALETTE), doubled(3)], ids=["nodeless", "doubled-K3"]
+    )
+    @pytest.mark.parametrize("dim", [None, 0, 1, 2])
+    def test_an_unknown_policy_is_refused_at_every_depth(self, g, dim, monkeypatch):
+        # refused as the builder refuses it, before a component is counted
+        with pytest.raises(ValueError) as built:
+            clique_multicomplex(g, "bogus")
+
+        def spy(*args, **kwargs):
+            raise AssertionError("the Betti numbers were computed")
+
+        for name in ("betti0", "clique_cells", "clique_multicomplex"):
+            monkeypatch.setattr(homology, name, spy)
+        with pytest.raises(ValueError) as read:
+            clique_betti(g, "bogus", dim)
+        assert str(read.value) == str(built.value)
 
     def test_a_negative_depth_is_refused(self):
         with pytest.raises(ValueError):

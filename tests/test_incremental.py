@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import gzip
+from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multihom.homology
 import multihom.incremental
 from multihom import (
     KNOWN_CASES,
@@ -35,7 +37,7 @@ from multihom import (
 )
 
 from multihom.cli import EXIT_OK, main
-from multihom.incremental import _provenance
+from multihom.incremental import _provenance, _surplus
 
 from conftest import PALETTE, REPO_ROOT, multigraphs, path_graph
 
@@ -156,6 +158,14 @@ class TestExtractParams:
             assert (p.n_g, p.p_g, p.n_h, p.p_h, p.cl) == (n_g, p_g, n_h, p_h, cl)
             assert (p.n_g + p.p_g, p.n_h + p.p_h) == (from_g, from_h)
 
+    @given(g=multigraphs(max_nodes=5, max_mult=2), policy=st.sampled_from(POLICIES))
+    @settings(max_examples=40)
+    def test_surplus_off_the_cliques_is_the_built_complexs(self, g, policy):
+        x = clique_multicomplex(g, policy)
+        for d in range(5):
+            shapes = Counter(x.grade(d).vertices)
+            assert _surplus(g, d, policy) == sum(n - 1 for n in shapes.values()), d
+
     def test_dimension_zero_rejected(self):
         g = G([1, 2], [(1, 2, "red")])
         with pytest.raises(ValueError):
@@ -191,17 +201,23 @@ class TestValidate:
     @given(multigraphs(max_nodes=5), multigraphs(max_nodes=5))
     @settings(max_examples=30)
     def test_builds_each_complex_once(self, g, h):
+        # only K_{g.h} is built: g's and h's Betti numbers and copies are
+        # read off their graphs
         built = []
 
-        def recording(x, policy=CANONICAL):
+        def recording(x, policy=CANONICAL, dim=None):
             built.append(x)
-            return clique_multicomplex(x, policy)
+            return clique_multicomplex(x, policy, dim)
 
-        with mock.patch.object(multihom.incremental, "clique_multicomplex", recording):
+        with (
+            mock.patch.object(multihom.incremental, "clique_multicomplex", recording),
+            mock.patch.object(multihom.homology, "clique_multicomplex", recording),
+        ):
             report = validate(g, h)
-        assert built == [g, h, merge(g, h)]
-        assert report.params_d1 == extract_params(g, h, 1)
-        assert report.params_d2 == extract_params(g, h, 2)
+            assert built == [merge(g, h)]
+            assert report.params_d1 == extract_params(g, h, 1)
+            assert report.params_d2 == extract_params(g, h, 2)
+        assert built == [merge(g, h)] * 3
 
 
 # -- recorded cases --------------------------------------------------------------------
