@@ -21,10 +21,9 @@ class first met as a merge makes its graph only when something reads
 it, by ``merge`` of the two class graphs that first made it, in block
 order.  beta_0 of a class comes off its key's node set and pairs, so a
 beta_0 trace makes no graph beyond the start's.  A deeper Betti number
-comes from ``homology.clique_betti`` on the class graph: under
-``canonical`` in closed form, with no cell built; under
-``per-combination`` from the (d+1)-skeleton for a trace of beta_d, and
-from the whole complex for whole vectors (``--dot``).  ``--json``
+comes from ``homology.clique_betti`` on the class graph, with no cell
+built under either policy: it counts the (d+1)-skeleton for a trace of
+beta_d, and the whole complex for whole vectors (``--dot``).  ``--json``
 replays the exact layer graphs, whose copy numbering shows there,
 builds their complexes and takes the classes' whole vectors from them.
 
@@ -398,8 +397,8 @@ def build_filtration(
     """Close a start chain under the flow maps and dedup evaluated nodes.
 
     Successors merge one unordered pair of layers at a time.  No complex
-    is built here, and no graph merged: the class table builds a complex
-    when a Betti vector of depth 1 or more is first read, and a class's
+    is built here, and no graph merged: the class table reads a Betti
+    vector off a class's graph when first asked, and makes a class's
     graph when first read.  Nor is any cover: ``covers`` finds them again
     from the nodes when first read.  An unknown policy is refused first.
     """

@@ -71,21 +71,54 @@ in no triangle adds m_e - 1 loops.  beta_2(A) then follows from A's
 Euler characteristic.  The 2-skeletons of the two policies are equal,
 so the beta_1 line holds under ``per-combination`` too.
 
-The rank path stays beside the closed form, and both reduce ranks with
-``_forest`` and ``_pivots``: the closed form adds only the multiplicity
-sums.  ``betti`` is needed for what has no closed form here
-(``per-combination`` above beta_0, and hand-built complexes, which are
-the clique complex of no graph), for callers that hold the complex
-anyway (``merge --emit-complex``, ``filtrate --json``), and as the
-oracle the closed form is tested against.
+Under ``per-combination`` ``clique_betti`` builds no cell either.  It
+ranks the complex itself, with the same forest, pivots and clearing, but
+finds each (d-1)-cell's lowest coface by arithmetic on the cliques and
+the pair multiplicities (``mcomplex._lowest_cofaces``), d >= 2.
+
+Proof.  The d-cells are ordered by sorted clique, and within a clique
+sigma by the rank of their copy assignment.  With sigma's pairs in
+sorted order p_1..p_k of m_1..m_k copies, the cell taking copy b_j on
+p_j is row first(sigma) + sum_j (b_j - 1) W_j, where the mixed-radix
+weight W_j = m_{j+1} ... m_k is positive.  A d-cell (sigma, b) is glued
+to the (d-1)-cell (tau, a) exactly when tau is a face of sigma and b
+agrees with a on tau's pairs.  Every row of a clique comes before every
+row of a later clique, so the lowest coface of (tau, a) lies on
+sigma*, the first d-clique that contains tau.  There b is fixed on tau's
+pairs and free on the pairs through the vertex sigma* adds, and the row
+grows in every digit b_j, so the minimum takes copy 1 on each of those:
+row first(sigma*) + sum over tau's pairs p of (a_p - 1) W_{sigma*}(p).
+A (d-1)-cell in no d-clique has no coface, and its row is zero.  No
+cell names one face twice, since its faces lie on distinct vertex sets.
+A face's cells in copy order take these rows by the block repetition
+the builder uses for face rows.  The face rows of a dimension, the
+builder's own (``mcomplex._face_rows``), are made only where two
+uncleared rows share a lowest coface.
+
+The rank path stays beside both graph routes, and all three reduce
+ranks with ``_forest`` and ``_pivots``: the closed form adds only the
+multiplicity sums, and the ``per-combination`` route differs only in
+where its lowest cofaces come from.  ``betti`` is needed for hand-built
+complexes, which are the clique complex of no graph, for callers that
+hold the complex anyway (``merge --emit-complex``, ``filtrate --json``),
+and as the oracle the graph routes are tested against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence, Set
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .mcomplex import CANONICAL, Multicomplex, check_policy, clique_cells, clique_multicomplex
+from .mcomplex import (
+    CANONICAL,
+    PER_COMBINATION,
+    Cliques,
+    Multicomplex,
+    _face_rows,
+    _lowest_cofaces,
+    check_policy,
+    clique_cells,
+)
 from .mgraph import Multigraph
 from .value import Value
 
@@ -104,6 +137,9 @@ __all__ = [
 ]
 
 BettiVector = tuple[int, ...]
+# a boundary matrix's lowest coface of each row (None if a cell names one
+# face twice), and a thunk that builds its rows: what ``_pivots`` reads
+Cofaces = tuple[dict[int, int] | None, Callable[[], Sequence[int]]]
 
 
 class Gf2Basis:
@@ -181,7 +217,7 @@ def betti(x: Multicomplex) -> BettiVector:
     counts = [x.cell_count(d) for d in range(x.dimension + 1)]
     # the pivots of the first boundary matrix: the spanning forest in row order
     forest = _forest(list(range(x.cell_count(0))), zip(*x.grade(1).faces))
-    return _ranked(counts, forest, lambda d: x.grade(d).faces)
+    return _ranked(counts, forest, lambda d: _by_faces(x.grade(d).faces, counts[d - 1]))
 
 
 def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None) -> BettiVector:
@@ -191,10 +227,11 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
 
     beta_0 alone is ``betti0``'s forest, under either policy and with no
     cell counted.  Deeper vectors are counted against the cell budget as
-    the complex or skeleton would be, and refused as it would be.  Under
-    ``canonical`` they come from S(g) in closed form (see the module
-    docstring) and no cell is built; under ``per-combination`` from the
-    built complex.  An unknown policy is refused at every depth.
+    the complex or skeleton would be, and refused as it would be.  No
+    complex is built: under ``canonical`` they come from S(g) in closed
+    form, under ``per-combination`` from ranks whose lowest cofaces are
+    found by arithmetic (see the module docstring).  An unknown policy is
+    refused at every depth.
     """
     check_policy(policy)
     if dim is not None and dim < 0:
@@ -202,12 +239,13 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
     if dim == 0:
         return betti0(g)
     top = None if dim is None else dim + 1
-    if policy != CANONICAL:
-        return betti(clique_multicomplex(g, policy, top))[:top]
     mult, cliques = clique_cells(g, policy, top)
     if not g.nodes:
         return ()
     pairs = list(mult)  # in g.pairs() order, which numbers S's 1-cells
+    forest = _forest({v: v for v in g.nodes}, pairs)
+    if policy != CANONICAL:
+        return _per_combination_betti(g, mult, cliques, forest)[:top]
     counts = [len(g.nodes)] + [len(pairs)] * bool(pairs)
     counts += [len(cliques[d]) for d in range(2, 2 + len(cliques))]
 
@@ -218,8 +256,7 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
         at = (map(row.__getitem__, combinations(tau, d)) for tau, _ in cliques[d])
         return tuple(zip(*at))
 
-    forest = _forest({v: v for v in g.nodes}, pairs)
-    beta = list(_ranked(counts, forest, faces))
+    beta = list(_ranked(counts, forest, lambda d: _by_faces(faces(d), counts[d - 1])))
     triangles = cliques.get(2, ())
     tight = {p for tau, _ in triangles for p in combinations(tau, 2)}
     if len(beta) > 1:
@@ -229,18 +266,46 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
     return tuple(beta[:top])
 
 
+def _per_combination_betti(
+    g: Multigraph, mult: dict[tuple[int, int], int], cliques: Cliques, forest: list[int]
+) -> BettiVector:
+    """The Betti numbers of g's ``per-combination`` clique complex, from
+    its pair multiplicities ``mult`` and cliques ``cliques`` (as
+    ``clique_cells`` counts them) and S(g)'s spanning forest ``forest``,
+    positions in ``mult``: the first copy of each pair stands for it."""
+    counts = [len(g.nodes)] + [sum(mult.values())] * bool(mult)
+    counts += [sum(n for _, n in cliques[d]) for d in range(2, 2 + len(cliques))]
+    first = list(accumulate(mult.values(), initial=0))
+
+    def cofaces(d: int) -> Cofaces:
+        def rows() -> list[int]:
+            return coboundary_rows(_face_rows(g, PER_COMBINATION, mult, cliques, d), counts[d - 1])
+
+        return _lowest_cofaces(mult, cliques, d), rows
+
+    return _ranked(counts, [first[k] for k in forest], cofaces)
+
+
+def _by_faces(faces: Sequence[Sequence[int]], below: int) -> Cofaces:
+    """The lowest cofaces of a boundary matrix of dimension d >= 2 given
+    as its d-cells' face rows over ``below`` (d-1)-cells, and a thunk for
+    its rows."""
+    return _lowest_cofaces_of_rows(faces, len(faces[0])), lambda: coboundary_rows(faces, below)
+
+
 def _ranked(
     counts: Sequence[int],
     forest: Sequence[int],
-    faces: Callable[[int], Sequence[Sequence[int]]],
+    cofaces: Callable[[int], Cofaces],
 ) -> BettiVector:
     """beta_0..beta_D of a complex with ``counts[d]`` cells of dimension
-    d, the first boundary matrix's pivots ``forest`` and the d-cells'
-    face rows ``faces(d)`` for d >= 2, read in ascending d."""
+    d, the first boundary matrix's pivots ``forest`` and, for d >= 2,
+    ``cofaces(d)``: the d-th boundary's lowest cofaces and a thunk for
+    its rows, as ``_pivots`` takes them, read in ascending d."""
     pivots: Set[int] = set(forest)
     ranks = [0, len(pivots)] + [0] * len(counts)
     for d in range(2, len(counts)):
-        pivots = _pivots(faces(d), counts[d - 1], pivots)
+        pivots = _pivots(*cofaces(d), pivots)
         ranks[d] = len(pivots)
     return tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(counts))
 
@@ -275,35 +340,37 @@ def _forest(parent: list[int] | dict[int, int], links: Iterable[tuple[int, int]]
     return kept
 
 
-def _pivots(faces: Sequence[Sequence[int]], below: int, cleared: Set[int]) -> Set[int]:
-    """Pivots of the row space of a boundary matrix of dimension d >= 2,
-    given as its d-cells' face rows (one list per face position) over
-    ``below`` (d-1)-cells, from its rows not in ``cleared``.  Rows are
-    built only if two rows share a lowest coface."""
-    low = _lowest_cofaces(faces, len(faces[0]))
+def _pivots(
+    low: dict[int, int] | None, rows: Callable[[], Sequence[int]], cleared: Set[int]
+) -> Set[int]:
+    """Pivots of the row space of a boundary matrix of dimension d >= 2
+    from its rows not in ``cleared``, given each row's lowest coface
+    ``low`` (rows with none left out; None if a cell repeats a face) and
+    ``rows``, which builds the rows.  Rows are built only if two rows
+    share a lowest coface, or if ``low`` is None."""
     if low is None:  # a cell repeats a face: reduce every row
         basis = Gf2Basis()
-        for i, row in enumerate(coboundary_rows(faces, below)):
+        for i, row in enumerate(rows()):
             if i not in cleared:
                 basis.add(row)
         return {p.bit_length() - 1 for p in basis.pivots}
     taken: dict[int, int] = {}  # pivot -> row, for the rows kept by index alone
-    rows: list[int] | None = None
+    built: Sequence[int] | None = None
     for i, j in low.items():
         if i in cleared:
             continue
-        if rows is None:
+        if built is None:
             if j not in taken:
                 taken[j] = i
                 continue
-            rows = coboundary_rows(faces, below)
+            built = rows()
             basis = Gf2Basis()
-            basis.pivots = {1 << p: rows[r] for p, r in taken.items()}
-        basis.add(rows[i])
-    return taken.keys() if rows is None else {p.bit_length() - 1 for p in basis.pivots}
+            basis.pivots = {1 << p: built[r] for p, r in taken.items()}
+        basis.add(built[i])
+    return taken.keys() if built is None else {p.bit_length() - 1 for p in basis.pivots}
 
 
-def _lowest_cofaces(faces: Sequence[list[int]], n: int) -> dict[int, int] | None:
+def _lowest_cofaces_of_rows(faces: Sequence[list[int]], n: int) -> dict[int, int] | None:
     """Each (d-1)-row's lowest coface: the smallest of the n d-cells whose
     face lists name it, for every row some cell names.  None if a cell is
     found naming a row at two face positions, as it always is when that

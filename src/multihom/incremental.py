@@ -8,9 +8,9 @@ Betti vector.  The merge parameters classify cells the same way, per
 dimension and side, but as rank differences, so no cell order enters:
 the merged complex's full ranks come off its Betti vector, and only
 each side's base cells are reduced.  K_{g.h} is the one complex built
-here: each operand's Betti numbers come from ``clique_betti`` (which
-builds no cell under ``canonical``) and its parallel copies from the
-clique counts of ``clique_cells``.
+here: each operand's Betti numbers come from ``clique_betti``, which
+builds no cell, and its parallel copies from its pair multiplicities or
+the clique counts of ``clique_cells``.
 
 ``formula_beta1``/``formula_beta2`` are transcriptions of a closed-form
 conjecture for the Betti numbers of a merge.  They are implemented
@@ -169,11 +169,15 @@ def extract_params(
 
 def _surplus(x: Multigraph, e: int, policy: str) -> int:
     """Parallel copies at dimension e of x's clique complex beyond one per
-    vertex set, counted off its cliques: sum of (m - 1) over pairs at
-    e = 1, of (n - 1) over the e-cliques of n cells above that."""
-    mult, cliques = clique_cells(x, policy, e)
-    counts = mult.values() if e == 1 else [n for _, n in cliques.get(e, ())]
-    return sum(n - 1 for n in counts)
+    vertex set: none at e = 0, the sum of (m - 1) over pairs at e = 1,
+    and of (n - 1) over the e-cliques of n cells above that, counted off
+    ``clique_cells``."""
+    if e == 0:
+        return 0
+    if e == 1:
+        return sum(m - 1 for m in x.multiplicities().values())
+    _, cliques = clique_cells(x, policy, e)
+    return sum(n - 1 for _, n in cliques.get(e, ()))
 
 
 def _extract(
@@ -191,7 +195,7 @@ def _extract(
     tags = _provenance(km, g, h)
     tags += [[]] * (max(dims) + 2 - len(tags))  # no cells above km's dimension
     # the d-columns serve n/p at d and cl at d - 1
-    columns = {e: _columns(km, e) for d in dims for e in (d, d + 1)}
+    columns = {e: _columns(km, e) for e in {e for d in dims for e in (d, d + 1)}}
     # r_e = rank of km's e-th boundary, off its Betti vector:
     # beta_e = c_e - r_e - r_{e+1}, with r_0 = 0 and r_e = 0 above km's dimension
     ranks = [0]

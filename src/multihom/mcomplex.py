@@ -26,7 +26,11 @@ its clique's first row plus the rank of the restricted assignment.  One
 table per dimension says which pairs each face position omits, and a
 face's rows over its clique's cells grow from its first row, last pair
 first: a pair the face omits repeats the block, one it keeps appends it
-shifted by each further copy's rank step.
+shifted by each further copy's rank step.  Read the other way, the same
+steps give ``homology.clique_betti`` each cell's lowest coface under
+``per-combination`` with no face row built (``_lowest_cofaces``): a
+cell's lowest coface lies on the first clique above it, and the cells of
+a face take that clique's rank steps on the face's own pairs.
 ``Multicell`` is the value type of one cell; ``cells``, ``find`` and
 ``all_cells`` build it on demand as a view of a row, and
 ``Multicomplex.from_cells`` is the door for hand-built cells, which it
@@ -559,57 +563,122 @@ def clique_multicomplex(
                 [color for p in mult for color in g.colors(p)],
             )
         )
-    # each shape's first row, one dimension down
-    first = dict(zip(mult, itertools.accumulate(mult.values(), initial=0)))
-
     for d in range(2, max(cliques, default=1) + 1):
-        single = d >= 3 and policy == CANONICAL
         vertices, copies = [], []
-        faces = tuple([] for _ in range(d + 1))
-        below_first, first = first, {}
-        # faces are lexicographic (so in sorted face order) and face k omits
-        # vertex d - k: omits[k][j] says whether face k omits pair j
-        positions = list(itertools.combinations(range(d + 1), 2))
-        omits = [[d - k in p for p in positions] for k in range(d + 1)]
         for tau, n in cliques[d]:  # tau is sorted, and cliques come sorted
-            first[tau] = len(copies)
             vertices += [tau] * n
             copies += range(1, n + 1)
-            bases = map(below_first.__getitem__, itertools.combinations(tau, d))
-            if n == 1 and (not single or d >= 4):
-                # one cell, or a single cell whose faces are single cells
-                for rows, base in zip(faces, bases):
-                    rows.append(base)
-                continue
-            # a face's copy is the rank of the restricted assignment, the last
-            # pair least significant: walk the pairs of several copies from it
-            pairs = list(itertools.combinations(tau, 2))
-            doubled = [(j, r) for j in reversed(range(len(pairs))) if (r := mult[pairs[j]]) > 1]
-            for rows, base, skip in zip(faces, bases, omits):
-                stride = 1
-                if single:
-                    # a canonical 3-cell is glued along each pair's copy first
-                    # in (colour, copy) order, which re-indexing copies keeps
-                    for j, r in doubled:
-                        if not skip[j]:
-                            colors = g.colors(pairs[j])
-                            base += colors.index(min(colors)) * stride
-                            stride *= r
-                    rows.append(base)
-                    continue
-                # the face's row under each of the clique's cells, in cell order
-                block = [base]
-                for j, r in doubled:
-                    if skip[j]:
-                        block *= r
-                    else:
-                        head = block[:]
-                        for t in range(stride, r * stride, stride):
-                            block += map(add, head, itertools.repeat(t))
-                        stride *= r
-                rows += block
+        faces = _face_rows(g, policy, mult, cliques, d)
         grades.append(Grade(grades[-1], vertices, copies, faces))
     return Multicomplex(g.palette, tuple(grades), policy)
+
+
+def _first_rows(
+    mult: Mapping[tuple[int, int], int], cliques: Cliques, d: int
+) -> dict[tuple[int, ...], int]:
+    """Each d-clique's first row in grade d >= 1: its cells are the rows
+    from there, one per copy."""
+    counts = mult if d == 1 else dict(cliques[d])
+    return dict(zip(counts, itertools.accumulate(counts.values(), initial=0)))
+
+
+def _omitted_pairs(d: int) -> list[list[bool]]:
+    """For a d-clique's faces in lexicographic order (face k omits vertex
+    d - k), whether face k omits the clique's j-th pair."""
+    positions = list(itertools.combinations(range(d + 1), 2))
+    return [[d - k in p for p in positions] for k in range(d + 1)]
+
+
+def _doubled(
+    mult: Mapping[tuple[int, int], int], pairs: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """(j, m) for a clique's j-th pair of m > 1 copies, last pair first:
+    the digits of a copy rank, least significant first."""
+    return [(j, m) for j in reversed(range(len(pairs))) if (m := mult[pairs[j]]) > 1]
+
+
+def _spread(block: list[int], r: int, step: int) -> None:
+    """Grow ``block`` by a digit of radix r above its own: append r - 1
+    copies of it, the t-th shifted by t * step."""
+    head = block[:]
+    for t in range(step, r * step, step):
+        block += map(add, head, itertools.repeat(t))
+
+
+def _face_rows(
+    g: Multigraph, policy: str, mult: Mapping[tuple[int, int], int], cliques: Cliques, d: int
+) -> tuple[list[int], ...]:
+    """The d-cells' face rows, one list per face position, for g's clique
+    complex with pair multiplicities ``mult`` and cliques ``cliques`` (as
+    ``clique_cells`` counts them), d >= 2: a face's row is its clique's
+    first row plus the rank of the restricted assignment."""
+    single = d >= 3 and policy == CANONICAL
+    below_first = _first_rows(mult, cliques, d - 1)
+    omits = _omitted_pairs(d)
+    faces = tuple([] for _ in range(d + 1))
+    for tau, n in cliques[d]:
+        bases = map(below_first.__getitem__, itertools.combinations(tau, d))
+        if n == 1 and (not single or d >= 4):
+            # one cell, or a single cell whose faces are single cells
+            for rows, base in zip(faces, bases):
+                rows.append(base)
+            continue
+        # a face's copy is the rank of the restricted assignment, the last
+        # pair least significant: walk the pairs of several copies from it
+        pairs = list(itertools.combinations(tau, 2))
+        doubled = _doubled(mult, pairs)
+        for rows, base, skip in zip(faces, bases, omits):
+            stride = 1
+            if single:
+                # a canonical 3-cell is glued along each pair's copy first
+                # in (colour, copy) order, which re-indexing copies keeps
+                for j, r in doubled:
+                    if not skip[j]:
+                        colors = g.colors(pairs[j])
+                        base += colors.index(min(colors)) * stride
+                        stride *= r
+                rows.append(base)
+                continue
+            # the face's row under each of the clique's cells, in cell order
+            block = [base]
+            for j, r in doubled:
+                if skip[j]:
+                    block *= r
+                else:
+                    _spread(block, r, stride)
+                    stride *= r
+            rows += block
+    return faces
+
+
+def _lowest_cofaces(
+    mult: Mapping[tuple[int, int], int], cliques: Cliques, d: int
+) -> dict[int, int]:
+    """Under ``per-combination``, each (d-1)-cell's lowest coface, d >= 2:
+    row -> the smallest d-cell row glued to it, for every (d-1)-cell in
+    some d-clique, by arithmetic and with no face row built.  The lowest
+    coface of (tau, a) lies on the first d-clique sigma that contains tau
+    and takes copy 1 on sigma's other pairs: sigma's first row plus a's
+    digits at sigma's rank weights (``homology`` has the proof)."""
+    below_first = _first_rows(mult, cliques, d - 1)
+    omits = _omitted_pairs(d)
+    low: dict[int, int] = {}
+    row = 0  # sigma's first row
+    for sigma, n in cliques[d]:
+        doubled = _doubled(mult, list(itertools.combinations(sigma, 2)))
+        for tau, skip in zip(itertools.combinations(sigma, d), omits):
+            base = below_first.pop(tau, None)
+            if base is None:  # a lower clique holds tau's lowest cofaces
+                continue
+            # tau's cells in copy order take sigma's rank weights on its pairs
+            block, weight = [row], 1
+            for j, r in doubled:
+                if not skip[j]:
+                    _spread(block, r, weight)
+                weight *= r
+            low.update(zip(range(base, base + len(block)), block))
+        row += n
+    return low
 
 
 def cell_coloring(x: Multicomplex, c: Multicell) -> tuple[str, ...]:

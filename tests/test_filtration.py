@@ -13,7 +13,7 @@ from hypothesis import given
 
 import multihom.chainlat
 import multihom.filtration
-import multihom.homology
+import multihom.mcomplex
 from multihom import (
     CANONICAL,
     PER_COMBINATION,
@@ -248,7 +248,7 @@ def _workspace_cases():
 @pytest.fixture
 def built(monkeypatch) -> list[tuple[Multigraph, str, int | None]]:
     """Records (graph, policy, dim) of each complex built where the
-    filtration and the class table's ``clique_betti`` build them."""
+    filtration builds them, or through ``mcomplex``."""
     calls = []
 
     def recording(g, policy=CANONICAL, dim=None):
@@ -256,7 +256,7 @@ def built(monkeypatch) -> list[tuple[Multigraph, str, int | None]]:
         return clique_multicomplex(g, policy, dim)
 
     monkeypatch.setattr(multihom.filtration, "clique_multicomplex", recording)
-    monkeypatch.setattr(multihom.homology, "clique_multicomplex", recording)
+    monkeypatch.setattr(multihom.mcomplex, "clique_multicomplex", recording)
     return calls
 
 
@@ -280,28 +280,19 @@ class TestLayerMemo:
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_each_layer_graph_built_once(self, path, policy, built):
-        # build_filtration builds nothing; under per-combination the class
-        # table builds when a node's Betti vector is first read, and under
-        # canonical it reads the vector off the class graph
+        # build_filtration builds nothing, and under either policy the class
+        # table reads each node's Betti vector off its class graphs
         ws = load_workspace(path)
         p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
         assert built == []
         for n in p.nodes:
             assert n.betti
-        if policy == CANONICAL:
-            assert built == []
-            return
-        inputs = [(g.nodes, g.edges, dim) for g, _, dim in built]
-        assert inputs
-        assert len(set(inputs)) == len(inputs)
-        assert len(inputs) < sum(len(n.layers) for n in p.nodes)
+        assert built == []
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_one_build_per_graph_class(self, path, policy, built):
-        # per depth: none for a beta_0 trace, which reads the class graphs,
-        # and none at all under canonical; under per-combination the
-        # (d+1)-skeleton for a beta_d trace, d >= 1, and the whole complex
-        # for whole vectors, each read twice
+        # none at any depth under either policy: every trace and whole
+        # vector, each read twice, is read off the class graphs
         ws = load_workspace(path)
         p = build_filtration(parse_chain(ws.chain_text), ws.env(), policy)
         for _ in range(2):
@@ -309,25 +300,16 @@ class TestLayerMemo:
                 betti_trace(p, dim)
             for n in p.nodes:
                 assert n.betti
-        if policy == CANONICAL:
-            assert built == []
-            return
-        classes = {g for n in p.nodes for g in n.layers}
-        assert {dim for _, _, dim in built} == {2, 3, None}
-        for top in (2, 3, None):
-            graphs = [g for g, _, dim in built if dim == top]
-            assert len(graphs) == len(classes), top
-            assert set(graphs) == classes, top
+        assert built == []
 
     @pytest.mark.parametrize("dim", (0, 1, 2))
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_text_trace_builds_only_the_skeletons_it_reads(
         self, path, policy, dim, built, monkeypatch, capsys
     ):
-        # beta_0 is read off the class graphs, so --dim 0 builds no complex,
-        # and under canonical neither does any deeper beta_d; under
-        # per-combination beta_d, d >= 1, builds each class's
-        # (d+1)-skeleton once.  The text trace reads no cover, so none is built.
+        # every beta_d is read off the class graphs, so no --dim builds a
+        # complex under either policy.  The text trace reads no cover, so
+        # none is built.
         posets = []
 
         def keeping(*args):
@@ -340,13 +322,7 @@ class TestLayerMemo:
         assert capsys.readouterr().out
         (p,) = posets
         assert "covers" not in vars(p)
-        if dim == 0 or policy == CANONICAL:
-            assert built == []
-        else:
-            classes = {g for n in p.nodes for g in n.layers}
-            assert {d for _, _, d in built} == {dim + 1}
-            assert len(built) == len(classes)
-            assert {g for g, _, _ in built} == classes
+        assert built == []
 
     @pytest.mark.parametrize("path, policy", _workspace_cases())
     def test_text_beta0_trace_merges_and_makes_no_graph(self, path, policy, monkeypatch, capsys):

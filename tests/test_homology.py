@@ -27,6 +27,7 @@ from multihom import (
     boundary_squares_to_zero,
     cell_budget,
     clique_betti,
+    clique_cells,
     clique_multicomplex,
     coboundary_rows,
     euler_characteristic,
@@ -267,6 +268,7 @@ class TestClearing:
         )
         assert betti(x) == expected
         assert replay_betti(x) == expected
+        assert clique_betti(g, PER_COMBINATION) == expected
 
     def test_doubled_k6_closed_form_in_seconds(self):
         # cells per dimension 6/30/160/960/6,144/32,768; reducing the
@@ -282,6 +284,7 @@ class TestClearing:
         assert beta == (1, 0, 0, 0, 0, 27449)
         assert beta == complete_multigraph_betti(dict.fromkeys(pairs, 2))
         assert elapsed < 5.0, f"betti took {elapsed:.1f} s"
+        assert clique_betti(g, PER_COMBINATION) == beta
 
 
 def sparse_graph(rng: random.Random) -> Multigraph:
@@ -421,15 +424,16 @@ class TestCliqueBetti:
         k5 = [(u, v, "red", 2) for u, v in itertools.combinations(range(1, 6), 2)]
         g = G(range(1, 8), k5 + [(5, 6, "black"), (6, 7, "blue", 3)])
         top = None if dim is None else dim + 1
-        total = len(clique_multicomplex(g, CANONICAL, top).all_cells())
-        with cell_budget(total - 1):
-            with pytest.raises(CellBudgetExceeded) as built:
-                clique_multicomplex(g, CANONICAL, top)
-            with pytest.raises(CellBudgetExceeded) as read:
-                clique_betti(g, CANONICAL, dim)
-        assert str(read.value) == str(built.value)
-        with cell_budget(total):
-            assert clique_betti(g, CANONICAL, dim) == rank_path(g, CANONICAL, dim)
+        for policy in POLICIES:
+            total = len(clique_multicomplex(g, policy, top).all_cells())
+            with cell_budget(total - 1):
+                with pytest.raises(CellBudgetExceeded) as built:
+                    clique_multicomplex(g, policy, top)
+                with pytest.raises(CellBudgetExceeded) as read:
+                    clique_betti(g, policy, dim)
+            assert str(read.value) == str(built.value)
+            with cell_budget(total):
+                assert clique_betti(g, policy, dim) == rank_path(g, policy, dim)
 
     @pytest.mark.parametrize(
         "g", [Multigraph.empty(PALETTE), doubled(3)], ids=["nodeless", "doubled-K3"]
@@ -443,7 +447,7 @@ class TestCliqueBetti:
         def spy(*args, **kwargs):
             raise AssertionError("the Betti numbers were computed")
 
-        for name in ("betti0", "clique_cells", "clique_multicomplex"):
+        for name in ("betti0", "clique_cells", "_lowest_cofaces", "_face_rows"):
             monkeypatch.setattr(homology, name, spy)
         with pytest.raises(ValueError) as read:
             clique_betti(g, "bogus", dim)
@@ -454,17 +458,95 @@ class TestCliqueBetti:
             clique_betti(doubled(3), CANONICAL, -1)
 
     def test_betti_verb_builds_no_complex_under_canonical(self, monkeypatch, capsys):
+        # nor under per-combination, whose ranks find lowest cofaces by arithmetic
         def spy(*args, **kwargs):
             raise AssertionError("a complex was built or reduced")
 
-        for module in (mcomplex, homology, filtration):
+        for module in (mcomplex, filtration):
             monkeypatch.setattr(module, "clique_multicomplex", spy)
         monkeypatch.setattr(homology, "betti", spy)
         argv = ["--workspace", str(REPO_ROOT / "tests" / "data" / "sharing_k5.json")]
-        assert main([*argv, "betti", "G . K | H . L . M"]) == EXIT_OK
-        assert "betti (" in capsys.readouterr().out
-        with pytest.raises(AssertionError, match="was built"):
-            main([*argv, "--policy", PER_COMBINATION, "betti", "G . K | H . L . M"])
+        for policy in POLICIES:
+            assert main([*argv, "--policy", policy, "betti", "G . K | H . L . M"]) == EXIT_OK
+            assert "betti (" in capsys.readouterr().out
+
+
+FOUR_CYCLE_INTO_A_TRIANGLE = [
+    (1, 2, "red"), (1, 2, "black"), (1, 3, "red"), (2, 4, "red"),
+    (3, 4, "red"), (3, 5, "red"), (4, 5, "red"),
+]
+DOUBLED_K4_AT_5 = [(u, v, "blue", 2) for u, v in itertools.combinations(range(5, 9), 2)]
+
+
+class TestCofacesByArithmetic:
+    """Under ``per-combination`` ``clique_betti`` finds each row's lowest
+    coface by arithmetic and builds a dimension's face rows only where two
+    uncleared rows share one; no complex is built."""
+
+    @given(multigraphs(max_nodes=5))
+    def test_match_the_lowest_cofaces_of_the_built_face_rows(self, g):
+        with cell_budget(20_000):
+            try:
+                x = clique_multicomplex(g, PER_COMBINATION)
+            except CellBudgetExceeded:
+                return
+        mult, cliques = clique_cells(g, PER_COMBINATION)
+        for d in range(2, x.dimension + 1):
+            faces = x.grade(d).faces
+            expected = homology._lowest_cofaces_of_rows(faces, x.cell_count(d))
+            assert mcomplex._lowest_cofaces(mult, cliques, d) == expected, d
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([None, 1, 2, 3]))
+    def test_matches_replay_on_the_built_complex(self, seed, dim):
+        # replay_betti shares no rank code with the route
+        g = random_multigraph(random.Random(seed), 7, 3, PALETTE)
+        top = None if dim is None else dim + 1
+        with cell_budget(3_000):
+            try:
+                beta = clique_betti(g, PER_COMBINATION, dim)
+            except CellBudgetExceeded:
+                with pytest.raises(CellBudgetExceeded):
+                    clique_multicomplex(g, PER_COMBINATION, top)
+                return
+            assert beta == replay_betti(clique_multicomplex(g, PER_COMBINATION, top))[:top]
+
+    @pytest.mark.parametrize(
+        "g, expected, shared",
+        [
+            # 3-4 and 4-5 close cycles and both first meet triangle 345
+            (G(range(1, 9), FOUR_CYCLE_INTO_A_TRIANGLE + DOUBLED_K4_AT_5), (1, 2, 0, 41), 2),
+            (
+                G(
+                    [1, 4, 5, 7, 8],
+                    [(1, 5, "red"), (1, 8, "red"), (4, 5, "red"), (4, 7, "red")]
+                    + [(4, 8, "red"), (5, 7, "red", 2), (5, 8, "red", 2), (7, 8, "red", 3)],
+                ),
+                (1, 0, 1, 0),
+                3,
+            ),
+        ],
+        ids=["shared-at-2", "shared-at-3"],
+    )
+    def test_face_rows_only_where_two_rows_share_a_lowest_coface(
+        self, g, expected, shared, monkeypatch
+    ):
+        dims = []
+        build = homology._face_rows
+
+        def recording(g, policy, mult, cliques, d):
+            dims.append(d)
+            return build(g, policy, mult, cliques, d)
+
+        def spy(*args, **kwargs):
+            raise AssertionError("a complex was built or reduced")
+
+        monkeypatch.setattr(homology, "_face_rows", recording)
+        monkeypatch.setattr(mcomplex, "clique_multicomplex", spy)
+        monkeypatch.setattr(homology, "betti", spy)
+        assert clique_betti(g, PER_COMBINATION) == expected
+        assert dims == [shared]
+        monkeypatch.undo()
+        assert replay_betti(clique_multicomplex(g, PER_COMBINATION)) == expected
 
 
 # -- global invariants ---------------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import multihom.homology
 import multihom.incremental
+import multihom.mcomplex
 from multihom import (
     KNOWN_CASES,
     CANONICAL,
@@ -211,7 +211,7 @@ class TestValidate:
 
         with (
             mock.patch.object(multihom.incremental, "clique_multicomplex", recording),
-            mock.patch.object(multihom.homology, "clique_multicomplex", recording),
+            mock.patch.object(multihom.mcomplex, "clique_multicomplex", recording),
         ):
             report = validate(g, h)
             assert built == [merge(g, h)]

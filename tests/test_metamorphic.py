@@ -13,9 +13,13 @@ Hypothesis picks the seed and the bijection.
   ``incremental G H`` with the g and h fields swapped.
 - Node and palette bijections: Betti vectors are unchanged under both
   policies.
+- Disjoint union: with h's nodes renamed apart from g's, the Betti vector
+  of g.h is the sum of g's and h's, under both policies.
+- An isolated node adds 1 to beta_0 and nothing else, under both policies.
 
 The ``incremental`` relations run through ``cli.main`` on a workspace
-holding the pair.  Under ``canonical`` the d = 2 ledger keeps neither: a
+holding the pair, and the union and isolated-node relations through both
+library calls and ``cli.main``'s ``betti``.  Under ``canonical`` the d = 2 ledger keeps neither: a
 ``canonical`` cell above dimension 2 is glued along each pair's first
 copy in colour order, so colour names and operand order decide whether a
 merged 3-cell is g's, h's or interaction-created, and ``cl`` follows
@@ -40,6 +44,7 @@ from multihom import (
     POLICIES,
     Multigraph,
     betti,
+    betti_sum,
     clique_betti,
     clique_multicomplex,
     merge,
@@ -90,6 +95,19 @@ def incremental_json(g: Multigraph, h: Multigraph, policy: str, left="G", right=
     return json.loads(out.getvalue())
 
 
+def betti_json(g: Multigraph, h: Multigraph, policy: str) -> list[int]:
+    """``betti 'G . H' --json``'s vector on a workspace binding G to g and H to h."""
+    graphs = {"G": g.to_json_dict(), "H": h.to_json_dict()}
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pair.json"
+        path.write_text(json.dumps({"colors": list(PALETTE), "graphs": graphs}))
+        argv = ["--workspace", str(path), "--json", "--policy", policy]
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "betti", "G . H"]) == EXIT_OK
+    return json.loads(out.getvalue())["betti"]
+
+
 def sides_swapped(report: dict) -> dict:
     """A report dict with every g field and its h field exchanged."""
     params = {
@@ -138,6 +156,27 @@ def test_betti_vectors_ignore_node_and_palette_bijections(seed, nodes, colours):
             got = [clique_betti(x, policy) for x in (a, b, merge(a, b))]
             assert got == expected, (policy, renamed)
             assert betti(clique_multicomplex(merge(a, b), policy)) == merged, (policy, renamed)
+
+
+@given(seed=SEEDS)
+def test_a_disjoint_union_adds_the_betti_vectors(seed):
+    g, h = draw(seed)
+    apart = relabel(h, node=lambda v: v + len(UNIVERSE))
+    for policy in POLICIES:
+        expected = betti_sum([clique_betti(g, policy), clique_betti(h, policy)])
+        assert clique_betti(merge(g, apart), policy) == expected, policy
+        assert betti_json(g, apart, policy) == list(expected), policy
+
+
+@given(seed=SEEDS)
+def test_an_isolated_node_adds_one_to_beta0_alone(seed):
+    g, _ = draw(seed)
+    point = Multigraph.build([0], [], PALETTE)  # 0 lies outside the node universe
+    for policy in POLICIES:
+        beta0, *rest = clique_betti(g, policy) or (0,)
+        expected = (beta0 + 1, *rest)
+        assert clique_betti(merge(g, point), policy) == expected, policy
+        assert betti_json(g, point, policy) == list(expected), policy
 
 
 def test_canonical_operand_swap_breaks_only_on_the_recorded_seeds():
