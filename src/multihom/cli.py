@@ -163,7 +163,11 @@ def cmd_filtrate(args) -> int:
         print(poset.to_dot())
         return EXIT_OK
     if args.json:
-        print(json.dumps(poset.to_json_dict(), indent=2))
+        # streamed in batches: dumps joins it all, a write per chunk is slow
+        chunks = json.JSONEncoder(indent=2).iterencode(poset.to_json_dict())
+        for batch in iter(lambda: "".join(itertools.islice(chunks, 8192)), ""):
+            sys.stdout.write(batch)
+        print()
         return EXIT_OK
     lines = [f"interaction filtration of {x.text()} ({len(poset.nodes)} nodes)"]
     lines += [

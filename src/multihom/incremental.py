@@ -4,13 +4,28 @@
 closes a d-cycle (beta_d += 1) or caps one below (beta_{d-1} -= 1).
 Replaying every cell of a complex through it, with the closes-cycle
 question answered by a GF(2) rank oracle, lands exactly on the direct
-Betti vector.  The merge parameters classify cells the same way, per
-dimension and side, but as rank differences, so no cell order enters:
-the merged complex's full ranks come off its Betti vector, and only
-each side's base cells are reduced.  K_{g.h} is the one complex built
-here: each operand's Betti numbers come from ``clique_betti``, which
-builds no cell, and its parallel copies from its pair multiplicities or
-the clique counts of ``clique_cells``.
+Betti vector.
+
+The merge parameters classify the cells of K_{g.h} the same way, per
+dimension and side, as rank differences, so no cell order enters.  With
+c_e(x) the e-cells of K_x and r_e(x) the rank of its e-th boundary,
+r_0 = 0 and r_{e+1} = c_e - beta_e - r_e, so ranks come off cell counts
+(``clique_cells``) and Betti vectors (``clique_betti``), and no cell is
+built here.  A cell of K_{g.h} is g's, h's or new by where its copies
+come from.  Under ``per-combination`` a cell is a clique with one copy
+per pair, and ``merge`` keeps g's copy indices and shifts h's by g's
+multiplicities, so g's cells are a copy of K_g and h's of K_h, sharing
+no cell above dimension 0.  So for d >= 1 h's d-cells have rank r_d(h)
+in K_{g.h}, and g's and h's (d+1)-cells, on disjoint faces, have rank
+r_{d+1}(g) + r_{d+1}(h): each tagged count of ``extract_params`` is a
+difference of the three graphs' ranks and cell counts.  The policies'
+2-skeletons are equal (the ``homology`` docstring), so this holds under
+``canonical`` at d = 1, and for n, p and dup at d = 2.  Above dimension
+2 ``canonical`` cells are glued along first copies in colour order as
+the simplices of S(x), the clique complex of x's simple graph.  One is
+g's or h's when its clique lies in S(g) or S(h), so n and p are the same
+differences, but g's and h's cells can share faces or be one cell, so
+cl ranks them together.  No reading depends on colours or operand order.
 
 ``formula_beta1``/``formula_beta2`` are transcriptions of a closed-form
 conjecture for the Betti numbers of a merge.  They are implemented
@@ -27,8 +42,8 @@ import json
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NegativeBetti
-from .homology import BettiVector, Gf2Basis, betti, boundary_matrix, clique_betti
-from .mcomplex import CANONICAL, Multicomplex, clique_cells, clique_multicomplex
+from .homology import BettiVector, Gf2Basis, boundary_matrix, clique_betti
+from .mcomplex import CANONICAL, Cliques, Multicomplex, clique_cells
 from .mgraph import Multigraph, merge
 
 __all__ = [
@@ -68,18 +83,14 @@ def incremental_step(beta: BettiVector, d: int, closes_cycle: bool) -> BettiVect
     return tuple(out)
 
 
-def _columns(x: Multicomplex, d: int) -> tuple[int, ...]:
-    """Boundary columns of the d-cells; 0-cells have the zero column."""
-    return boundary_matrix(x, d).columns if d >= 1 else (0,) * x.cell_count(0)
-
-
 def replay_betti(x: Multicomplex) -> BettiVector:
     """Add every cell in canonical order through incremental_step, with
-    cycle classification by incremental GF(2) rank."""
+    cycle classification by incremental GF(2) rank (a 0-cell's boundary
+    column is zero)."""
     beta: BettiVector = ()
     for d in range(x.dimension + 1):
         basis = Gf2Basis()
-        for col in _columns(x, d):
+        for col in boundary_matrix(x, d).columns if d else (0,) * x.cell_count(0):
             grew = basis.add(col)
             beta = incremental_step(beta, d, closes_cycle=not grew)
     return beta + (0,) * (x.dimension + 1 - len(beta))
@@ -118,29 +129,6 @@ def formula_beta2(p: IncrementalParams) -> int:
     )
 
 
-def _provenance(x: Multicomplex, g: Multigraph, h: Multigraph) -> list[list[str]]:
-    """Each cell's tag, per dimension in row order: 'g' / 'h' for cells
-    made purely of one operand's material, 'shared' for nodes both own,
-    'new' for interaction-created mixed cells.  Above dimension 1 every
-    pair of a cell lies in one of its faces, so the faces' tags decide."""
-    tags = [
-        [
-            "shared" if v in g.nodes and v in h.nodes else "g" if v in g.nodes else "h"
-            for (v,) in x.grade(0).vertices
-        ],
-        ["g" if copy <= g.multiplicity(p) else "h" for p, copy in x.grade(1).keys()],
-    ]
-    for grade in x.grades[2:]:
-        below = tags[-1]
-        tags.append(
-            [
-                sides.pop() if len(sides) == 1 else "new"
-                for sides in ({below[r] for r in rows} for rows in grade.face_rows())
-            ]
-        )
-    return tags
-
-
 def extract_params(
     g: Multigraph, h: Multigraph, d: int, policy: str = CANONICAL
 ) -> IncrementalParams:
@@ -155,11 +143,15 @@ def extract_params(
 
     An arriving d-cell caps a (d-1)-cycle exactly when it raises the rank,
     and closes a d-cycle otherwise, so the counts do not depend on the
-    order of the cells, and each is a rank difference.  With r_d the rank of
-    K_{g.h}'s d-th boundary: p_g = r_d - rank(h's d-columns), n_g = (the
-    arriving d-cells) - p_g, and cl = r_{d+1} - rank(the (d+1)-columns not
-    interaction-created).  This is the per-cell classification of
-    Delfinado & Edelsbrunner's incremental algorithm (CAGD 1995).
+    order of the cells: this is the per-cell classification of Delfinado
+    & Edelsbrunner's incremental algorithm (CAGD 1995).  With m = g.h and
+    r, c as in the module docstring, each is read off three graphs:
+
+        p_g = r_d(m) - r_d(h),   n_g = c_d(m) - c_d(h) - p_g   (h's alike)
+        cl = r_{d+1}(m) - r_{d+1}(g) - r_{d+1}(h)
+
+    except that under ``canonical`` at d >= 2 cl is r_{d+1}(m) less the
+    rank of g's and h's (d+1)-cells taken together.
     """
     if d < 1:
         raise ValueError(f"extraction is defined for d >= 1, got {d}")
@@ -180,59 +172,58 @@ def _surplus(x: Multigraph, e: int, policy: str) -> int:
     return sum(n - 1 for _, n in cliques.get(e, ()))
 
 
+def _ranks(x: Multigraph, policy: str, top: int) -> tuple[list[int], list[int], list[int], Cliques]:
+    """x's Betti numbers and cell counts to dimension ``top``, its
+    boundary ranks r_0..r_{top+1}, zero above its dimension, and its
+    cliques: one ``clique_cells`` and one ``clique_betti`` read."""
+    mult, cliques = clique_cells(x, policy)
+    beta = [*clique_betti(x, policy), *[0] * (top + 1)]
+    cells = [len(x.nodes), sum(mult.values())]
+    cells += [sum(n for _, n in cliques[e]) for e in sorted(cliques)] + [0] * top
+    ranks = [0]
+    for e in range(top + 1):
+        ranks.append(cells[e] - beta[e] - ranks[e])
+    return beta, cells, ranks, cliques
+
+
+def _sides_rank(g: Multigraph, h: Multigraph, cliques: Cliques, e: int) -> int:
+    """The rank of the ``canonical`` e-cells of K_{g.h}, e >= 3, whose
+    clique lies in g's or in h's simple graph, as S(g.h)'s e-simplices
+    over its (e-1)-cliques, with S(g.h)'s cliques ``cliques``."""
+    from itertools import combinations
+
+    row = {tau: i for i, (tau, _) in enumerate(cliques.get(e - 1, ()))}
+    basis = Gf2Basis()
+    for tau, _ in cliques.get(e, ()):
+        pairs = list(combinations(tau, 2))
+        if all(map(g.multiplicity, pairs)) or all(map(h.multiplicity, pairs)):
+            basis.add(sum(1 << row[face] for face in combinations(tau, e)))
+    return basis.rank
+
+
 def _extract(
     g: Multigraph, h: Multigraph, policy: str, dims: Sequence[int]
-) -> tuple[tuple[IncrementalParams, ...], BettiVector]:
-    """``extract_params`` at each of ``dims``, and the Betti vector of
-    K_{g.h}, the one complex built here: g's and h's Betti vectors are
-    read off their graphs first, so a refusal still comes for g, then h,
-    then the merge."""
-    bg = clique_betti(g, policy)
-    bh = clique_betti(h, policy)
+) -> tuple[tuple[IncrementalParams, ...], list[int]]:
+    """``extract_params`` at each of ``dims``, and the Betti numbers of
+    K_{g.h} to the highest of them.  g, h and g.h are read in that order,
+    so a refusal comes for g, then h, then the merge."""
+    top = max(dims)
+    (bg, cg, rg, _), (bh, ch, rh, _) = _ranks(g, policy, top), _ranks(h, policy, top)
     m = merge(g, h)
-    km = clique_multicomplex(m, policy)
-    beta_m = betti(km)
-    tags = _provenance(km, g, h)
-    tags += [[]] * (max(dims) + 2 - len(tags))  # no cells above km's dimension
-    # the d-columns serve n/p at d and cl at d - 1
-    columns = {e: _columns(km, e) for e in {e for d in dims for e in (d, d + 1)}}
-    # r_e = rank of km's e-th boundary, off its Betti vector:
-    # beta_e = c_e - r_e - r_{e+1}, with r_0 = 0 and r_e = 0 above km's dimension
-    ranks = [0]
-    for e in range(max(dims) + 1):
-        ranks.append(km.cell_count(e) - beta_m[e] - ranks[e] if e < len(beta_m) else 0)
-
-    def rank(e: int, sides: tuple[str, ...]) -> int:
-        """Rank of the e-columns tagged with one of ``sides`` (above
-        dimension 0 every cell is "g", "h" or "new")."""
-        basis = Gf2Basis()
-        for tag, col in zip(tags[e], columns[e]):
-            if tag in sides:
-                basis.add(col)
-        return basis.rank
-
+    bm, cm, rm, cliques = _ranks(m, policy, top)
     out = []
     for d in dims:
-        p_g = ranks[d] - rank(d, ("h",))
-        p_h = ranks[d] - rank(d, ("g",))
+        p_g, p_h = rm[d] - rh[d], rm[d] - rg[d]
+        # g's and h's (d+1)-cells share no face but canonical ones above dimension 2
+        sides = rg[d + 1] + rh[d + 1]
+        if policy == CANONICAL and d >= 2:
+            sides = _sides_rank(g, h, cliques, d + 1)
         # the merge's parallel copies one dimension down, beyond g's and h's
         e = d - 1
         dup = _surplus(m, e, policy) - _surplus(g, e, policy) - _surplus(h, e, policy)
-        out.append(
-            IncrementalParams(
-                dim=d,
-                beta_g=bg[d] if d < len(bg) else 0,
-                beta_h=bh[d] if d < len(bh) else 0,
-                # each side's arrivals are its own d-cells and the new ones
-                n_g=sum(t in ("g", "new") for t in tags[d]) - p_g,
-                n_h=sum(t in ("h", "new") for t in tags[d]) - p_h,
-                p_g=p_g,
-                p_h=p_h,
-                cl=ranks[d + 1] - rank(d + 1, ("g", "h")),
-                dup=max(0, dup),
-            )
-        )
-    return tuple(out), beta_m
+        n_g, n_h, cl = cm[d] - ch[d] - p_g, cm[d] - cg[d] - p_h, rm[d + 1] - sides
+        out.append(IncrementalParams(d, bg[d], bh[d], n_g, n_h, p_g, p_h, cl, max(0, dup)))
+    return tuple(out), bm
 
 
 class IncrementalReport(NamedTuple):
@@ -272,8 +263,8 @@ def validate(g: Multigraph, h: Multigraph, policy: str = CANONICAL) -> Increment
         params_d2=p2,
         formula_beta1=formula_beta1(p1),
         formula_beta2=formula_beta2(p2),
-        oracle_beta1=oracle[1] if len(oracle) > 1 else 0,
-        oracle_beta2=oracle[2] if len(oracle) > 2 else 0,
+        oracle_beta1=oracle[1],
+        oracle_beta2=oracle[2],
     )
 
 

@@ -17,6 +17,8 @@ from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from multihom.chainlat import ChainEnv, ChainExpr, evaluate
+from multihom.homology import Gf2Basis, boundary_matrix
+from multihom.mcomplex import Multicomplex, clique_multicomplex
 from multihom.mgraph import Multigraph, merge
 
 
@@ -344,6 +346,54 @@ def reference_grades(g, policy: str) -> list[tuple[list, list, tuple[list[int], 
                     rows.append(row_of[face, restricted])
         grades.append((vertices, copies, faces))
     return grades
+
+
+def provenance(x: Multicomplex, g: Multigraph, h: Multigraph) -> list[list[str]]:
+    """Each cell's tag in x = K_{g.h}, per dimension in row order: 'g' /
+    'h' for cells made purely of one operand's material, 'shared' for
+    nodes both own, 'new' for interaction-created mixed cells.  Above
+    dimension 1 every pair of a cell lies in one of its faces, so the
+    faces' tags decide."""
+    tags = [
+        [
+            "shared" if v in g.nodes and v in h.nodes else "g" if v in g.nodes else "h"
+            for (v,) in x.grade(0).vertices
+        ],
+        ["g" if copy <= g.multiplicity(p) else "h" for p, copy in x.grade(1).keys()],
+    ]
+    for grade in x.grades[2:]:
+        below = tags[-1]
+        tags.append(
+            [
+                sides.pop() if len(sides) == 1 else "new"
+                for sides in ({below[r] for r in rows} for rows in grade.face_rows())
+            ]
+        )
+    return tags
+
+
+def tagged_ledger(g: Multigraph, h: Multigraph, d: int, policy: str) -> dict[str, int]:
+    """The ledger of ``extract_params`` by its definition, on the built
+    K_{g.h}: add the base columns silently, then classify the arriving
+    ones one at a time (rank grew: p, it did not: n)."""
+    km = clique_multicomplex(merge(g, h), policy)
+    tags = provenance(km, g, h) + [[]] * (d + 2)
+
+    def replay(e: int, base: set[str]) -> tuple[int, int]:
+        basis = Gf2Basis()
+        arriving = []
+        for tag, col in zip(tags[e], boundary_matrix(km, e).columns):
+            if tag in base:
+                basis.add(col)
+            else:
+                arriving.append(col)
+        grew = [basis.add(col) for col in arriving]
+        return grew.count(False), grew.count(True)
+
+    n_g, p_g = replay(d, {"h", "shared"})
+    n_h, p_h = replay(d, {"g", "shared"})
+    _, cl = replay(d + 1, {"g", "h", "shared"})
+    return {"n_g": n_g, "p_g": p_g, "n_h": n_h, "p_h": p_h, "cl": cl}
 
 
 def random_disjoint_connected(

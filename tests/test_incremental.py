@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
 import gzip
+import sys
 from collections import Counter
+from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import multihom.incremental
+import multihom.homology
 import multihom.mcomplex
 from multihom import (
     KNOWN_CASES,
     CANONICAL,
+    CellBudgetExceeded,
     PER_COMBINATION,
     IncrementalParams,
     Multigraph,
@@ -23,6 +27,7 @@ from multihom import (
     Gf2Basis,
     betti,
     boundary_matrix,
+    cell_budget,
     clique_multicomplex,
     extract_params,
     formula_beta1,
@@ -37,13 +42,22 @@ from multihom import (
 )
 
 from multihom.cli import EXIT_OK, main
-from multihom.incremental import _provenance, _surplus
+from multihom.incremental import _surplus
 
 from conftest import PALETTE, REPO_ROOT, multigraphs, path_graph
+from oracles import tagged_ledger
 
 
 def G(nodes, rows, palette=PALETTE):
     return Multigraph.build(nodes, rows, palette)
+
+
+def complete(nodes):
+    return G(nodes, [(u, v, "red") for u, v in combinations(nodes, 2)])
+
+
+K4 = complete((1, 2, 3, 4))
+EMPTY = Multigraph.empty(PALETTE)
 
 
 # -- single steps ------------------------------------------------------------------
@@ -132,31 +146,43 @@ class TestExtractParams:
         h=multigraphs(max_nodes=5, max_mult=2),
         policy=st.sampled_from(POLICIES),
     )
+    @example(g=EMPTY, h=K4, policy=PER_COMBINATION)
+    @example(g=K4, h=EMPTY, policy=CANONICAL)
     @settings(max_examples=40)
     def test_ledger_matches_the_replay_definition(self, g, h, policy):
-        # the definition: add the base columns silently, then classify the
-        # arriving ones one at a time (rank grew: p, it did not: n)
-        km = clique_multicomplex(merge(g, h), policy)
-        tags = _provenance(km, g, h) + [[]] * 5
-
-        def replay(e, base):
-            basis = Gf2Basis()
-            arriving = []
-            for tag, col in zip(tags[e], boundary_matrix(km, e).columns):
-                if tag in base:
-                    basis.add(col)
-                else:
-                    arriving.append(col)
-            grew = [basis.add(col) for col in arriving]
-            return grew.count(False), grew.count(True), len(arriving)
-
+        # the three-graph reading is the tagged replay wherever g's and h's
+        # cells of K_{g.h} are copies of K_g and K_h: at every dimension
+        # under per-combination, and on the 2-skeleton under canonical,
+        # whose cells above dimension 2 re-glue (cl at d = 2 reads them)
+        fields = ("n_g", "p_g", "n_h", "p_h", "cl")
+        exact = {1: fields, 2: fields, 3: fields}
+        if policy == CANONICAL:
+            exact = {1: fields, 2: fields[:-1]}
         for d in (1, 2, 3):
             p = extract_params(g, h, d, policy)
-            n_g, p_g, from_g = replay(d, {"h", "shared"})
-            n_h, p_h, from_h = replay(d, {"g", "shared"})
-            _, cl, _ = replay(d + 1, {"g", "h", "shared"})
-            assert (p.n_g, p.p_g, p.n_h, p.p_h, p.cl) == (n_g, p_g, n_h, p_h, cl)
-            assert (p.n_g + p.p_g, p.n_h + p.p_h) == (from_g, from_h)
+            assert min(p) >= 0, p
+            want = tagged_ledger(g, h, d, policy)
+            assert {f: getattr(p, f) for f in exact.get(d, ())} == {
+                f: want[f] for f in exact.get(d, ())
+            }, d
+
+    @given(g=multigraphs(max_nodes=6, max_mult=2), h=multigraphs(max_nodes=6, max_mult=2))
+    @example(g=K4, h=K4)  # one 3-cell: r_3(g.h) - r_3(g) - r_3(h) would read -1
+    @settings(max_examples=40)
+    def test_canonical_cl_ranks_both_sides_together(self, g, h):
+        # above dimension 2 a canonical cell is g's or h's when its clique
+        # lies in g's or h's simple graph, and g's and h's cells can share
+        # faces or be one cell: cl ranks their columns together
+        km = clique_multicomplex(merge(g, h), CANONICAL)
+        for d in (2, 3):
+            boundary = boundary_matrix(km, d + 1)
+            sides = Gf2Basis()
+            for tau, col in zip(km.grade(d + 1).vertices, boundary.columns):
+                pairs = list(combinations(tau, 2))
+                if all(map(g.multiplicity, pairs)) or all(map(h.multiplicity, pairs)):
+                    sides.add(col)
+            cl = boundary.rank() - sides.rank
+            assert extract_params(g, h, d, CANONICAL).cl == cl, d
 
     @given(g=multigraphs(max_nodes=5, max_mult=2), policy=st.sampled_from(POLICIES))
     @settings(max_examples=40)
@@ -176,6 +202,15 @@ class TestExtractParams:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_refuses_g_then_h_then_the_merge(self, policy):
+        # K5 has 31 cells, K6 63 and K7 127, and the merge of two K5 on 7
+        # nodes more than 60
+        k5, k6, k7 = (complete(range(n)) for n in (5, 6, 7))
+        for g, h, nodes in [(k6, k7, 6), (k5, k7, 7), (k5, complete(range(2, 7)), 7)]:
+            with cell_budget(60), pytest.raises(CellBudgetExceeded, match=f"on {nodes} nodes"):
+                validate(g, h, policy)
+
     def test_report_fields_and_flags(self):
         g = G([1, 2], [(1, 2, "red")])
         h = G([1, 2], [(1, 2, "black")])
@@ -198,26 +233,35 @@ class TestValidate:
         )))
         assert report.oracle_beta1 == (merged_betti[1] if len(merged_betti) > 1 else 0)
 
-    @given(multigraphs(max_nodes=5), multigraphs(max_nodes=5))
+    @given(multigraphs(max_nodes=5), multigraphs(max_nodes=5), st.sampled_from(POLICIES))
+    @example(EMPTY, EMPTY, CANONICAL)
+    @example(EMPTY, K4, PER_COMBINATION)
     @settings(max_examples=30)
-    def test_builds_each_complex_once(self, g, h):
-        # only K_{g.h} is built: g's and h's Betti numbers and copies are
-        # read off their graphs
-        built = []
+    def test_builds_no_complex(self, g, h, policy):
+        # every field is read off the graphs of g, h and g.h: no complex is
+        # built, no boundary matrix made and no built complex ranked
+        called = []
 
-        def recording(x, policy=CANONICAL, dim=None):
-            built.append(x)
-            return clique_multicomplex(x, policy, dim)
+        def spy(name, real):
+            def recording(*args, **kwargs):
+                called.append(name)
+                return real(*args, **kwargs)
 
-        with (
-            mock.patch.object(multihom.incremental, "clique_multicomplex", recording),
-            mock.patch.object(multihom.mcomplex, "clique_multicomplex", recording),
-        ):
-            report = validate(g, h)
-            assert built == [merge(g, h)]
-            assert report.params_d1 == extract_params(g, h, 1)
-            assert report.params_d2 == extract_params(g, h, 2)
-        assert built == [merge(g, h)] * 3
+            return recording
+
+        with contextlib.ExitStack() as stack:
+            for name, real in [
+                ("clique_multicomplex", multihom.mcomplex.clique_multicomplex),
+                ("boundary_matrix", multihom.homology.boundary_matrix),
+                ("betti", multihom.homology.betti),
+            ]:
+                for module in [m for k, m in sys.modules.items() if k.startswith("multihom")]:
+                    if getattr(module, name, None) is real:
+                        stack.enter_context(mock.patch.object(module, name, spy(name, real)))
+            report = validate(g, h, policy)
+            params = [extract_params(g, h, d, policy) for d in (1, 2)]
+        assert called == []
+        assert [report.params_d1, report.params_d2] == params
 
 
 # -- recorded cases --------------------------------------------------------------------
@@ -286,8 +330,8 @@ class TestFuzz:
 
     @pytest.mark.parametrize("policy", (CANONICAL, PER_COMBINATION))
     def test_records_match_golden(self, policy, tmp_path):
-        # recorded before provenance tags were read through cell faces;
-        # the params of every record pin the g/h/shared/new tagging
+        # the params of every record pin the ledger read off g's, h's and
+        # g.h's ranks and cell counts
         out = tmp_path / "fuzz.jsonl"
         argv = ["--seed", "7", "--policy", policy, "fuzz", "--count", "150"]
         assert main(argv + ["--jsonl", str(out)]) == EXIT_OK
