@@ -122,7 +122,7 @@ def cmd_merge(args) -> int:
     if args.emit_complex:
         x = mcomplex.clique_multicomplex(merged, args.policy)
         payload = x.to_json_dict()
-        payload["betti"] = list(homology.betti(x))
+        payload["betti"] = list(homology.clique_betti(merged, args.policy))
         if args.json:
             print(json.dumps(payload, indent=2))
         else:

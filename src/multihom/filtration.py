@@ -23,9 +23,10 @@ order.  beta_0 of a class comes off its key's node set and pairs, so a
 beta_0 trace makes no graph beyond the start's.  A deeper Betti number
 comes from ``homology.clique_betti`` on the class graph, with no cell
 built under either policy: it counts the (d+1)-skeleton for a trace of
-beta_d, and the whole complex for whole vectors (``--dot``).  ``--json``
-replays the exact layer graphs, whose copy numbering shows there,
-builds their complexes and takes the classes' whole vectors from them.
+beta_d, and the whole complex for whole vectors (``--dot`` and
+``--json``).  ``--json`` replays the exact layer graphs, whose copy
+numbering shows there, and builds layer complexes only for the cells it
+prints.
 
 One walk, ``_successors``, gives each merge of two of a node's layers
 whose successor is new, over integer codes: a block's code is the sum
@@ -62,8 +63,8 @@ from .chainlat import (
     merge_count,
 )
 from .errors import IndexOutOfRange
-from .homology import BettiVector, betti, betti0_of, betti_sum, clique_betti
-from .mcomplex import CANONICAL, Multicomplex, check_policy, clique_multicomplex
+from .homology import BettiVector, betti0_of, betti_sum, clique_betti
+from .mcomplex import CANONICAL, check_policy, clique_multicomplex
 from .mgraph import GraphKey, Multigraph, merge, merged_key
 
 __all__ = [
@@ -175,13 +176,6 @@ class ClassTable:
                 vector = clique_betti(self.graph(c), self.policy, dim)
             self._betti[c, dim] = vector
         return vector
-
-    def remember(self, g: Multigraph, x: Multicomplex) -> None:
-        """Take the whole Betti vector of g's class from x, g's whole
-        complex, unless it is known."""
-        c = self.ids[g.key]
-        if (c, None) not in self._betti:
-            self._betti[c, None] = betti(x)
 
 
 class FiltrationNode:
@@ -321,16 +315,12 @@ class FiltrationPoset:
     def to_json_dict(self) -> dict:
         # The cells show copy numbering, so here layers are told apart by
         # their colours in copy order; nodes share each distinct layer's dict.
-        # A layer's complex also gives its class's whole Betti vector, so a
-        # node's layers are built before its vector is read.
         layer_json: dict[tuple, dict] = {}
 
         def layer(g: Multigraph) -> dict:
             key = (g.nodes, tuple((p, g.colors(p)) for p in g.pairs()))
             if key not in layer_json:
-                x = clique_multicomplex(g, self.classes.policy)
-                self.classes.remember(g, x)
-                layer_json[key] = x.to_json_dict()
+                layer_json[key] = clique_multicomplex(g, self.classes.policy).to_json_dict()
             return layer_json[key]
 
         nodes = []

@@ -24,7 +24,7 @@ no lower edges join its ends.  So that pivot set is the spanning forest
 Kruskal's algorithm picks in row order, found by a union-find over the
 1-cells' faces (``_forest``).  Parallel copies never join two trees, so
 the same forest over a graph's pairs gives beta_0 of its clique complex:
-``betti0`` reads it there and builds no complex.
+``betti0_of`` reads it there and builds no complex.
 
 A row whose lowest set bit is no pivot stored yet lies outside the span
 of the stored vectors, so it is independent and can stand in the basis
@@ -98,10 +98,10 @@ uncleared rows share a lowest coface.
 The rank path stays beside both graph routes, and all three reduce
 ranks with ``_forest`` and ``_pivots``: the closed form adds only the
 multiplicity sums, and the ``per-combination`` route differs only in
-where its lowest cofaces come from.  ``betti`` is needed for hand-built
-complexes, which are the clique complex of no graph, for callers that
-hold the complex anyway (``merge --emit-complex``, ``filtrate --json``),
-and as the oracle the graph routes are tested against.
+where its lowest cofaces come from.  ``betti`` is the reference for
+built complexes and the Betti path for hand-built ones, which are the
+clique complex of no graph; no verb reads it, since every verb holds
+the graph and reads ``clique_betti``.
 """
 
 from __future__ import annotations
@@ -128,7 +128,6 @@ __all__ = [
     "boundary_matrix",
     "coboundary_rows",
     "betti",
-    "betti0",
     "betti0_of",
     "clique_betti",
     "betti_sum",
@@ -225,8 +224,8 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
     ``dim`` beta_0..beta_dim: what ``betti`` gives on the complex, or on
     its (dim+1)-skeleton cut to dim + 1 entries.
 
-    beta_0 alone is ``betti0``'s forest, under either policy and with no
-    cell counted.  Deeper vectors are counted against the cell budget as
+    beta_0 alone is ``betti0_of``'s forest, under either policy and with
+    no cell counted.  Deeper vectors are counted against the cell budget as
     the complex or skeleton would be, and refused as it would be.  No
     complex is built: under ``canonical`` they come from S(g) in closed
     form, under ``per-combination`` from ranks whose lowest cofaces are
@@ -237,7 +236,7 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
     if dim is not None and dim < 0:
         raise ValueError(f"Betti numbers need dim >= 0, got {dim}")
     if dim == 0:
-        return betti0(g)
+        return betti0_of(g.nodes, g.pairs())
     top = None if dim is None else dim + 1
     mult, cliques = clique_cells(g, policy, top)
     if not g.nodes:
@@ -310,15 +309,11 @@ def _ranked(
     return tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(counts))
 
 
-def betti0(g: Multigraph) -> BettiVector:
-    """(beta_0,) of g's clique complex under either policy, or () if g has
-    no nodes: the count of g's components, as parallel copies never join
-    two trees.  No complex is built."""
-    return betti0_of(g.nodes, g.pairs())
-
-
 def betti0_of(nodes: Set[int], pairs: Iterable[tuple[int, int]]) -> BettiVector:
-    """``betti0`` of a graph given by its node set and its linked pairs."""
+    """(beta_0,) of the clique complex, under either policy, of a graph
+    given by its node set and its linked pairs, or () if it has no nodes:
+    the count of its components, as parallel copies never join two trees.
+    No complex is built."""
     if not nodes:
         return ()
     return (len(nodes) - len(_forest({v: v for v in nodes}, pairs)),)

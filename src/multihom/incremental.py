@@ -25,7 +25,11 @@ difference of the three graphs' ranks and cell counts.  The policies'
 the simplices of S(x), the clique complex of x's simple graph.  One is
 g's or h's when its clique lies in S(g) or S(h), so n and p are the same
 differences, but g's and h's cells can share faces or be one cell, so
-cl ranks them together.  No reading depends on colours or operand order.
+cl ranks them together.  dup, the parallel copies a merge makes, is a
+difference too: with s_e(x) the e-simplices of S(x) (x's nodes, its
+pairs, its cliques of e + 1 vertices), c_e - s_e counts K_x's e-cells
+beyond one per vertex set, and dup at d is that of g.h at e = d - 1,
+less g's and h's.  No reading depends on colours or operand order.
 
 ``formula_beta1``/``formula_beta2`` are transcriptions of a closed-form
 conjecture for the Betti numbers of a merge.  They are implemented
@@ -139,7 +143,8 @@ def extract_params(
     from g's side (g's and the interaction-created ones) over a base of
     h's d-cells, and h's symmetrically; cl counts the interaction-created
     (d+1)-cells that cap a d-cycle over a base of every other (d+1)-cell;
-    dup is the surplus of parallel copies created one dimension below d.
+    dup counts the parallel copies the merge creates one dimension below
+    d, floored at 0.
 
     An arriving d-cell caps a (d-1)-cycle exactly when it raises the rank,
     and closes a d-cycle otherwise, so the counts do not depend on the
@@ -149,6 +154,7 @@ def extract_params(
 
         p_g = r_d(m) - r_d(h),   n_g = c_d(m) - c_d(h) - p_g   (h's alike)
         cl = r_{d+1}(m) - r_{d+1}(g) - r_{d+1}(h)
+        dup = (c_e - s_e)(m) - (c_e - s_e)(g) - (c_e - s_e)(h),  e = d - 1
 
     except that under ``canonical`` at d >= 2 cl is r_{d+1}(m) less the
     rank of g's and h's (d+1)-cells taken together.
@@ -159,31 +165,23 @@ def extract_params(
     return params
 
 
-def _surplus(x: Multigraph, e: int, policy: str) -> int:
-    """Parallel copies at dimension e of x's clique complex beyond one per
-    vertex set: none at e = 0, the sum of (m - 1) over pairs at e = 1,
-    and of (n - 1) over the e-cliques of n cells above that, counted off
-    ``clique_cells``."""
-    if e == 0:
-        return 0
-    if e == 1:
-        return sum(m - 1 for m in x.multiplicities().values())
-    _, cliques = clique_cells(x, policy, e)
-    return sum(n - 1 for _, n in cliques.get(e, ()))
-
-
-def _ranks(x: Multigraph, policy: str, top: int) -> tuple[list[int], list[int], list[int], Cliques]:
-    """x's Betti numbers and cell counts to dimension ``top``, its
-    boundary ranks r_0..r_{top+1}, zero above its dimension, and its
-    cliques: one ``clique_cells`` and one ``clique_betti`` read."""
+def _ranks(
+    x: Multigraph, policy: str, top: int
+) -> tuple[list[int], list[int], list[int], list[int], Cliques]:
+    """x's Betti numbers, cell counts c_e and simplex counts s_e to
+    dimension ``top``, its boundary ranks r_0..r_{top+1}, zero above its
+    dimension, and its cliques: one ``clique_cells`` and one
+    ``clique_betti`` read."""
     mult, cliques = clique_cells(x, policy)
     beta = [*clique_betti(x, policy), *[0] * (top + 1)]
     cells = [len(x.nodes), sum(mult.values())]
     cells += [sum(n for _, n in cliques[e]) for e in sorted(cliques)] + [0] * top
+    simplices = [len(x.nodes), len(mult)]
+    simplices += [len(cliques[e]) for e in sorted(cliques)] + [0] * top
     ranks = [0]
     for e in range(top + 1):
         ranks.append(cells[e] - beta[e] - ranks[e])
-    return beta, cells, ranks, cliques
+    return beta, cells, simplices, ranks, cliques
 
 
 def _sides_rank(g: Multigraph, h: Multigraph, cliques: Cliques, e: int) -> int:
@@ -208,9 +206,9 @@ def _extract(
     K_{g.h} to the highest of them.  g, h and g.h are read in that order,
     so a refusal comes for g, then h, then the merge."""
     top = max(dims)
-    (bg, cg, rg, _), (bh, ch, rh, _) = _ranks(g, policy, top), _ranks(h, policy, top)
+    (bg, cg, sg, rg, _), (bh, ch, sh, rh, _) = _ranks(g, policy, top), _ranks(h, policy, top)
     m = merge(g, h)
-    bm, cm, rm, cliques = _ranks(m, policy, top)
+    bm, cm, sm, rm, cliques = _ranks(m, policy, top)
     out = []
     for d in dims:
         p_g, p_h = rm[d] - rh[d], rm[d] - rg[d]
@@ -220,7 +218,7 @@ def _extract(
             sides = _sides_rank(g, h, cliques, d + 1)
         # the merge's parallel copies one dimension down, beyond g's and h's
         e = d - 1
-        dup = _surplus(m, e, policy) - _surplus(g, e, policy) - _surplus(h, e, policy)
+        dup = cm[e] - sm[e] - (cg[e] - sg[e]) - (ch[e] - sh[e])
         n_g, n_h, cl = cm[d] - ch[d] - p_g, cm[d] - cg[d] - p_h, rm[d + 1] - sides
         out.append(IncrementalParams(d, bg[d], bh[d], n_g, n_h, p_g, p_h, cl, max(0, dup)))
     return tuple(out), bm

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -21,7 +22,6 @@ from multihom import (
     Multicomplex,
     Multigraph,
     betti,
-    betti0,
     betti_sum,
     boundary_matrix,
     boundary_squares_to_zero,
@@ -447,7 +447,7 @@ class TestCliqueBetti:
         def spy(*args, **kwargs):
             raise AssertionError("the Betti numbers were computed")
 
-        for name in ("betti0", "clique_cells", "_lowest_cofaces", "_face_rows"):
+        for name in ("betti0_of", "clique_cells", "_lowest_cofaces", "_face_rows"):
             monkeypatch.setattr(homology, name, spy)
         with pytest.raises(ValueError) as read:
             clique_betti(g, "bogus", dim)
@@ -469,6 +469,36 @@ class TestCliqueBetti:
         for policy in POLICIES:
             assert main([*argv, "--policy", policy, "betti", "G . K | H . L . M"]) == EXIT_OK
             assert "betti (" in capsys.readouterr().out
+
+    def test_no_verb_ranks_a_built_complex(self, monkeypatch, capsys):
+        # every verb holds its graphs and reads Betti numbers off them;
+        # ``betti`` is the reference for built complexes, not a verb's path
+        real, called = homology.betti, []
+
+        def spy(x):
+            called.append(x)
+            return real(x)
+
+        for module in [m for k, m in sys.modules.items() if k.startswith("multihom")]:
+            if getattr(module, "betti", None) is real:
+                monkeypatch.setattr(module, "betti", spy)
+        argv = ["--workspace", str(REPO_ROOT / "tests" / "data" / "sharing_k5.json")]
+        verbs = [
+            ["merge", "G", "H", "--emit-complex"],
+            ["--json", "merge", "G", "H", "--emit-complex"],
+            ["--json", "filtrate"],
+            ["filtrate", "--dot"],
+            ["filtrate", "--dim", "1"],
+            ["betti"],
+            ["incremental", "G", "H"],
+            ["fuzz", "--count", "3"],
+            ["check-laws", "--k", "2"],
+        ]
+        for policy in POLICIES:
+            for verb in verbs:
+                assert main([*argv, "--policy", policy, *verb]) == EXIT_OK, verb
+                capsys.readouterr()
+        assert called == []
 
 
 FOUR_CYCLE_INTO_A_TRIANGLE = [
@@ -580,8 +610,8 @@ class TestInvariants:
         # isolated vertices and pairs of multiplicity >= 2 are drawn often
         rng = random.Random(seed)
         g = random_multigraph(rng, 7, max_mult, PALETTE, node_universe=range(-3, 12))
-        assert betti0(g) == betti(clique_multicomplex(g, policy, 1))[:1]
-        assert sum(betti0(g)) == components(g)
+        assert clique_betti(g, policy, 0) == betti(clique_multicomplex(g, policy, 1))[:1]
+        assert sum(clique_betti(g, policy, 0)) == components(g)
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize(
@@ -595,7 +625,7 @@ class TestInvariants:
         ids=["nodeless", "isolated", "parallel-path", "parallel-pairs"],
     )
     def test_betti0_of_the_graph_edge_cases(self, g, expected, policy):
-        assert betti0(g) == expected == betti(clique_multicomplex(g, policy, 1))[:1]
+        assert clique_betti(g, policy, 0) == expected == betti(clique_multicomplex(g, policy, 1))[:1]
         assert sum(expected) == components(g)
 
     def test_components_of_multilayer_add(self):

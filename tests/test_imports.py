@@ -198,17 +198,19 @@ def test_package_republishes_every_exported_name(stem):
 def test_cli_import_loads_no_start_up_weight():
     # every command pays for importing the CLI: dataclasses pulls in
     # inspect (with ast, dis and tokenize), only fuzz uses hashlib and csv,
-    # and numpy alone would cost more than the whole package
+    # and numpy or networkx alone would cost more than the whole package,
+    # which has no runtime dependency; the child writes no bytecode into src/
     probe = (
         "import sys, multihom.cli; print(sorted("
-        "{'dataclasses', 'inspect', 'hashlib', 'csv', 'numpy'} & set(sys.modules)))"
+        "{'dataclasses', 'inspect', 'hashlib', 'csv', 'numpy', 'networkx'}"
+        " & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
         check=True,
-        env={"PYTHONPATH": str(PACKAGE.parent)},
+        env={"PYTHONPATH": str(PACKAGE.parent), "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert done.stdout.strip() == "[]"
 

@@ -42,7 +42,7 @@ from multihom import (
 )
 
 from multihom.cli import EXIT_OK, main
-from multihom.incremental import _surplus
+from multihom.incremental import _ranks
 
 from conftest import PALETTE, REPO_ROOT, multigraphs, path_graph
 from oracles import tagged_ledger
@@ -57,6 +57,9 @@ def complete(nodes):
 
 
 K4 = complete((1, 2, 3, 4))
+# K5 with three copies per pair: merged with itself, per-combination
+# passes the default cell budget
+K5_TRIPLED = G(range(1, 6), [(u, v, "red", 3) for u, v in combinations(range(1, 6), 2)])
 EMPTY = Multigraph.empty(PALETTE)
 
 
@@ -187,10 +190,12 @@ class TestExtractParams:
     @given(g=multigraphs(max_nodes=5, max_mult=2), policy=st.sampled_from(POLICIES))
     @settings(max_examples=40)
     def test_surplus_off_the_cliques_is_the_built_complexs(self, g, policy):
+        # dup's c_e - s_e: the e-cells beyond one per vertex set
         x = clique_multicomplex(g, policy)
+        _, cells, simplices, _, _ = _ranks(g, policy, 4)
         for d in range(5):
             shapes = Counter(x.grade(d).vertices)
-            assert _surplus(g, d, policy) == sum(n - 1 for n in shapes.values()), d
+            assert cells[d] - simplices[d] == sum(n - 1 for n in shapes.values()), d
 
     def test_dimension_zero_rejected(self):
         g = G([1, 2], [(1, 2, "red")])
@@ -236,10 +241,12 @@ class TestValidate:
     @given(multigraphs(max_nodes=5), multigraphs(max_nodes=5), st.sampled_from(POLICIES))
     @example(EMPTY, EMPTY, CANONICAL)
     @example(EMPTY, K4, PER_COMBINATION)
+    @example(K5_TRIPLED, K5_TRIPLED, PER_COMBINATION)
     @settings(max_examples=30)
     def test_builds_no_complex(self, g, h, policy):
         # every field is read off the graphs of g, h and g.h: no complex is
-        # built, no boundary matrix made and no built complex ranked
+        # built, no boundary matrix made and no built complex ranked, nor
+        # when a merge past the cell budget is refused
         called = []
 
         def spy(name, real):
@@ -258,10 +265,14 @@ class TestValidate:
                 for module in [m for k, m in sys.modules.items() if k.startswith("multihom")]:
                     if getattr(module, name, None) is real:
                         stack.enter_context(mock.patch.object(module, name, spy(name, real)))
-            report = validate(g, h, policy)
-            params = [extract_params(g, h, d, policy) for d in (1, 2)]
+            try:
+                report = validate(g, h, policy)
+                params = [extract_params(g, h, d, policy) for d in (1, 2)]
+            except CellBudgetExceeded:
+                report = None
         assert called == []
-        assert [report.params_d1, report.params_d2] == params
+        if report is not None:
+            assert [report.params_d1, report.params_d2] == params
 
 
 # -- recorded cases --------------------------------------------------------------------

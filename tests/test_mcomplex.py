@@ -36,7 +36,7 @@ from multihom import (
 )
 
 from multihom.cli import EXIT_OK, main
-from multihom.incremental import _surplus
+from multihom.incremental import _ranks
 from multihom.mcomplex import _higher_cliques
 
 from conftest import PALETTE, REPO_ROOT, multigraphs
@@ -96,10 +96,10 @@ class TestDoubledEdgeTriangle:
         assert cell_coloring(x, cell) == ("red", "black", "black")
 
     def test_duplications(self):
-        g = doubled_edge_triangle()
-        assert _surplus(g, 1, CANONICAL) == 1  # the doubled edge
-        assert _surplus(g, 2, CANONICAL) == 1  # the two parallel 2-cells
-        assert _surplus(g, 0, CANONICAL) == 0
+        # c_e - s_e, the cells beyond one per vertex set: none at 0, the
+        # doubled edge at 1, the two parallel 2-cells at 2
+        _, cells, simplices, _, _ = _ranks(doubled_edge_triangle(), CANONICAL, 2)
+        assert [c - s for c, s in zip(cells, simplices)][:3] == [0, 1, 1]
 
     def test_multiplicity_view(self):
         x = clique_multicomplex(doubled_edge_triangle())
@@ -426,6 +426,17 @@ class TestStore:
     @given(g=multigraphs(max_nodes=5, max_mult=2), policy=st.sampled_from(POLICIES))
     def test_built_complex_validates(self, g, policy):
         clique_multicomplex(g, policy).validate()
+
+    def test_row_of_an_absent_key_is_refused(self):
+        # kills the mutant ``i == hi and self.copies[i] != copy`` in
+        # ``Grade.row``, which gives row 0 for the absent copy 0 of (1, 2),
+        # row 2 for the absent vertices (1, 3), and an IndexError past the
+        # last row for the absent copy 2 of (2, 3)
+        edges = clique_multicomplex(G([1, 2, 3], [(1, 2, "red", 2), (2, 3, "black")])).grade(1)
+        assert [edges.row(key) for key in edges.keys()] == [0, 1, 2]
+        for key in [((1, 2), 0), ((1, 3), 1), ((2, 3), 2)]:
+            with pytest.raises(KeyError):
+                edges.row(key)
 
     @given(g=multigraphs(max_nodes=5, max_mult=2), policy=st.sampled_from(POLICIES))
     def test_from_cells_round_trip_is_byte_identical(self, g, policy):
