@@ -270,16 +270,18 @@ def evaluate(x: ChainExpr, env: ChainEnv) -> Multilayer:
 
 # -- law suite -----------------------------------------------------------------
 
+MAX_WITNESSES = 25
+
 
 def check_laws(
     atoms: Sequence[str],
     *,
     meet_fn: Callable[[ChainExpr, ChainExpr], ChainExpr] | None = None,
     join_fn: Callable[[ChainExpr, ChainExpr], ChainExpr] | None = None,
-    max_witnesses: int = 25,
 ) -> list[str]:
     """Exhaustively check every lattice/monoid law over the fixed-order
-    chain set; returns witness strings (empty means all laws hold).
+    chain set; returns witness strings (empty means all laws hold), at
+    most ``MAX_WITNESSES`` of them and then one truncation line.
 
     ``meet_fn``/``join_fn`` exist so tests can inject corrupted operations
     and observe the violations they cause.
@@ -293,9 +295,9 @@ def check_laws(
     bad: list[str] = []
 
     def report(law: str, witness: str) -> None:
-        if len(bad) < max_witnesses:
+        if len(bad) < MAX_WITNESSES:
             bad.append(f"{law}: {witness}")
-        elif len(bad) == max_witnesses:
+        elif len(bad) == MAX_WITNESSES:
             bad.append("... witness list truncated")
 
     for x in chains:

@@ -39,8 +39,7 @@ class SelfLoopPresent(MultihomError):
 
 
 class GraphStructureError(MultihomError):
-    """Malformed multigraph data: dangling endpoints, non-contiguous copy
-    indices, bad multiplicities."""
+    """Malformed multigraph data: dangling endpoints, bad multiplicities."""
 
 
 class IncomparableAtoms(MultihomError):

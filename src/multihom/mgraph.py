@@ -11,13 +11,11 @@ colour.  Two graphs over the same palette compose in two ways:
   endpoint pair.
 
 A graph stores, per endpoint pair (pairs sorted), its copies' colours
-in copy order, so copy indices are contiguous by construction.  Every
-door from outside (``Multigraph(nodes, edges, palette)`` from
-``EdgeCopy`` values, ``build``, ``empty``) ends in one checked step
-(endpoints in the node set, colours in the palette, per pair).
-``merge`` checks only that its operands share a palette: each operand
-passed that step, so their union does too.  The views ``edges`` and
-``copies`` make ``EdgeCopy`` values on demand.
+in copy order, so copy indices are contiguous by construction.  The one
+door from outside is ``build`` (``empty`` calls it), which checks each
+pair once: endpoints in the node set, colours in the palette.  ``merge``
+checks only that its operands share a palette, as both passed that
+check.  The ``edges`` view makes ``EdgeCopy`` records on demand.
 
 Graphs are immutable values.  Equality is semantic: node set, palette,
 and the colour multiset per endpoint pair — the copy indices used to
@@ -65,12 +63,6 @@ class EdgeCopy(OrderedValue):
     color: Color
 
     def __init__(self, u: NodeId, v: NodeId, copy: int, color: Color):
-        if u == v:
-            raise SelfLoopPresent(f"self-loop at node {u}")
-        if u > v:
-            raise GraphStructureError(f"edge endpoints must be ordered: ({u}, {v})")
-        if copy < 1:
-            raise GraphStructureError(f"copy index must be >= 1, got {copy}")
         self._set(u=u, v=v, copy=copy, color=color)
 
     @property
@@ -91,40 +83,7 @@ class Multigraph(Value):
     palette: frozenset[Color]
     _by_pair: ColorsByPair
 
-    def __init__(
-        self, nodes: Iterable[NodeId], edges: Iterable[EdgeCopy], palette: Iterable[Color]
-    ):
-        """From ``EdgeCopy`` values in any order; each pair's copies must be 1..m."""
-        by_pair: dict[Pair, list[EdgeCopy]] = {}
-        for e in sorted(edges):
-            by_pair.setdefault(e.pair, []).append(e)
-        for pair, copies in by_pair.items():
-            indices = [e.copy for e in copies]
-            if indices != list(range(1, len(copies) + 1)):
-                raise GraphStructureError(
-                    f"copy indices for pair {pair} must be contiguous 1..m, got {indices}"
-                )
-        self._store(nodes, {p: tuple(e.color for e in c) for p, c in by_pair.items()}, palette)
-
-    def _store(self, nodes: Iterable[NodeId], by_pair: ColorsByPair, palette: Iterable[Color]):
-        """The one checked step every graph goes through: each pair's
-        endpoints are nodes and its colours are in the palette."""
-        nodes, palette = frozenset(nodes), frozenset(palette)
-        for (u, v), colors in by_pair.items():
-            if u not in nodes or v not in nodes:
-                raise GraphStructureError(f"edge {(u, v)} has endpoints outside the node set")
-            if not palette.issuperset(colors):
-                bad = next(c for c in colors if c not in palette)
-                raise PaletteMismatch(f"colour {bad!r} not in palette {sorted(palette)}")
-        self._set(nodes=nodes, palette=palette, _by_pair=dict(sorted(by_pair.items())))
-
-    @classmethod
-    def _of(cls, nodes: Iterable[NodeId], by_pair: ColorsByPair, palette: Iterable[Color]):
-        g = object.__new__(cls)
-        g._store(nodes, by_pair, palette)
-        return g
-
-    # -- construction helpers -------------------------------------------------
+    # -- construction ------------------------------------------------------------
 
     @classmethod
     def build(
@@ -146,11 +105,23 @@ class Multigraph(Value):
             if mult < 1:
                 raise GraphStructureError(f"multiplicity must be >= 1, got {mult}")
             by_pair.setdefault(_normalize_pair(u, v), []).extend([color] * mult)
-        return cls._of(nodes, {p: tuple(c) for p, c in by_pair.items()}, palette)
+        # the one checked step, per pair: endpoints are nodes, colours are in the palette
+        nodes, palette = frozenset(nodes), frozenset(palette)
+        for (u, v), colors in by_pair.items():
+            if u not in nodes or v not in nodes:
+                raise GraphStructureError(f"edge {(u, v)} has endpoints outside the node set")
+            if not palette.issuperset(colors):
+                bad = next(c for c in colors if c not in palette)
+                raise PaletteMismatch(f"colour {bad!r} not in palette {sorted(palette)}")
+        g = object.__new__(cls)
+        g._set(
+            nodes=nodes, palette=palette, _by_pair={p: tuple(by_pair[p]) for p in sorted(by_pair)}
+        )
+        return g
 
     @classmethod
     def empty(cls, palette: Iterable[Color] = ()) -> "Multigraph":
-        return cls._of((), {}, palette)
+        return cls.build((), (), palette)
 
     # -- views -----------------------------------------------------------------
 
@@ -168,14 +139,13 @@ class Multigraph(Value):
         """The pair's colours in copy order: copy i has ``colors(pair)[i - 1]``."""
         return self._by_pair.get(pair, ())
 
-    def copies(self, pair: Pair) -> tuple[EdgeCopy, ...]:
-        u, v = pair
-        return tuple(EdgeCopy(u, v, i, c) for i, c in enumerate(self.colors(pair), start=1))
-
     @cached_property
     def edges(self) -> tuple[EdgeCopy, ...]:
         """Every copy, sorted by (pair, copy)."""
-        return tuple(e for p in self._by_pair for e in self.copies(p))
+        return tuple(
+            EdgeCopy(*p, i, c)
+            for p, colors in self._by_pair.items() for i, c in enumerate(colors, 1)
+        )
 
     def colors_used(self) -> frozenset[Color]:
         return frozenset(itertools.chain.from_iterable(self._by_pair.values()))

@@ -137,6 +137,14 @@ def copies_by_pair_scan(edges: Sequence) -> dict[tuple[int, int], tuple]:
     return {p: tuple(e for e in edges if (e.u, e.v) == p) for p in pairs}
 
 
+def colours_by_pair_grouping(rows: Sequence[tuple]) -> dict[tuple[int, int], tuple]:
+    """Each endpoint pair of ``(u, v, colour)`` rows, endpoints and pairs
+    sorted, with its rows' colours in row order, by scanning the whole
+    row list once for every pair."""
+    pairs = sorted({(min(u, v), max(u, v)) for u, v, _ in rows})
+    return {p: tuple(c for u, v, c in rows if {u, v} == set(p)) for p in pairs}
+
+
 def complete_multigraph_betti(
     multiplicities: Mapping[tuple[int, int], int],
 ) -> tuple[int, ...]:

@@ -30,6 +30,7 @@ from multihom import (
     plus,
     top_chain,
 )
+from multihom.chainlat import MAX_WITNESSES
 
 from conftest import PALETTE, chain_pairs_same_atoms, chain_triples_same_atoms
 
@@ -252,12 +253,11 @@ class TestCheckLaws:
         assert violations
 
     def test_witness_cap_respected(self):
-        violations = check_laws(
-            ("G", "H", "K"), meet_fn=lambda x, y: x, max_witnesses=3
-        )
+        # over four atoms the corrupted meet breaks 63 laws, past the cap
+        violations = check_laws(("G", "H", "K", "L"), meet_fn=lambda x, y: x)
         witnesses = [v for v in violations if "truncated" not in v]
-        assert len(witnesses) == 3
-        assert any("truncated" in v for v in violations)
+        assert len(witnesses) == MAX_WITNESSES == 25
+        assert violations[MAX_WITNESSES:] == ["... witness list truncated"]
 
 
 # -- evaluation ------------------------------------------------------------------------

@@ -362,6 +362,33 @@ class TestApparentPivots:
         assert boundary_squares_to_zero(x)
         assert betti(x) == replay_betti(x) == (2, 1, 1)
 
+    def test_repeated_face_pivots_clear_the_right_rows_above(self):
+        # a0, a and a1 join 1 and 2, and b is glued to vertex 1 at both
+        # ends.  c0 and c2 both bound b (c0 is glued to it three times, so
+        # the rows are reduced in full), and c1 and c3 bound the cycles
+        # a0 + a + b and a0 + a1 + b.  The reduced rows have lowest bits
+        # {0, 1, 3}, so the 3-cell t, bounding the cycle c0 + c2, keeps c2's
+        # row uncleared and beta_2 = 0.  Pivots read one bit low
+        # (``p.bit_length() - 2``) clear c0 and c2 instead, leave only rows
+        # t does not meet, and read beta_2 = beta_3 = 1.
+        v = [((i,), 1) for i in (1, 2, 3)]
+        a0, a, a1, b = ((1, 2), 1), ((1, 2), 2), ((1, 2), 3), ((1, 3), 1)
+        c0, c1, c2, c3 = (((1, 2, 3), i) for i in (1, 2, 3, 4))
+        cells = [Multicell(*key) for key in v] + [
+            *(Multicell(*e, faces=(v[0], v[1])) for e in (a0, a, a1)),
+            Multicell(*b, faces=(v[0], v[0])),
+            Multicell(*c0, faces=(b, b, b)),
+            Multicell(*c1, faces=(a0, a, b)),
+            Multicell(*c2, faces=(a, a, b)),
+            Multicell(*c3, faces=(a0, a1, b)),
+            Multicell((1, 2, 3, 4), 1, faces=(c0, c2, c1, c1)),
+        ]
+        x = Multicomplex.from_cells(
+            PALETTE, cells, dict.fromkeys((a0, a, a1, b), PALETTE[0]), validate=False
+        )
+        assert boundary_squares_to_zero(x)
+        assert betti(x) == replay_betti(x) == (2, 0, 0, 0)
+
 
 # -- Betti numbers off the graph ------------------------------------------------------
 

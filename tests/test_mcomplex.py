@@ -21,7 +21,6 @@ from multihom import (
     POLICIES,
     CellBudgetExceeded,
     ComplexStructureError,
-    EdgeCopy,
     Multicell,
     Multicomplex,
     Multigraph,
@@ -561,12 +560,10 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("policy", (CANONICAL, PER_COMBINATION))
     @given(g=multigraphs(max_nodes=5, max_mult=2), data=st.data())
     def test_copy_shuffle_within_pairs_is_invisible(self, policy, g, data):
-        edges = []
+        rows = []
         for pair in g.pairs():
-            copies = g.copies(pair)
-            order = data.draw(st.permutations(range(1, len(copies) + 1)))
-            edges += [EdgeCopy(e.u, e.v, i, e.color) for e, i in zip(copies, order)]
-        shuffled = Multigraph(g.nodes, tuple(edges), g.palette)
+            rows += [(*pair, c) for c in data.draw(st.permutations(g.colors(pair)))]
+        shuffled = Multigraph.build(g.nodes, rows, g.palette)
         a, b = clique_multicomplex(g, policy), clique_multicomplex(shuffled, policy)
         assert a == b
         assert hash(a) == hash(b)

@@ -29,7 +29,7 @@ from multihom import (
 from multihom.randgen import random_multigraph
 
 from conftest import PALETTE, multigraphs
-from oracles import copies_by_pair_scan
+from oracles import colours_by_pair_grouping, copies_by_pair_scan
 
 
 def G(nodes, rows, palette=PALETTE):
@@ -49,7 +49,8 @@ class TestConstruction:
     def test_build_assigns_contiguous_copy_indices(self):
         g = G([1, 2], [(1, 2, "red"), (1, 2, "black"), (1, 2, "red")])
         assert g.multiplicity((1, 2)) == 3
-        assert [e.copy for e in g.copies((1, 2))] == [1, 2, 3]
+        assert [e.copy for e in g.edges if e.pair == (1, 2)] == [1, 2, 3]
+        assert g.colors((1, 2)) == ("red", "black", "red")
 
     def test_build_normalizes_endpoint_order(self):
         g = G([1, 2], [(2, 1, "red")])
@@ -64,20 +65,18 @@ class TestConstruction:
         with pytest.raises(SelfLoopPresent):
             G([1], [(1, 1, "red")])
 
-    def test_edge_copy_self_loop_rejected(self):
-        with pytest.raises(SelfLoopPresent):
-            EdgeCopy(2, 2, 1, "red")
-
     def test_endpoint_outside_nodes_rejected(self):
-        with pytest.raises(GraphStructureError):
-            Multigraph(frozenset({1, 2}), (EdgeCopy(1, 3, 1, "red"),), frozenset(PALETTE))
+        with pytest.raises(GraphStructureError, match=r"edge \(1, 3\) has endpoints outside"):
+            G([1, 2], [(3, 1, "red")])
 
     def test_colour_outside_palette_rejected(self):
         with pytest.raises(PaletteMismatch):
             G([1, 2], [(1, 2, "violet")])
 
-    def test_noncontiguous_copies_rejected(self):
-        with pytest.raises(GraphStructureError):
+    def test_build_is_the_only_door(self):
+        # copies are numbered by build alone, so no caller can hand in
+        # non-contiguous ones: the constructor over EdgeCopy values is gone
+        with pytest.raises(TypeError):
             Multigraph(frozenset({1, 2}), (EdgeCopy(1, 2, 2, "red"),), frozenset(PALETTE))
 
     def test_zero_multiplicity_rejected(self):
@@ -132,7 +131,7 @@ class TestEquality:
         g = G([1, 2], [(1, 2, "blue"), (1, 2, "black"), (1, 2, "red")])
         c = in_colour_order(g)
         assert c == g
-        assert [e.color for e in c.copies((1, 2))] == ["black", "blue", "red"]
+        assert c.colors((1, 2)) == ("black", "blue", "red")
 
 
 # -- merge -----------------------------------------------------------------------
@@ -150,9 +149,7 @@ class TestMerge:
         a = G([1, 2], [(1, 2, "red")])
         b = G([1, 2], [(1, 2, "black", 2)])
         m = merge(a, b)
-        copies = m.copies((1, 2))
-        assert copies[0].color == "red" and copies[0].copy == 1
-        assert [e.color for e in copies[1:]] == ["black", "black"]
+        assert m.colors((1, 2)) == ("red", "black", "black")
 
     def test_node_count_formula(self):
         # n + m - p with p shared labels
@@ -273,36 +270,38 @@ class TestPairIndex:
             assert g.pairs() == tuple(groups)
             assert g.multiplicities() == {p: len(c) for p, c in groups.items()}
             for p, copies in groups.items():
-                assert g.copies(p) == copies
+                assert [e.copy for e in copies] == list(range(1, len(copies) + 1))
                 assert g.colors(p) == tuple(e.color for e in copies)
                 assert g.multiplicity(p) == len(copies)
                 assert g.color_multiset(p) == tuple(sorted(e.color for e in copies))
-            assert g.copies((0, 1)) == () and g.multiplicity((0, 1)) == 0
+            assert g.multiplicity((0, 1)) == 0
             assert g.color_multiset((0, 1)) == () and g.colors((0, 1)) == ()
 
-    @given(multigraphs(max_nodes=5), multigraphs(max_nodes=5))
-    def test_merge_equals_the_validating_constructor(self, a, b):
-        # merge and build write per-pair colour tuples; the
-        # EdgeCopy constructor, given the copies each should make, must
-        # agree with them on the edge order and on the pair index
-        shifted = [
-            EdgeCopy(e.u, e.v, a.multiplicity(e.pair) + e.copy, e.color) for e in b.edges
+    @given(multigraphs(max_nodes=5), multigraphs(max_nodes=5), st.randoms(use_true_random=False))
+    def test_merge_and_build_equal_a_plain_grouping_of_rows(self, a, b, rng):
+        # merge and build write per-pair colour tuples; a plain grouping of
+        # the rows each is given (pairs sorted, colours in row order) must
+        # agree with them on the pair index, and so on the edge order
+        a_rows, b_rows = ([(e.u, e.v, e.color) for e in g.edges] for g in (a, b))
+        # endpoints swapped at random and pairs interleaved, each pair's copies in order
+        mixed = [
+            (e.v, e.u, e.color) if rng.random() < 0.5 else (e.u, e.v, e.color)
+            for e in sorted(a.edges, key=lambda e: (e.copy, e.pair))
         ]
-        by_colour = [
-            EdgeCopy(e.u, e.v, i, e.color)
-            for p in a.pairs()
-            for i, e in enumerate(sorted(a.copies(p), key=lambda e: (e.color, e.copy)), 1)
-        ]
-        # rows with swapped endpoints and pairs interleaved, each pair's copies in order
-        rows = [(e.v, e.u, e.color) for e in sorted(a.edges, key=lambda e: (e.copy, e.pair))]
-        for made, checked in [
-            (merge(a, b), Multigraph(a.nodes | b.nodes, a.edges + tuple(shifted), a.palette)),
-            (in_colour_order(a), Multigraph(a.nodes, by_colour, a.palette)),
-            (Multigraph.build(a.nodes, rows, a.palette), Multigraph(a.nodes, a.edges, a.palette)),
+        both = a.nodes | b.nodes
+        for made, nodes, rows in [
+            (merge(a, b), both, a_rows + b_rows),
+            (Multigraph.build(both, a_rows + b_rows, a.palette), both, a_rows + b_rows),
+            (Multigraph.build(both, mixed + b_rows, a.palette), both, a_rows + b_rows),
+            (Multigraph.build(a.nodes, mixed, a.palette), a.nodes, a_rows),
+            (in_colour_order(a), a.nodes, sorted(a_rows)),
         ]:
-            assert (made.nodes, made.palette) == (checked.nodes, checked.palette)
-            assert made.edges == checked.edges
-            assert list(made._by_pair.items()) == list(checked._by_pair.items())
+            expected = colours_by_pair_grouping(rows)
+            assert (made.nodes, made.palette) == (nodes, a.palette)
+            assert list(made._by_pair.items()) == list(expected.items())
+            assert made.edges == tuple(
+                EdgeCopy(u, v, i, c) for (u, v), cs in expected.items() for i, c in enumerate(cs, 1)
+            )
 
     def test_complex_path_makes_no_edge_copies(self):
         # K4 with doubled pairs: the canonical policy reads each pair's

@@ -5,8 +5,11 @@ and read what it counts.
 wraps every binding of each one across ``multihom.*``; a target that no
 longer resolves, or has no binding, makes ``--trace 1`` raise.  It
 counts a build's cells as ``sum(len(grade) for grade in result.grades)``,
-so a complex's ``grades`` must stay a sequence of sized grades.  The file
-is loaded read-only here and nothing is installed.
+so a complex's ``grades`` must stay a sequence of sized grades.  It
+counts a merge's copies as ``len(result.edges)`` and keys a build's
+input graph by the sorted ``(e.u, e.v, e.color)`` of its ``edges``, so
+a graph's ``edges`` must stay a sized view of such records.  The file is
+loaded read-only here and nothing is installed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given
 
 import multihom
-from multihom import POLICIES, clique_multicomplex
+from multihom import POLICIES, clique_multicomplex, merge
 from conftest import load_spans, multigraphs
 
 SPANS = load_spans()
@@ -50,3 +53,13 @@ def test_build_counter_reads_sized_grades(g, policy):
     counts = defaultdict(float)
     SPANS.Tracer()._on_mcomplex_build(counts, (g, policy), {}, x, 0.0)
     assert counts["mcomplex.build.cells"] == len(x.all_cells())
+
+
+@given(g=multigraphs(max_nodes=5), h=multigraphs(max_nodes=5))
+def test_merge_counter_and_edge_multiset_read_the_graph(g, h):
+    m = merge(g, h)
+    counts = defaultdict(float)
+    SPANS.Tracer()._on_mgraph_merge(counts, (g, h), {}, m, 0.0)
+    assert counts["mgraph.merge.copies_out"] == sum(m.multiplicities().values())
+    rows = sorted((u, v, c) for u, v in m.pairs() for c in m.colors((u, v)))
+    assert SPANS._edge_multiset(m) == tuple(rows)
