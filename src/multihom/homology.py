@@ -95,19 +95,64 @@ the builder uses for face rows.  The face rows of a dimension, the
 builder's own (``mcomplex._face_rows``), are made only where two
 uncleared rows share a lowest coface.
 
+Before it ranks, the ``per-combination`` route asks whether S(g) is
+complete split: with U the nodes linked to every other node, no pair
+joins two nodes outside U (complete and edgeless graphs are).  If so it
+ranks nothing.  With r = |U|, or n - 1 when U is every node, and
+chi = sum_d (-1)^d c_d from the cell counts ``clique_cells`` gives,
+
+    beta_0 = 1,  beta_r = (-1)^r (chi - 1),  beta_d = 0 otherwise,
+
+and beta_0 = chi = n when r = 0.  The largest cliques are U with one
+node outside it, or all n nodes, so the complex has dimension r, and a
+skeleton that stops below r has the homology of the complex below its
+top: (1, 0, ..., 0).
+
+Lemma.  Let K(h; n, m) be the ``per-combination`` complex of a simple
+graph h whose node v has n_v copies and pair e has m_e copies: a cell
+is a clique of h with a copy of each of its nodes and pairs, glued to
+the faces on which it agrees.  Then K_g = K(S(g); 1, m).  Let node k of
+h be linked to every other node, L = K(h - k; n, m) and
+K' = K(h - k; n', m) with n'_t = n_t m_tk.  In reduced homology, where
+the empty complex has beta~_{-1} = 1,
+
+    beta~_d(K) = n_k beta~_{d-1}(K') - beta~_{d-1}(L).
+
+Proof.  A cell through copy c of k is a cell of K' or the empty cell,
+one dimension up: the copy of each other node t and of the pair tk
+together are a copy of t in K'.  Faces through k correspond to faces,
+so H_d(K, L) is the sum over c <= n_k of H~_{d-1}(K').  The one face of
+such a cell that misses k lies in L, so on each summand the connecting
+map is induced by f: K' -> L, which forgets the copies of the pairs tk.
+Taking copy 1 of each such pair is a chain map s with f s = id, so f,
+and with it the connecting map, is onto in homology.  The long exact
+sequence of (K, L) then splits into short exact sequences
+0 -> H~_d(K) -> H_d(K, L) -> H~_{d-1}(L) -> 0.
+
+Theorem.  If S(g) is complete split, H~(K_g) lies in degree r alone, so
+beta~_r = (-1)^r (chi - 1).  Proof for K(h; n, m), h complete split,
+by induction on r.  At r = 0, h is edgeless and K is a set of points.
+Otherwise let k be a node of U.  Deleting it leaves the other nodes of
+U linked to all the rest, so h - k is complete split with r - 1, and
+by induction H~(K') and H~(L) lie in degree r - 1; the lemma puts H~(K)
+in degree r.  On a complete graph (r = n - 1) this says that a single
+multi-clique has reduced homology in its top degree alone.
+
 The rank path stays beside both graph routes, and all three reduce
 ranks with ``_forest`` and ``_pivots``: the closed form adds only the
 multiplicity sums, and the ``per-combination`` route differs only in
-where its lowest cofaces come from.  ``betti`` is the reference for
-built complexes and the Betti path for hand-built ones, which are the
-clique complex of no graph; no verb reads it, since every verb holds
-the graph and reads ``clique_betti``.
+where its lowest cofaces come from, and ranks nothing on a complete
+split graph.  ``betti`` is the reference for built complexes and the
+Betti path for hand-built ones, which are the clique complex of no
+graph; no verb reads it, since every verb holds the graph and reads
+``clique_betti``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence, Set
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 
 from .mcomplex import (
     CANONICAL,
@@ -229,7 +274,8 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
     the complex or skeleton would be, and refused as it would be.  No
     complex is built: under ``canonical`` they come from S(g) in closed
     form, under ``per-combination`` from ranks whose lowest cofaces are
-    found by arithmetic (see the module docstring).  An unknown policy is
+    found by arithmetic, or, when S(g) is complete split, from the cell
+    counts alone (see the module docstring).  An unknown policy is
     refused at every depth.
     """
     check_policy(policy)
@@ -238,13 +284,31 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
     if dim == 0:
         return betti0_of(g.nodes, g.pairs())
     top = None if dim is None else dim + 1
-    mult, cliques = clique_cells(g, policy, top)
+    return _cells_betti(g, policy, *clique_cells(g, policy, top))[:top]
+
+
+def _cells_betti(
+    g: Multigraph, policy: str, mult: dict[tuple[int, int], int], cliques: Cliques
+) -> BettiVector:
+    """``clique_betti`` of g's complex or skeleton, uncut, from its pair
+    multiplicities ``mult`` and cliques ``cliques`` as ``clique_cells``
+    counts them."""
     if not g.nodes:
         return ()
     pairs = list(mult)  # in g.pairs() order, which numbers S's 1-cells
-    forest = _forest({v: v for v in g.nodes}, pairs)
     if policy != CANONICAL:
-        return _per_combination_betti(g, mult, cliques, forest)[:top]
+        counts = [len(g.nodes)] + [sum(mult.values())] * bool(mult)
+        counts += [sum(n for _, n in cliques[d]) for d in range(2, 2 + len(cliques))]
+        r = _split_top(len(g.nodes), pairs)
+        if r is None:
+            return _per_combination_betti(g, mult, cliques, counts)
+        # the reduced homology sits in degree r alone (see the module
+        # docstring); a skeleton that stops below r has none
+        beta = [1] + [0] * (len(counts) - 1)
+        if r < len(counts):
+            beta[r] += (-1) ** r * (sum((-1) ** d * c for d, c in enumerate(counts)) - 1)
+        return tuple(beta)
+    forest = _forest({v: v for v in g.nodes}, pairs)
     counts = [len(g.nodes)] + [len(pairs)] * bool(pairs)
     counts += [len(cliques[d]) for d in range(2, 2 + len(cliques))]
 
@@ -262,18 +326,29 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
         beta[1] += sum(m - 1 for p, m in mult.items() if p not in tight)
     if len(beta) > 2:
         beta[2] += sum(n - 1 for _, n in triangles) - sum(mult[p] - 1 for p in tight)
-    return tuple(beta[:top])
+    return tuple(beta)
+
+
+def _split_top(n: int, pairs: Sequence[tuple[int, int]]) -> int | None:
+    """r for a graph on n >= 1 nodes with the given pairs if it is
+    complete split, else None: with U the nodes linked to every other
+    node, no pair joins two nodes outside U, and r is |U|, or n - 1 when
+    U is every node."""
+    degree = Counter(chain.from_iterable(pairs))
+    u = sum(k == n - 1 for k in degree.values())
+    if len(pairs) != u * (u - 1) // 2 + u * (n - u):
+        return None
+    return min(u, n - 1)
 
 
 def _per_combination_betti(
-    g: Multigraph, mult: dict[tuple[int, int], int], cliques: Cliques, forest: list[int]
+    g: Multigraph, mult: dict[tuple[int, int], int], cliques: Cliques, counts: Sequence[int]
 ) -> BettiVector:
     """The Betti numbers of g's ``per-combination`` clique complex, from
-    its pair multiplicities ``mult`` and cliques ``cliques`` (as
-    ``clique_cells`` counts them) and S(g)'s spanning forest ``forest``,
-    positions in ``mult``: the first copy of each pair stands for it."""
-    counts = [len(g.nodes)] + [sum(mult.values())] * bool(mult)
-    counts += [sum(n for _, n in cliques[d]) for d in range(2, 2 + len(cliques))]
+    its pair multiplicities ``mult``, cliques ``cliques`` and cell counts
+    ``counts`` (as ``clique_cells`` counts them), ranked with S(g)'s
+    spanning forest: the first copy of each pair stands for it."""
+    forest = _forest({v: v for v in g.nodes}, mult)
     first = list(accumulate(mult.values(), initial=0))
 
     def cofaces(d: int) -> Cofaces:

@@ -46,7 +46,7 @@ import json
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NegativeBetti
-from .homology import BettiVector, Gf2Basis, boundary_matrix, clique_betti
+from .homology import BettiVector, Gf2Basis, _cells_betti, boundary_matrix
 from .mcomplex import CANONICAL, Cliques, Multicomplex, clique_cells
 from .mgraph import Multigraph, merge
 
@@ -170,10 +170,10 @@ def _ranks(
 ) -> tuple[list[int], list[int], list[int], list[int], Cliques]:
     """x's Betti numbers, cell counts c_e and simplex counts s_e to
     dimension ``top``, its boundary ranks r_0..r_{top+1}, zero above its
-    dimension, and its cliques: one ``clique_cells`` and one
-    ``clique_betti`` read."""
+    dimension, and its cliques: one ``clique_cells`` read, from which
+    the Betti numbers come as ``clique_betti`` gives them."""
     mult, cliques = clique_cells(x, policy)
-    beta = [*clique_betti(x, policy), *[0] * (top + 1)]
+    beta = [*_cells_betti(x, policy, mult, cliques), *[0] * (top + 1)]
     cells = [len(x.nodes), sum(mult.values())]
     cells += [sum(n for _, n in cliques[e]) for e in sorted(cliques)] + [0] * top
     simplices = [len(x.nodes), len(mult)]

@@ -13,9 +13,10 @@ colour.  Two graphs over the same palette compose in two ways:
 A graph stores, per endpoint pair (pairs sorted), its copies' colours
 in copy order, so copy indices are contiguous by construction.  The one
 door from outside is ``build`` (``empty`` calls it), which checks each
-pair once: endpoints in the node set, colours in the palette.  ``merge``
-checks only that its operands share a palette, as both passed that
-check.  The ``edges`` view makes ``EdgeCopy`` records on demand.
+pair once: endpoints in the node set, colours in the palette; calling
+``Multigraph`` itself is refused.  ``merge`` checks only that its
+operands share a palette, as both passed that check.  The ``edges``
+view makes ``EdgeCopy`` records on demand.
 
 Graphs are immutable values.  Equality is semantic: node set, palette,
 and the colour multiset per endpoint pair — the copy indices used to
@@ -84,6 +85,11 @@ class Multigraph(Value):
     _by_pair: ColorsByPair
 
     # -- construction ------------------------------------------------------------
+
+    def __init__(self, *args, **kwargs):
+        # build, empty and merge make graphs without calling this, and so
+        # do copy and pickle
+        raise TypeError("Multigraph() makes no graph: call Multigraph.build")
 
     @classmethod
     def build(

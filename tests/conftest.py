@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -56,6 +57,23 @@ def multigraphs(draw, max_nodes: int = 6, max_mult: int = 3, sparse_labels: bool
         for v in nodes[i + 1 :]:
             mult = draw(st.integers(0, max_mult))
             for _ in range(mult):
+                rows.append((u, v, draw(st.sampled_from(PALETTE))))
+    return Multigraph.build(nodes, rows, PALETTE)
+
+
+@st.composite
+def complete_split_multigraphs(draw, max_nodes: int = 6, max_mult: int = 3):
+    """Multigraphs on nodes 1..n whose simple graph is complete split: a
+    drawn set U of nodes is linked to every other node, and no pair lies
+    among the rest, R.  U may be empty (an edgeless graph) or hold every
+    node (a complete one); each pair has 1..``max_mult`` copies."""
+    n = draw(st.integers(1, max_nodes))
+    nodes = draw(st.permutations(range(1, n + 1)))
+    linked = set(nodes[: draw(st.integers(0, n))])  # U; the rest is R
+    rows = []
+    for u, v in itertools.combinations(range(1, n + 1), 2):
+        if u in linked or v in linked:
+            for _ in range(draw(st.integers(1, max_mult))):
                 rows.append((u, v, draw(st.sampled_from(PALETTE))))
     return Multigraph.build(nodes, rows, PALETTE)
 

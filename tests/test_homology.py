@@ -7,6 +7,7 @@ import itertools
 import random
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,7 @@ from multihom import filtration, homology, mcomplex
 from multihom.cli import EXIT_OK, main
 from multihom.randgen import random_multigraph
 
-from conftest import PALETTE, REPO_ROOT, multigraphs
+from conftest import PALETTE, REPO_ROOT, complete_split_multigraphs, multigraphs
 from test_mcomplex import simple_triangle_cells
 
 from oracles import (
@@ -604,6 +605,85 @@ class TestCofacesByArithmetic:
         assert dims == [shared]
         monkeypatch.undo()
         assert replay_betti(clique_multicomplex(g, PER_COMBINATION)) == expected
+
+
+def read_or_refusal(read, *args):
+    """``read(*args)``, or the message of its ``CellBudgetExceeded``."""
+    try:
+        return read(*args)
+    except CellBudgetExceeded as refused:
+        return str(refused)
+
+
+def replayed(g: Multigraph, top: int | None):
+    return replay_betti(clique_multicomplex(g, PER_COMBINATION, top))[:top]
+
+
+@st.composite
+def near_misses(draw):
+    """A complete split multigraph on 3-6 nodes with one pair added among
+    three or more nodes outside U, or with two or more nodes outside U
+    and one pair at a node of U dropped: complete split no more.  (With
+    fewer nodes outside U, either can leave the graph complete split.)"""
+    n = draw(st.integers(3, 6))
+    nodes = draw(st.permutations(range(1, n + 1)))
+    add = draw(st.booleans())
+    linked = nodes[: draw(st.integers(0, n - 3) if add else st.integers(1, n - 2))]
+    pairs = [p for p in itertools.combinations(range(1, n + 1), 2) if set(p) & set(linked)]
+    if add:
+        pairs.append(tuple(sorted(nodes[-2:])))
+    else:  # nodes[1] is in U, or one of two or more nodes outside it
+        pairs.remove(tuple(sorted(nodes[:2])))
+    return G(nodes, [(u, v, "red", draw(st.integers(1, 3))) for u, v in pairs])
+
+
+def ranked_nothing(*args, **kwargs):
+    raise AssertionError("a complete split graph was ranked")
+
+
+NO_RANKS = dict.fromkeys(("_lowest_cofaces", "_face_rows", "_forest"), ranked_nothing)
+DOUBLED_K5_LESS_1_2 = [
+    (u, v, "red", 2) for u, v in itertools.combinations(range(1, 6), 2) if (u, v) != (1, 2)
+]
+
+
+class TestCompleteSplitGraphs:
+    """Under ``per-combination`` the complex of a complete split graph has
+    its reduced homology in one degree, so ``clique_betti`` reads it off
+    the cell counts and ranks nothing; every other graph is ranked."""
+
+    @given(complete_split_multigraphs())
+    def test_match_replay_at_every_depth_and_rank_nothing(self, g):
+        for dim in (None, *range(1, len(g.nodes) + 1)):
+            top = None if dim is None else dim + 1
+            with cell_budget(3_000):
+                expected = read_or_refusal(replayed, g, top)
+                with mock.patch.multiple(homology, **NO_RANKS):
+                    assert read_or_refusal(clique_betti, g, PER_COMBINATION, dim) == expected, dim
+
+    @given(near_misses())
+    def test_near_misses_take_the_rank_path(self, g):
+        with cell_budget(3_000):
+            expected = read_or_refusal(replayed, g, None)
+            with mock.patch.object(homology, "_forest", wraps=homology._forest) as forest:
+                assert read_or_refusal(clique_betti, g, PER_COMBINATION) == expected
+        assert forest.called or isinstance(expected, str)
+
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            (doubled(6), (1, 0, 0, 0, 0, 27449)),
+            (G(range(1, 6), DOUBLED_K5_LESS_1_2), (1, 0, 0, 86)),
+            (G([4], []), (1,)),
+            (G([2, 5, 9], []), (3,)),
+        ],
+        ids=["doubled-K6", "doubled-K5-less-a-pair", "one-node", "three-nodes"],
+    )
+    def test_pinned_values(self, g, expected):
+        with mock.patch.multiple(homology, **NO_RANKS):
+            assert clique_betti(g, PER_COMBINATION) == expected
+            if len(expected) > 2:  # the skeleton that stops just below degree r
+                assert clique_betti(g, PER_COMBINATION, len(expected) - 2) == expected[:-1]
 
 
 # -- global invariants ---------------------------------------------------------------

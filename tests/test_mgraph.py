@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 import time
 from collections import Counter
@@ -78,6 +80,14 @@ class TestConstruction:
         # non-contiguous ones: the constructor over EdgeCopy values is gone
         with pytest.raises(TypeError):
             Multigraph(frozenset({1, 2}), (EdgeCopy(1, 2, 2, "red"),), frozenset(PALETTE))
+        # nor with no arguments, which would make a graph with no fields
+        with pytest.raises(TypeError, match="Multigraph.build"):
+            Multigraph()
+        # copies and pickles still make graphs, though they never call the constructor
+        g = G([1, 2, 3], [(1, 2, "red"), (1, 2, "black"), (2, 3, "blue")])
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+            assert twin.pairs() == g.pairs() and twin.colors((1, 2)) == g.colors((1, 2))
 
     def test_zero_multiplicity_rejected(self):
         with pytest.raises(GraphStructureError):
