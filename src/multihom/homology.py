@@ -159,6 +159,7 @@ from .mcomplex import (
     PER_COMBINATION,
     Cliques,
     Multicomplex,
+    _cell_counts,
     _face_rows,
     _lowest_cofaces,
     check_policy,
@@ -297,8 +298,7 @@ def _cells_betti(
         return ()
     pairs = list(mult)  # in g.pairs() order, which numbers S's 1-cells
     if policy != CANONICAL:
-        counts = [len(g.nodes)] + [sum(mult.values())] * bool(mult)
-        counts += [sum(n for _, n in cliques[d]) for d in range(2, 2 + len(cliques))]
+        counts = _cell_counts(g, mult, cliques)
         r = _split_top(len(g.nodes), pairs)
         if r is None:
             return _per_combination_betti(g, mult, cliques, counts)

@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NegativeBetti
 from .homology import BettiVector, Gf2Basis, _cells_betti, boundary_matrix
-from .mcomplex import CANONICAL, Cliques, Multicomplex, clique_cells
+from .mcomplex import CANONICAL, Cliques, Multicomplex, _cell_counts, clique_cells
 from .mgraph import Multigraph, merge
 
 __all__ = [
@@ -174,8 +174,7 @@ def _ranks(
     the Betti numbers come as ``clique_betti`` gives them."""
     mult, cliques = clique_cells(x, policy)
     beta = [*_cells_betti(x, policy, mult, cliques), *[0] * (top + 1)]
-    cells = [len(x.nodes), sum(mult.values())]
-    cells += [sum(n for _, n in cliques[e]) for e in sorted(cliques)] + [0] * top
+    cells = [*_cell_counts(x, mult, cliques), *[0] * (top + 1)]
     simplices = [len(x.nodes), len(mult)]
     simplices += [len(cliques[e]) for e in sorted(cliques)] + [0] * top
     ranks = [0]

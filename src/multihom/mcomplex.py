@@ -533,6 +533,12 @@ def clique_cells(
     return mult, cliques
 
 
+def _cell_counts(g: Multigraph, mult: dict[tuple[int, int], int], cliques: Cliques) -> list[int]:
+    """The cells per grade of g's complex, from what ``clique_cells`` returns for g."""
+    counts = [len(g.nodes)] * bool(g.nodes) + [sum(mult.values())] * bool(mult)
+    return counts + [sum(n for _, n in cliques[d]) for d in range(2, 2 + len(cliques))]
+
+
 def clique_multicomplex(
     g: Multigraph, policy: str = CANONICAL, dim: int | None = None
 ) -> Multicomplex:

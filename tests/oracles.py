@@ -18,7 +18,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from multihom.chainlat import ChainEnv, ChainExpr, evaluate
 from multihom.homology import Gf2Basis, boundary_matrix
-from multihom.mcomplex import Multicomplex, clique_multicomplex
+from multihom.mcomplex import Multicomplex, clique_multicomplex, complex_merge
 from multihom.mgraph import Multigraph, merge
 
 
@@ -402,6 +402,30 @@ def tagged_ledger(g: Multigraph, h: Multigraph, d: int, policy: str) -> dict[str
     n_h, p_h = replay(d, {"g", "shared"})
     _, cl = replay(d + 1, {"g", "h", "shared"})
     return {"n_g": n_g, "p_g": p_g, "n_h": n_h, "p_h": p_h, "cl": cl}
+
+
+def complex_law_witnesses(graphs: Sequence[Multigraph], policy: str) -> list[str]:
+    """The merge-monoid and functoriality witnesses ``check-laws`` reports,
+    found on built complexes: every pair and triple of the graphs' clique
+    complexes merged by ``complex_merge`` and compared through
+    ``canonical_form``, the unit being the empty complex."""
+    out: list[str] = []
+    complexes = [clique_multicomplex(g, policy) for g in graphs]
+    palette = graphs[0].palette if graphs else frozenset()
+    unit = Multicomplex.empty(palette, policy)
+    for (i, a), (j, b) in itertools.product(enumerate(complexes), repeat=2):
+        if complex_merge(a, b) != complex_merge(b, a):
+            out.append(f"complex_merge commutativity: graphs #{i}, #{j}")
+        expected = clique_multicomplex(merge(graphs[i], graphs[j]), policy)
+        if complex_merge(a, b) != expected:
+            out.append(f"functoriality: graphs #{i}, #{j}")
+    for i, a in enumerate(complexes):
+        if complex_merge(a, unit) != a or complex_merge(unit, a) != a:
+            out.append(f"complex_merge unit: graph #{i}")
+    for (i, a), (j, b), (l, c) in itertools.product(enumerate(complexes), repeat=3):
+        if complex_merge(complex_merge(a, b), c) != complex_merge(a, complex_merge(b, c)):
+            out.append(f"complex_merge associativity: graphs #{i}, #{j}, #{l}")
+    return out
 
 
 def random_disjoint_connected(

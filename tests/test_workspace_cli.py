@@ -2,25 +2,38 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, reject, settings
 
 import multihom
 
 from multihom import (
+    Multigraph,
     PaletteMismatch,
     SelfLoopPresent,
     WorkspaceError,
     load_workspace,
+    merge,
     parse_workspace,
 )
 from multihom.cli import EXIT_DOMAIN, EXIT_LAW, EXIT_OK, EXIT_USAGE, build_parser, main
+from multihom.errors import CellBudgetExceeded
+from multihom.incremental import replay_betti
+from multihom.mcomplex import POLICIES, cell_budget, clique_multicomplex
+from multihom.randgen import random_multigraph
+
+import oracles
+from conftest import REPO_ROOT
 
 
 MINIMAL = {
@@ -231,6 +244,48 @@ class TestCliMergeBetti:
         assert code == EXIT_OK
         assert "betti" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_merge_emit_complex_text_matches_the_built_complex(self, capsys, monkeypatch, policy):
+        # the cells per dimension and Betti numbers printed are the built
+        # complex's, and the text form builds none
+        from multihom import mcomplex
+
+        workspaces, data = REPO_ROOT / "workspaces", REPO_ROOT / "tests" / "data"
+        paths = [workspaces / "three_paths.json", workspaces / "disjoint_triangles.json"]
+        paths += [data / "doubled_k5.json", data / "sharing_k5.json"]
+        expected = {}
+        for path in paths:
+            graphs = load_workspace(str(path)).graphs
+            for left, right in itertools.product(graphs, repeat=2):
+                x = clique_multicomplex(merge(graphs[left], graphs[right]), policy)
+                counts = [x.cell_count(d) for d in range(x.dimension + 1)]
+                expected[path, left, right] = (
+                    f"cells per dimension: {counts}\nbetti: {replay_betti(x)}\n"
+                )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a complex was built")
+
+        monkeypatch.setattr(mcomplex, "clique_multicomplex", refuse)
+        for (path, left, right), out in expected.items():
+            argv = ["--workspace", str(path), "--policy", policy]
+            assert main([*argv, "merge", left, right, "--emit-complex"]) == EXIT_OK
+            assert capsys.readouterr().out == out
+
+    def test_merge_emit_complex_text_keeps_the_budget_refusal(self, capsys):
+        # doubled K5 merged with itself: 5 + 20 + 80 + 256 = 361 cells
+        argv = ["--workspace", str(REPO_ROOT / "tests" / "data" / "doubled_k5.json")]
+        argv += ["--policy", "per-combination", "--max-cells"]
+        assert main([*argv, "361", "merge", "G", "G", "--emit-complex"]) == EXIT_OK
+        assert "cells per dimension: [5, 20, 80, 256]" in capsys.readouterr().out
+        assert main([*argv, "360", "merge", "G", "G", "--emit-complex"]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the per-combination clique complex of a graph on 5 nodes "
+            "has more than 360 cells\n"
+        )
+
     def test_merge_needs_workspace(self, capsys):
         assert main(["merge", "G", "H"]) == EXIT_USAGE
 
@@ -437,6 +492,35 @@ class TestCliLattice:
         assert captured.err.startswith("error:") and repr(atom) in captured.err
 
 
+def rebind_merge(patch: pytest.MonkeyPatch, fake) -> None:
+    """Bind ``fake`` in place of ``merge`` in every module that binds it."""
+    modules = [m for name, m in sys.modules.items() if name.startswith("multihom")]
+    for module in [*modules, oracles]:
+        if getattr(module, "merge", None) is merge:
+            patch.setattr(module, "merge", fake)
+
+
+def left_wins(g: Multigraph, h: Multigraph) -> Multigraph:
+    """``merge``, but a pair of both operands keeps only g's copies:
+    associative and unital, not commutative."""
+    colors = {p: h.colors(p) for p in h.pairs()} | {p: g.colors(p) for p in g.pairs()}
+    rows = [(*p, c) for p, cs in colors.items() for c in cs]
+    return Multigraph.build(g.nodes | h.nodes, rows, g.palette)
+
+
+def max_plus_one(g: Multigraph, h: Multigraph) -> Multigraph:
+    """``merge``, but a pair of both operands keeps only the first
+    max(m_g, m_h) + 1 of its colours in sorted order: commutative and
+    unital, not associative."""
+    rows = []
+    for p in sorted(set(g.pairs()) | set(h.pairs())):
+        colors = sorted(g.colors(p) + h.colors(p))
+        if g.multiplicity(p) and h.multiplicity(p):
+            colors = colors[: max(g.multiplicity(p), h.multiplicity(p)) + 1]
+        rows += [(*p, c) for c in colors]
+    return Multigraph.build(g.nodes | h.nodes, rows, g.palette)
+
+
 class TestCliLaws:
     def test_laws_hold(self, capsys):
         assert main(["check-laws", "--k", "3"]) == EXIT_OK
@@ -480,6 +564,98 @@ class TestCliLaws:
             assert checked == list(load_workspace(str(path)).graphs.values())
         else:
             assert len(checked) == 3 and all(g.palette == {"red", "black"} for g in checked)
+
+
+    def test_laws_build_one_complex_per_graph_and_merge_none(
+        self, three_paths_path, capsys, monkeypatch
+    ):
+        from multihom import mcomplex
+
+        built, real = [], mcomplex.clique_multicomplex
+
+        def spy(g, *args, **kwargs):
+            built.append(g)
+            return real(g, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a complex was merged or compared")
+
+        monkeypatch.setattr(mcomplex, "clique_multicomplex", spy)
+        monkeypatch.setattr(mcomplex, "complex_merge", refuse)
+        monkeypatch.setattr(mcomplex.Multicomplex, "canonical_form", refuse)
+        workspace = list(load_workspace(str(three_paths_path)).graphs.values())
+        for policy in POLICIES:
+            for argv, count in (([], 3), (["--workspace", str(three_paths_path)], len(workspace))):
+                built.clear()
+                assert main([*argv, "--policy", policy, "check-laws", "--k", "2"]) == EXIT_OK
+                assert "all hold" in capsys.readouterr().out
+                assert len(built) == count
+            assert built == workspace
+
+    def test_only_each_graph_meets_the_budget(self, tmp_path, capsys):
+        # each doubled triangle has 3 + 6 + 8 = 17 per-combination cells and
+        # their merge 3 + 12 + 64 = 79; the laws are read off the graphs, so
+        # a merge is never built and only each graph's own complex is counted
+        graphs = {
+            name: {
+                "nodes": [1, 2, 3],
+                "edges": [
+                    {"u": u, "v": v, "color": color}
+                    for u, v in itertools.combinations([1, 2, 3], 2)
+                    for color in colors
+                ],
+            }
+            for name, colors in (("G", ("red", "black")), ("H", ("red", "red")))
+        }
+        path = tmp_path / "doubled_triangles.json"
+        path.write_text(json.dumps({"colors": ["red", "black"], "graphs": graphs}))
+        argv = ["--workspace", str(path), "--policy", "per-combination", "--max-cells"]
+        assert main([*argv, "17", "check-laws", "--k", "2"]) == EXIT_OK
+        assert "all hold" in capsys.readouterr().out
+        assert main([*argv, "16", "check-laws", "--k", "2"]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the per-combination clique complex of a graph on 3 nodes "
+            "has more than 16 cells\n"
+        )
+
+    @pytest.mark.parametrize(
+        "fault", [None, left_wins, max_plus_one], ids=["merge", "left_wins", "max_plus_one"]
+    )
+    @given(seed=st.integers(0, 2**32 - 1), policy=st.sampled_from(POLICIES))
+    @settings(max_examples=25)
+    def test_laws_off_the_graphs_match_the_complexes(self, fault, seed, policy):
+        # 1-4 graphs of the fuzz draw; with a faulty merge bound in every
+        # module, both sides must still report the same witnesses
+        from multihom import cli
+
+        rng = random.Random(seed)
+        graphs = [random_multigraph(rng, max_nodes=7, max_mult=3) for _ in range(rng.randint(1, 4))]
+        with pytest.MonkeyPatch.context() as patch, cell_budget(20_000):
+            if fault:
+                rebind_merge(patch, fault)
+            try:
+                expected = oracles.complex_law_witnesses(graphs, policy)
+            except CellBudgetExceeded:
+                reject()  # a merged complex is over the budget
+            assert cli._monoid_law_witnesses(graphs, policy) == expected
+
+    @pytest.mark.parametrize(
+        "fault, law", [(left_wins, "commutativity"), (max_plus_one, "associativity")]
+    )
+    def test_faulty_merges_are_witnessed(self, fault, law):
+        from multihom import cli
+
+        graphs = [
+            Multigraph.build([1, 2], [(1, 2, "red")] * mult, ["red", "black"]) for mult in (1, 2)
+        ]
+        graphs.append(Multigraph.build([1, 2], [(1, 2, "black")], ["red", "black"]))
+        with pytest.MonkeyPatch.context() as patch:
+            rebind_merge(patch, fault)
+            expected = oracles.complex_law_witnesses(graphs, "canonical")
+            assert cli._monoid_law_witnesses(graphs, "canonical") == expected
+        assert any(law in witness for witness in expected)
 
 
 def atoms(k: int) -> list[str]:
