@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Verbs: parse | merge | betti | filtrate | lattice | check-laws |
-incremental | fuzz.  Exit codes: 0 success, 1 usage, 2 domain error,
-3 law violation.
+incremental | fuzz.  Exit codes: 0 success (also when the reader of
+stdout closes it early), 1 usage, 2 domain error, 3 law violation.
 """
 
 from __future__ import annotations
@@ -449,7 +449,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         with mcomplex.cell_budget(args.max_cells):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,54 +3,44 @@
 Incidence between (d-1)-cells and d-cells is stored as Python int
 bitsets, indexed by the rows of the complex's store: bit i stands for
 row i of a grade, and a cell's faces are already row indices into the
-grade below, so no key is looked up.  ``boundary_matrix`` builds
-the columns of the d-th boundary matrix (one bitset per d-cell);
-``coboundary_rows`` builds its rows (one bitset per (d-1)-cell) from the
-d-cells' face rows, which is the short side whenever a dimension has
-more cells than the one below.  Neither makes a ``Multicell``.  Over
-GF(2) no orientation bookkeeping is needed, and parallel copies
-contribute independent vectors exactly when their glued boundaries
-differ.
+grade below, so no key is looked up.  A d-cell's column of the d-th
+boundary matrix is the XOR of ``1 << i`` over its face rows i
+(``boundary_matrix`` gives them all), with no ``Multicell`` made.  Over
+GF(2) no orientation bookkeeping is needed, a cell glued twice to one
+face cancels that incidence, and parallel copies contribute
+independent vectors exactly when their glued boundaries differ.
 
-``betti`` takes the rank of each boundary matrix as the number of
-pivots (lowest set bits) of a reduced basis of its rows.  Two facts let
-it find the pivots while building almost no rows.
-
-The pivot set is fixed by the row space alone: it is {lowest set bit
-of v : v != 0 in the span}, whichever rows span it and however they are
-reduced.  The rows of the first boundary matrix span the cut space of
-the 1-skeleton, and an edge is the lowest edge of some cut exactly when
-no lower edges join its ends.  So that pivot set is the spanning forest
-Kruskal's algorithm picks in row order, found by a union-find over the
-1-cells' faces (``_forest``).  Parallel copies never join two trees, so
-the same forest over a graph's pairs gives beta_0 of its clique complex:
+The rank of the first boundary matrix is the size of a spanning forest
+of the 1-skeleton, found by a union-find over the 1-cells' faces
+(``_forest``).  Parallel copies never join two trees, so the same
+forest over a graph's pairs gives beta_0 of its clique complex:
 ``betti0_of`` reads it there and builds no complex.
 
-A row whose lowest set bit is no pivot stored yet lies outside the span
-of the stored vectors, so it is independent and can stand in the basis
-unreduced.  For d >= 2 a row's lowest set bit is its lowest coface, the
-smallest d-cell index at which a face list names it, read off the face
-lists (an "apparent" pivot, as in Bauer's Ripser, 2021).  Such a row is
-kept by its index alone.  Only when two rows share a lowest coface are
-the dimension's rows built, once, and the later rows reduced in a
-``Gf2Basis``.  (A cell glued twice to one face cancels that incidence, so
-when a cell repeats a face the dimension is reduced on its rows too.)
+Every other rank comes from one column pass (``_ranked``), the
+standard reduction of Edelsbrunner, Letscher & Zomorodian (2002): a
+column whose highest set bit is no pivot yet is independent of the
+columns stored and is stored as it is, and any other column is reduced
+by the stored column with that pivot until it is zero or its highest
+bit is new.  The rank is the number of pivots.
 
-Ranks go in ascending dimension with clearing (the "twist" of Chen &
-Kerber, 2011, applied to the coboundary as in Ripser): the rows of the
-d-th boundary matrix whose index is a pivot one dimension down are
-skipped.  Skipping is exact for any cell order.  A vector r in the row
-space of the (d-1)-th matrix with pivot i is a coboundary, so the next
-coboundary maps it to zero: the rows of the d-th matrix indexed by the
-set bits of r sum to zero.  Every other set bit of r lies above i, so
-row i is the sum of rows with higher indices.  By descending induction
-on the index, the rows kept span the same space as all rows.  Betti
-numbers then come from the usual rank formula.
+The dimensions go from the top down with clearing (the "twist" of Chen
+& Kerber, 2011): the columns of the d-th boundary matrix whose index is
+a pivot one dimension up are skipped, and not even built.  Skipping is
+exact for any cell order.  A reduced column of the (d+1)-th matrix with
+pivot i is a sum of its columns, the boundary of a (d+1)-chain, so it
+is a d-chain c whose own boundary is zero (the boundary of a boundary
+is zero, which ``boundary_squares_to_zero`` checks, and which a cell
+that names a face twice keeps, as the two incidences cancel).  So the
+columns of the d-th matrix indexed by the set bits of c sum to zero.
+Every other set bit of c lies below i, so column i is the sum of
+columns with lower indices.  By induction on the index, the columns
+kept span the same space as all columns.  Betti numbers then come from
+the usual rank formula.
 
 ``clique_betti`` gives the Betti numbers of a graph's clique complex.
 Under ``canonical`` it builds no cell: it reduces the ranks of S, the
-clique complex of g's simple graph, with the same forest and pivot
-routine, and adds sums over the pair multiplicities m_e.  With T the
+clique complex of g's simple graph, with the same forest and column
+pass, and adds sums over the pair multiplicities m_e.  With T the
 triangles of g:
 
     beta_1(K_g) = beta_1(S) + sum over pairs e in no triangle of (m_e - 1)
@@ -72,28 +62,8 @@ Euler characteristic.  The 2-skeletons of the two policies are equal,
 so the beta_1 line holds under ``per-combination`` too.
 
 Under ``per-combination`` ``clique_betti`` builds no cell either.  It
-ranks the complex itself, with the same forest, pivots and clearing, but
-finds each (d-1)-cell's lowest coface by arithmetic on the cliques and
-the pair multiplicities (``mcomplex._lowest_cofaces``), d >= 2.
-
-Proof.  The d-cells are ordered by sorted clique, and within a clique
-sigma by the rank of their copy assignment.  With sigma's pairs in
-sorted order p_1..p_k of m_1..m_k copies, the cell taking copy b_j on
-p_j is row first(sigma) + sum_j (b_j - 1) W_j, where the mixed-radix
-weight W_j = m_{j+1} ... m_k is positive.  A d-cell (sigma, b) is glued
-to the (d-1)-cell (tau, a) exactly when tau is a face of sigma and b
-agrees with a on tau's pairs.  Every row of a clique comes before every
-row of a later clique, so the lowest coface of (tau, a) lies on
-sigma*, the first d-clique that contains tau.  There b is fixed on tau's
-pairs and free on the pairs through the vertex sigma* adds, and the row
-grows in every digit b_j, so the minimum takes copy 1 on each of those:
-row first(sigma*) + sum over tau's pairs p of (a_p - 1) W_{sigma*}(p).
-A (d-1)-cell in no d-clique has no coface, and its row is zero.  No
-cell names one face twice, since its faces lie on distinct vertex sets.
-A face's cells in copy order take these rows by the block repetition
-the builder uses for face rows.  The face rows of a dimension, the
-builder's own (``mcomplex._face_rows``), are made only where two
-uncleared rows share a lowest coface.
+ranks the complex itself, with the same forest and column pass, over
+the face rows the builder makes (``mcomplex._face_rows``), d >= 2.
 
 Before it ranks, the ``per-combination`` route asks whether S(g) is
 complete split: with U the nodes linked to every other node, no pair
@@ -139,12 +109,12 @@ in degree r.  On a complete graph (r = n - 1) this says that a single
 multi-clique has reduced homology in its top degree alone.
 
 The rank path stays beside both graph routes, and all three reduce
-ranks with ``_forest`` and ``_pivots``: the closed form adds only the
-multiplicity sums, and the ``per-combination`` route differs only in
-where its lowest cofaces come from, and ranks nothing on a complete
-split graph.  ``betti`` is the reference for built complexes and the
-Betti path for hand-built ones, which are the clique complex of no
-graph; no verb reads it, since every verb holds the graph and reads
+ranks with ``_forest`` and ``_ranked``: the closed form adds only the
+multiplicity sums, the ``per-combination`` route differs only in where
+its face rows come from, and it ranks nothing on a complete split
+graph.  ``betti`` is the reference for built complexes and the Betti
+path for hand-built ones, which are the clique complex of no graph; no
+verb reads it, since every verb holds the graph and reads
 ``clique_betti``.
 """
 
@@ -152,7 +122,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence, Set
-from itertools import accumulate, chain, combinations
+from itertools import chain, combinations
 
 from .mcomplex import (
     CANONICAL,
@@ -161,7 +131,6 @@ from .mcomplex import (
     Multicomplex,
     _cell_counts,
     _face_rows,
-    _lowest_cofaces,
     check_policy,
     clique_cells,
 )
@@ -172,7 +141,6 @@ __all__ = [
     "Gf2Basis",
     "BoundaryMatrix",
     "boundary_matrix",
-    "coboundary_rows",
     "betti",
     "betti0_of",
     "clique_betti",
@@ -182,9 +150,6 @@ __all__ = [
 ]
 
 BettiVector = tuple[int, ...]
-# a boundary matrix's lowest coface of each row (None if a cell names one
-# face twice), and a thunk that builds its rows: what ``_pivots`` reads
-Cofaces = tuple[dict[int, int] | None, Callable[[], Sequence[int]]]
 
 
 class Gf2Basis:
@@ -234,35 +199,25 @@ def boundary_matrix(x: Multicomplex, d: int) -> BoundaryMatrix:
     """Boundary matrix for dimension d >= 1 (columns from glued faces)."""
     if d < 1:
         raise ValueError(f"boundary matrices are defined for d >= 1, got {d}")
-    columns = []
-    for faces in x.grade(d).face_rows():
-        col = 0
-        for i in faces:
-            col ^= 1 << i
-        columns.append(col)
-    return BoundaryMatrix(tuple(columns))
+    return BoundaryMatrix(tuple(map(_column, x.grade(d).face_rows())))
 
 
-def coboundary_rows(faces: Sequence[Sequence[int]], below: int) -> list[int]:
-    """Rows of a boundary matrix of dimension d >= 1, given as its
-    d-cells' face rows, one list per face position (a ``Grade``'s
-    ``faces``), over ``below`` (d-1)-cells: bit j of row i is set when
-    the j-th d-cell is glued to the i-th (d-1)-cell."""
-    rows = [0] * below
-    for at in faces:
-        for j, i in enumerate(at):
-            rows[i] ^= 1 << j
-    return rows
+def _column(faces: Iterable[int]) -> int:
+    """A cell's boundary column from its face rows: a face named twice cancels."""
+    col = 0
+    for i in faces:
+        col ^= 1 << i
+    return col
 
 
 def betti(x: Multicomplex) -> BettiVector:
     """Betti numbers beta_0..beta_D via the GF(2) rank formula, each rank
-    the number of pivots of the boundary rows, taken in ascending
-    dimension with clearing (see the module docstring)."""
+    reduced from the boundary columns, top dimension down, with clearing
+    (see the module docstring)."""
     counts = [x.cell_count(d) for d in range(x.dimension + 1)]
-    # the pivots of the first boundary matrix: the spanning forest in row order
+    # the rank of the first boundary matrix: the spanning forest's size
     forest = _forest(list(range(x.cell_count(0))), zip(*x.grade(1).faces))
-    return _ranked(counts, forest, lambda d: _by_faces(x.grade(d).faces, counts[d - 1]))
+    return _ranked(counts, forest, lambda d: x.grade(d).face_rows())
 
 
 def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None) -> BettiVector:
@@ -274,10 +229,10 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
     no cell counted.  Deeper vectors are counted against the cell budget as
     the complex or skeleton would be, and refused as it would be.  No
     complex is built: under ``canonical`` they come from S(g) in closed
-    form, under ``per-combination`` from ranks whose lowest cofaces are
-    found by arithmetic, or, when S(g) is complete split, from the cell
-    counts alone (see the module docstring).  An unknown policy is
-    refused at every depth.
+    form, under ``per-combination`` from ranks over the builder's face
+    rows, or, when S(g) is complete split, from the cell counts alone
+    (see the module docstring).  An unknown policy is refused at every
+    depth.
     """
     check_policy(policy)
     if dim is not None and dim < 0:
@@ -316,10 +271,9 @@ def _cells_betti(
         """S's d-cells' face rows: the rows of their d-vertex subcliques."""
         below = pairs if d == 2 else [tau for tau, _ in cliques[d - 1]]
         row = dict(zip(below, range(len(below))))
-        at = (map(row.__getitem__, combinations(tau, d)) for tau, _ in cliques[d])
-        return tuple(zip(*at))
+        return (map(row.__getitem__, combinations(tau, d)) for tau, _ in cliques[d])
 
-    beta = list(_ranked(counts, forest, lambda d: _by_faces(faces(d), counts[d - 1])))
+    beta = list(_ranked(counts, forest, faces))
     triangles = cliques.get(2, ())
     tight = {p for tau, _ in triangles for p in combinations(tau, 2)}
     if len(beta) > 1:
@@ -346,42 +300,44 @@ def _per_combination_betti(
 ) -> BettiVector:
     """The Betti numbers of g's ``per-combination`` clique complex, from
     its pair multiplicities ``mult``, cliques ``cliques`` and cell counts
-    ``counts`` (as ``clique_cells`` counts them), ranked with S(g)'s
-    spanning forest: the first copy of each pair stands for it."""
+    ``counts`` (as ``clique_cells`` counts them): S(g)'s spanning forest
+    ranks the first boundary, as parallel copies never join two trees."""
     forest = _forest({v: v for v in g.nodes}, mult)
-    first = list(accumulate(mult.values(), initial=0))
-
-    def cofaces(d: int) -> Cofaces:
-        def rows() -> list[int]:
-            return coboundary_rows(_face_rows(g, PER_COMBINATION, mult, cliques, d), counts[d - 1])
-
-        return _lowest_cofaces(mult, cliques, d), rows
-
-    return _ranked(counts, [first[k] for k in forest], cofaces)
-
-
-def _by_faces(faces: Sequence[Sequence[int]], below: int) -> Cofaces:
-    """The lowest cofaces of a boundary matrix of dimension d >= 2 given
-    as its d-cells' face rows over ``below`` (d-1)-cells, and a thunk for
-    its rows."""
-    return _lowest_cofaces_of_rows(faces, len(faces[0])), lambda: coboundary_rows(faces, below)
+    return _ranked(
+        counts, forest, lambda d: zip(*_face_rows(g, PER_COMBINATION, mult, cliques, d))
+    )
 
 
 def _ranked(
-    counts: Sequence[int],
-    forest: Sequence[int],
-    cofaces: Callable[[int], Cofaces],
+    counts: Sequence[int], forest: int, faces: Callable[[int], Iterable[Iterable[int]]]
 ) -> BettiVector:
     """beta_0..beta_D of a complex with ``counts[d]`` cells of dimension
-    d, the first boundary matrix's pivots ``forest`` and, for d >= 2,
-    ``cofaces(d)``: the d-th boundary's lowest cofaces and a thunk for
-    its rows, as ``_pivots`` takes them, read in ascending d."""
-    pivots: Set[int] = set(forest)
-    ranks = [0, len(pivots)] + [0] * len(counts)
-    for d in range(2, len(counts)):
-        pivots = _pivots(*cofaces(d), pivots)
-        ranks[d] = len(pivots)
+    d, first boundary rank ``forest`` and, for d >= 2, ``faces(d)``:
+    each d-cell's face rows, in cell order.  Dimensions go from the top
+    down, and a cell whose index is a pivot one dimension up makes no
+    column (see the module docstring)."""
+    ranks = [0, forest] + [0] * len(counts)
+    cleared: Set[int] = set()
+    for d in range(len(counts) - 1, 1, -1):
+        kept = (rows for j, rows in enumerate(faces(d)) if j not in cleared)
+        cleared = _reduce(map(_column, kept))
+        ranks[d] = len(cleared)
     return tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(counts))
+
+
+def _reduce(columns: Iterable[int]) -> set[int]:
+    """The pivots of a boundary matrix's columns: each column is reduced,
+    left to right, by its highest set bit, and a nonzero residue keeps
+    that bit as a pivot.  Their number is the rank."""
+    reduced: dict[int, int] = {}  # highest set bit + 1 -> reduced column
+    for col in columns:
+        while col:
+            top = col.bit_length()
+            if top not in reduced:
+                reduced[top] = col
+                break
+            col ^= reduced[top]
+    return {top - 1 for top in reduced}
 
 
 def betti0_of(nodes: Set[int], pairs: Iterable[tuple[int, int]]) -> BettiVector:
@@ -391,74 +347,23 @@ def betti0_of(nodes: Set[int], pairs: Iterable[tuple[int, int]]) -> BettiVector:
     No complex is built."""
     if not nodes:
         return ()
-    return (len(nodes) - len(_forest({v: v for v in nodes}, pairs)),)
+    return (len(nodes) - _forest({v: v for v in nodes}, pairs),)
 
 
-def _forest(parent: list[int] | dict[int, int], links: Iterable[tuple[int, int]]) -> list[int]:
-    """Positions of the links that join two trees when a forest grows link
-    by link in the given order (Kruskal's choice), by union-find with path
-    halving over ``parent``, which maps each item to itself at the start."""
-    kept = []
-    for pos, (a, b) in enumerate(links):
+def _forest(parent: list[int] | dict[int, int], links: Iterable[tuple[int, int]]) -> int:
+    """The number of links that join two trees when a forest grows link
+    by link (Kruskal's choice), by union-find with path halving over
+    ``parent``, which maps each item to itself at the start."""
+    kept = 0
+    for a, b in links:
         while (p := parent[a]) != a:
             parent[a] = a = parent[p]
         while (p := parent[b]) != b:
             parent[b] = b = parent[p]
         if a != b:
             parent[a] = b
-            kept.append(pos)
+            kept += 1
     return kept
-
-
-def _pivots(
-    low: dict[int, int] | None, rows: Callable[[], Sequence[int]], cleared: Set[int]
-) -> Set[int]:
-    """Pivots of the row space of a boundary matrix of dimension d >= 2
-    from its rows not in ``cleared``, given each row's lowest coface
-    ``low`` (rows with none left out; None if a cell repeats a face) and
-    ``rows``, which builds the rows.  Rows are built only if two rows
-    share a lowest coface, or if ``low`` is None."""
-    if low is None:  # a cell repeats a face: reduce every row
-        basis = Gf2Basis()
-        for i, row in enumerate(rows()):
-            if i not in cleared:
-                basis.add(row)
-        return {p.bit_length() - 1 for p in basis.pivots}
-    taken: dict[int, int] = {}  # pivot -> row, for the rows kept by index alone
-    built: Sequence[int] | None = None
-    for i, j in low.items():
-        if i in cleared:
-            continue
-        if built is None:
-            if j not in taken:
-                taken[j] = i
-                continue
-            built = rows()
-            basis = Gf2Basis()
-            basis.pivots = {1 << p: built[r] for p, r in taken.items()}
-        basis.add(built[i])
-    return taken.keys() if built is None else {p.bit_length() - 1 for p in basis.pivots}
-
-
-def _lowest_cofaces_of_rows(faces: Sequence[list[int]], n: int) -> dict[int, int] | None:
-    """Each (d-1)-row's lowest coface: the smallest of the n d-cells whose
-    face lists name it, for every row some cell names.  None if a cell is
-    found naming a row at two face positions, as it always is when that
-    cell is the row's lowest coface: the two incidences cancel."""
-    low: dict[int, int] = {}
-    down = range(n - 1, -1, -1)
-    for k, rows in enumerate(faces):
-        first = dict(zip(reversed(rows), down))  # later cells overwrite, so the first wins
-        if not k:
-            low = first
-            continue
-        for i, j in first.items():
-            lowest = low.get(i, n)
-            if j < lowest:
-                low[i] = j
-            elif j == lowest:
-                return None
-    return low
 
 
 def betti_sum(vectors: Iterable[BettiVector]) -> BettiVector:

@@ -26,15 +26,10 @@ its clique's first row plus the rank of the restricted assignment.  One
 table per dimension says which pairs each face position omits, and a
 face's rows over its clique's cells grow from its first row, last pair
 first: a pair the face omits repeats the block, one it keeps appends it
-shifted by each further copy's rank step.  Read the other way, the same
-steps give ``homology.clique_betti`` each cell's lowest coface under
-``per-combination`` with no face row built (``_lowest_cofaces``): a
-cell's lowest coface lies on the first clique above it, and the cells of
-a face take that clique's rank steps on the face's own pairs.
-``Multicell`` is the value type of one cell; ``cells``, ``find`` and
-``all_cells`` build it on demand as a view of a row, and
-``Multicomplex.from_cells`` is the door for hand-built cells, which it
-converts into the same rows.
+shifted by each further copy's rank step.  ``Multicell`` is the value
+type of one cell; ``cells``, ``find`` and ``all_cells`` build it on
+demand as a view of a row, and ``Multicomplex.from_cells`` is the door
+for hand-built cells, which it converts into the same rows.
 
 ``clique_cells`` counts the cells in closed form from the cliques before
 any is made, for ``clique_multicomplex`` and for the Betti numbers that
@@ -655,36 +650,6 @@ def _face_rows(
                     stride *= r
             rows += block
     return faces
-
-
-def _lowest_cofaces(
-    mult: Mapping[tuple[int, int], int], cliques: Cliques, d: int
-) -> dict[int, int]:
-    """Under ``per-combination``, each (d-1)-cell's lowest coface, d >= 2:
-    row -> the smallest d-cell row glued to it, for every (d-1)-cell in
-    some d-clique, by arithmetic and with no face row built.  The lowest
-    coface of (tau, a) lies on the first d-clique sigma that contains tau
-    and takes copy 1 on sigma's other pairs: sigma's first row plus a's
-    digits at sigma's rank weights (``homology`` has the proof)."""
-    below_first = _first_rows(mult, cliques, d - 1)
-    omits = _omitted_pairs(d)
-    low: dict[int, int] = {}
-    row = 0  # sigma's first row
-    for sigma, n in cliques[d]:
-        doubled = _doubled(mult, list(itertools.combinations(sigma, 2)))
-        for tau, skip in zip(itertools.combinations(sigma, d), omits):
-            base = below_first.pop(tau, None)
-            if base is None:  # a lower clique holds tau's lowest cofaces
-                continue
-            # tau's cells in copy order take sigma's rank weights on its pairs
-            block, weight = [row], 1
-            for j, r in doubled:
-                if not skip[j]:
-                    _spread(block, r, weight)
-                weight *= r
-            low.update(zip(range(base, base + len(block)), block))
-        row += n
-    return low
 
 
 def cell_coloring(x: Multicomplex, c: Multicell) -> tuple[str, ...]:

@@ -7,6 +7,8 @@ import itertools
 import random
 import sys
 import time
+from collections.abc import Iterator, Set
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -28,9 +30,7 @@ from multihom import (
     boundary_squares_to_zero,
     cell_budget,
     clique_betti,
-    clique_cells,
     clique_multicomplex,
-    coboundary_rows,
     euler_characteristic,
     replay_betti,
     tensor,
@@ -177,16 +177,6 @@ class TestBoundaryMatrix:
         with pytest.raises(Exception):
             boundary_matrix(filled_triangle(), 0)
 
-    @given(clique_complexes())
-    def test_coboundary_rows_transpose_the_columns(self, x):
-        for d in range(1, x.dimension + 2):
-            columns = boundary_matrix(x, d).columns
-            assert all(col < 1 << x.cell_count(d - 1) for col in columns)
-            assert coboundary_rows(x.grade(d).faces, x.cell_count(d - 1)) == [
-                sum(((col >> i) & 1) << j for j, col in enumerate(columns))
-                for i in range(x.cell_count(d - 1))
-            ]
-
 
 # -- Betti vectors -----------------------------------------------------------------
 
@@ -245,13 +235,13 @@ class TestBetti:
         assert betti_sum([]) == ()
 
 
-# -- ranks from coboundary rows with clearing ---------------------------------------
+# -- ranks from boundary columns with clearing --------------------------------------
 
 
 class TestClearing:
-    """``betti`` reduces coboundary rows and skips the rows cleared by the
-    dimension below; ``replay_betti`` adds every boundary column one by
-    one.  The two must agree everywhere."""
+    """``betti`` reduces boundary columns from the top dimension down and
+    skips the columns cleared by the dimension above; ``replay_betti``
+    adds every boundary column one by one.  The two must agree everywhere."""
 
     @given(clique_complexes())
     def test_matches_replay_on_clique_complexes(self, x):
@@ -290,7 +280,8 @@ class TestClearing:
 
 def sparse_graph(rng: random.Random) -> Multigraph:
     """20-40 nodes, each pair an edge with probability 0.1-0.2, one or two
-    copies per edge: sparse enough that rows often share a lowest coface."""
+    copies per edge: sparse enough that columns often share a highest
+    set bit."""
     nodes = range(1, rng.randint(20, 40) + 1)
     p = rng.uniform(0.1, 0.2)
     rows = [
@@ -302,26 +293,118 @@ def sparse_graph(rng: random.Random) -> Multigraph:
     return G(nodes, rows)
 
 
+def band_graph(n: int, extra: int, seed: int) -> Multigraph:
+    """Nodes 1..n, each joined to its next three, plus ``extra`` random
+    pairs, each pair of one or two copies."""
+    rng = random.Random(seed)
+    pairs = {(i, j) for i in range(1, n + 1) for j in range(i + 1, min(i + 3, n) + 1)}
+    while len(pairs) < 3 * n - 6 + extra:
+        pairs.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+    rows = [(u, v, rng.choice(PALETTE), rng.randint(1, 2)) for u, v in sorted(pairs)]
+    return G(range(1, n + 1), rows)
+
+
+def dense_graph(n: int, seed: int) -> Multigraph:
+    """G(n, 1/2) on nodes 1..n, each pair of one or two copies."""
+    rng = random.Random(seed)
+    pairs = [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+    return G(range(1, n + 1), [(u, v, rng.choice(PALETTE), rng.randint(1, 2)) for u, v in pairs])
+
+
+def face_named_twice() -> Multicomplex:
+    """1-cells a0 and a join 1 and 2; b, on (1, 3), is glued to vertex 1
+    at both ends, so it bounds nothing.  The 2-cell c0 is glued to b
+    three times and c to a, a and b, so both bound b alone."""
+    v = [((i,), 1) for i in (1, 2, 3)]
+    a0, a, b = ((1, 2), 1), ((1, 2), 2), ((1, 3), 1)
+    cells = [Multicell(*key) for key in v] + [
+        Multicell(*a0, faces=(v[0], v[1])),
+        Multicell(*a, faces=(v[0], v[1])),
+        Multicell(*b, faces=(v[0], v[0])),
+        Multicell((1, 2, 3), 1, faces=(b, b, b)),
+        Multicell((1, 2, 3), 2, faces=(a, a, b)),
+    ]
+    return Multicomplex.from_cells(
+        PALETTE, cells, dict.fromkeys((a0, a, b), PALETTE[0]), validate=False
+    )
+
+
+def repeated_face_below_a_3_cell() -> Multicomplex:
+    """a0, a and a1 join 1 and 2, and b is glued to vertex 1 at both ends.
+    c0 and c2 both bound b (c0 is glued to it three times), and c1 and c3
+    bound the cycles a0 + a + b and a0 + a1 + b.  The 3-cell t is glued
+    to c1 twice, so it bounds the cycle c0 + c2."""
+    v = [((i,), 1) for i in (1, 2, 3)]
+    a0, a, a1, b = ((1, 2), 1), ((1, 2), 2), ((1, 2), 3), ((1, 3), 1)
+    c0, c1, c2, c3 = (((1, 2, 3), i) for i in (1, 2, 3, 4))
+    cells = [Multicell(*key) for key in v] + [
+        *(Multicell(*e, faces=(v[0], v[1])) for e in (a0, a, a1)),
+        Multicell(*b, faces=(v[0], v[0])),
+        Multicell(*c0, faces=(b, b, b)),
+        Multicell(*c1, faces=(a0, a, b)),
+        Multicell(*c2, faces=(a, a, b)),
+        Multicell(*c3, faces=(a0, a1, b)),
+        Multicell((1, 2, 3, 4), 1, faces=(c0, c2, c1, c1)),
+    ]
+    return Multicomplex.from_cells(
+        PALETTE, cells, dict.fromkeys((a0, a, a1, b), PALETTE[0]), validate=False
+    )
+
+
+@contextmanager
+def recorded_reductions() -> Iterator[list[tuple[list[int], Set[int]]]]:
+    """Within the block, ``homology._reduce`` lists each call's columns
+    and the pivots it found, in call order: the top dimension first."""
+    calls = []
+    reduce = homology._reduce
+
+    def recorded(columns):
+        columns = list(columns)
+        pivots = reduce(columns)
+        calls.append((columns, pivots))
+        return pivots
+
+    with mock.patch.object(homology, "_reduce", recorded):
+        yield calls
+
+
 @pytest.fixture
-def row_builds(monkeypatch) -> list[int]:
-    """Wraps ``homology.coboundary_rows``; lists the dimension of each call."""
-    calls: list[int] = []
-    build = homology.coboundary_rows
+def reductions() -> Iterator[list[tuple[list[int], Set[int]]]]:
+    with recorded_reductions() as calls:
+        yield calls
 
-    def counted(faces, below):
-        calls.append(len(faces) - 1)  # a d-cell has d + 1 face positions
-        return build(faces, below)
 
-    monkeypatch.setattr(homology, "coboundary_rows", counted)
-    return calls
+def shares_a_pivot(columns: list[int]) -> bool:
+    """Whether two nonzero columns share a highest set bit, so that one
+    of them must be reduced."""
+    tops = [col.bit_length() for col in columns if col]
+    return len(set(tops)) < len(tops)
+
+
+def column_pass(x: Multicomplex) -> list[tuple[int, int]]:
+    """For each boundary matrix of dimension d >= 2, from the top down:
+    the rank ``betti`` reduces, and how many of its columns it skips."""
+    with recorded_reductions() as calls:
+        betti(x)
+    tops = range(x.dimension, 1, -1)
+    return [(len(pv), x.cell_count(d) - len(columns)) for d, (columns, pv) in zip(tops, calls)]
+
+
+def every_column(x: Multicomplex) -> list[tuple[int, int]]:
+    """For each boundary matrix of dimension d >= 2, from the top down:
+    the rank of all its columns, and the rank one dimension up, which is
+    how many columns clearing can skip."""
+    ranks = [basis_rank(boundary_matrix(x, d).columns) for d in range(x.dimension + 1, 1, -1)]
+    return list(zip(ranks[1:], ranks))
 
 
 class TestApparentPivots:
-    """``betti`` keeps a row by its index while its lowest coface is no
-    pivot yet, and builds a dimension's rows only when two rows share one."""
+    """``betti`` keeps a column unreduced while its highest set bit is no
+    pivot yet, reduces it against the stored columns when two share one,
+    and skips the columns whose index is a pivot one dimension up."""
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_matches_replay_where_rows_share_a_pivot(self, policy, row_builds):
+    def test_matches_replay_where_rows_share_a_pivot(self, policy, reductions):
         rng = random.Random(policy)
         for _ in range(20):
             g = sparse_graph(rng)
@@ -329,66 +412,77 @@ class TestApparentPivots:
             beta = betti(x)
             assert beta == replay_betti(x)
             assert beta[0] == components(g)
-        assert row_builds, "no dimension had two rows share a lowest coface"
+        assert any(
+            shares_a_pivot(columns) for columns, _ in reductions
+        ), "no dimension had two columns share a highest set bit"
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_doubled_complete_graphs_build_no_rows(self, n, policy, row_builds):
+    def test_doubled_complete_graphs_build_no_rows(self, n, policy, reductions):
+        # only columns are built: each dimension reduces the columns whose
+        # index is no pivot one up, and they reach the rank of all of them
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         x = clique_multicomplex(G(range(1, n + 1), [(u, v, "red", 2) for u, v in pairs]), policy)
         beta = betti(x)
-        assert row_builds == []
+        above: Set[int] = set()
+        for d, (columns, pivots) in zip(range(x.dimension, 1, -1), reductions):
+            every = boundary_matrix(x, d).columns
+            assert columns == [col for j, col in enumerate(every) if j not in above]
+            assert len(pivots) == basis_rank(every)
+            above = pivots
         if policy == PER_COMBINATION:
             assert beta == complete_multigraph_betti(dict.fromkeys(pairs, 2))
         else:
             assert beta == replay_betti(x)
 
     def test_a_face_named_twice_cancels(self):
-        # 1-cells a0 and a join 1 and 2; b, on (1, 3), is glued to vertex 1
-        # at both ends, so it bounds nothing.  The 2-cell c0 is glued to b
-        # three times and c to a, a and b, so both bound b alone: c is a's
-        # lowest coface by index, but the two incidences cancel.
-        v = [((i,), 1) for i in (1, 2, 3)]
-        a0, a, b = ((1, 2), 1), ((1, 2), 2), ((1, 3), 1)
-        cells = [Multicell(*key) for key in v] + [
-            Multicell(*a0, faces=(v[0], v[1])),
-            Multicell(*a, faces=(v[0], v[1])),
-            Multicell(*b, faces=(v[0], v[0])),
-            Multicell((1, 2, 3), 1, faces=(b, b, b)),
-            Multicell((1, 2, 3), 2, faces=(a, a, b)),
-        ]
-        x = Multicomplex.from_cells(
-            PALETTE, cells, dict.fromkeys((a0, a, b), PALETTE[0]), validate=False
-        )
+        # c is a's only coface, but the two incidences cancel
+        x = face_named_twice()
         assert boundary_squares_to_zero(x)
         assert betti(x) == replay_betti(x) == (2, 1, 1)
 
     def test_repeated_face_pivots_clear_the_right_rows_above(self):
-        # a0, a and a1 join 1 and 2, and b is glued to vertex 1 at both
-        # ends.  c0 and c2 both bound b (c0 is glued to it three times, so
-        # the rows are reduced in full), and c1 and c3 bound the cycles
-        # a0 + a + b and a0 + a1 + b.  The reduced rows have lowest bits
-        # {0, 1, 3}, so the 3-cell t, bounding the cycle c0 + c2, keeps c2's
-        # row uncleared and beta_2 = 0.  Pivots read one bit low
-        # (``p.bit_length() - 2``) clear c0 and c2 instead, leave only rows
-        # t does not meet, and read beta_2 = beta_3 = 1.
-        v = [((i,), 1) for i in (1, 2, 3)]
-        a0, a, a1, b = ((1, 2), 1), ((1, 2), 2), ((1, 2), 3), ((1, 3), 1)
-        c0, c1, c2, c3 = (((1, 2, 3), i) for i in (1, 2, 3, 4))
-        cells = [Multicell(*key) for key in v] + [
-            *(Multicell(*e, faces=(v[0], v[1])) for e in (a0, a, a1)),
-            Multicell(*b, faces=(v[0], v[0])),
-            Multicell(*c0, faces=(b, b, b)),
-            Multicell(*c1, faces=(a0, a, b)),
-            Multicell(*c2, faces=(a, a, b)),
-            Multicell(*c3, faces=(a0, a1, b)),
-            Multicell((1, 2, 3, 4), 1, faces=(c0, c2, c1, c1)),
-        ]
-        x = Multicomplex.from_cells(
-            PALETTE, cells, dict.fromkeys((a0, a, a1, b), PALETTE[0]), validate=False
-        )
+        # t's column is c0 + c2 once the two incidences of c1 cancel, so its
+        # pivot clears c2, whose column equals c0's: beta_2 = beta_3 = 0
+        x = repeated_face_below_a_3_cell()
         assert boundary_squares_to_zero(x)
         assert betti(x) == replay_betti(x) == (2, 0, 0, 0)
+
+
+class TestColumnPass:
+    """For d >= 2 ``betti`` skips as many columns of each boundary matrix
+    as the rank one dimension up, and the columns it keeps have the rank
+    of all of them; and on the shapes of the known rank cliffs, at a few
+    hundred cells, the Betti numbers match ``replay_betti``."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @given(g=multigraphs(max_nodes=5, max_mult=2))
+    def test_ranks_match_every_column(self, policy, g):
+        x = clique_multicomplex(g, policy)
+        assert column_pass(x) == every_column(x)
+
+    @pytest.mark.parametrize(
+        "make", [face_named_twice, repeated_face_below_a_3_cell, pillow],
+        ids=["face-named-twice", "repeated-face-below-a-3-cell", "pillow"],
+    )
+    def test_ranks_match_every_column_on_hand_built_complexes(self, make):
+        x = make()
+        assert column_pass(x) == every_column(x)
+
+    @pytest.mark.parametrize(
+        "g, policy, expected",
+        [
+            (band_graph(20, 5, 0), CANONICAL, (1, 4, 99, 0, 0)),
+            (band_graph(20, 5, 0), PER_COMBINATION, (1, 4, 0, 37, 59)),
+            (dense_graph(15, 1), CANONICAL, (1, 0, 102, 0, 0)),
+            (dense_graph(15, 1), PER_COMBINATION, (1, 0, 34, 17, 65)),
+        ],
+        ids=["band-canonical", "band-per-combination", "dense-canonical", "dense-per-combination"],
+    )
+    def test_pinned_band_and_dense_graphs(self, g, policy, expected):
+        x = clique_multicomplex(g, policy)
+        assert 250 <= len(x.all_cells()) <= 700
+        assert clique_betti(g, policy) == betti(x) == replay_betti(x) == expected
 
 
 # -- Betti numbers off the graph ------------------------------------------------------
@@ -475,7 +569,7 @@ class TestCliqueBetti:
         def spy(*args, **kwargs):
             raise AssertionError("the Betti numbers were computed")
 
-        for name in ("betti0_of", "clique_cells", "_lowest_cofaces", "_face_rows"):
+        for name in ("betti0_of", "clique_cells", "_ranked", "_face_rows"):
             monkeypatch.setattr(homology, name, spy)
         with pytest.raises(ValueError) as read:
             clique_betti(g, "bogus", dim)
@@ -486,7 +580,7 @@ class TestCliqueBetti:
             clique_betti(doubled(3), CANONICAL, -1)
 
     def test_betti_verb_builds_no_complex_under_canonical(self, monkeypatch, capsys):
-        # nor under per-combination, whose ranks find lowest cofaces by arithmetic
+        # nor under per-combination, whose ranks read the builder's face rows
         def spy(*args, **kwargs):
             raise AssertionError("a complex was built or reduced")
 
@@ -529,30 +623,9 @@ class TestCliqueBetti:
         assert called == []
 
 
-FOUR_CYCLE_INTO_A_TRIANGLE = [
-    (1, 2, "red"), (1, 2, "black"), (1, 3, "red"), (2, 4, "red"),
-    (3, 4, "red"), (3, 5, "red"), (4, 5, "red"),
-]
-DOUBLED_K4_AT_5 = [(u, v, "blue", 2) for u, v in itertools.combinations(range(5, 9), 2)]
-
-
 class TestCofacesByArithmetic:
-    """Under ``per-combination`` ``clique_betti`` finds each row's lowest
-    coface by arithmetic and builds a dimension's face rows only where two
-    uncleared rows share one; no complex is built."""
-
-    @given(multigraphs(max_nodes=5))
-    def test_match_the_lowest_cofaces_of_the_built_face_rows(self, g):
-        with cell_budget(20_000):
-            try:
-                x = clique_multicomplex(g, PER_COMBINATION)
-            except CellBudgetExceeded:
-                return
-        mult, cliques = clique_cells(g, PER_COMBINATION)
-        for d in range(2, x.dimension + 1):
-            faces = x.grade(d).faces
-            expected = homology._lowest_cofaces_of_rows(faces, x.cell_count(d))
-            assert mcomplex._lowest_cofaces(mult, cliques, d) == expected, d
+    """Under ``per-combination`` ``clique_betti`` ranks the builder's face
+    rows of each dimension, and no complex is built."""
 
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([None, 1, 2, 3]))
     def test_matches_replay_on_the_built_complex(self, seed, dim):
@@ -567,44 +640,6 @@ class TestCofacesByArithmetic:
                     clique_multicomplex(g, PER_COMBINATION, top)
                 return
             assert beta == replay_betti(clique_multicomplex(g, PER_COMBINATION, top))[:top]
-
-    @pytest.mark.parametrize(
-        "g, expected, shared",
-        [
-            # 3-4 and 4-5 close cycles and both first meet triangle 345
-            (G(range(1, 9), FOUR_CYCLE_INTO_A_TRIANGLE + DOUBLED_K4_AT_5), (1, 2, 0, 41), 2),
-            (
-                G(
-                    [1, 4, 5, 7, 8],
-                    [(1, 5, "red"), (1, 8, "red"), (4, 5, "red"), (4, 7, "red")]
-                    + [(4, 8, "red"), (5, 7, "red", 2), (5, 8, "red", 2), (7, 8, "red", 3)],
-                ),
-                (1, 0, 1, 0),
-                3,
-            ),
-        ],
-        ids=["shared-at-2", "shared-at-3"],
-    )
-    def test_face_rows_only_where_two_rows_share_a_lowest_coface(
-        self, g, expected, shared, monkeypatch
-    ):
-        dims = []
-        build = homology._face_rows
-
-        def recording(g, policy, mult, cliques, d):
-            dims.append(d)
-            return build(g, policy, mult, cliques, d)
-
-        def spy(*args, **kwargs):
-            raise AssertionError("a complex was built or reduced")
-
-        monkeypatch.setattr(homology, "_face_rows", recording)
-        monkeypatch.setattr(mcomplex, "clique_multicomplex", spy)
-        monkeypatch.setattr(homology, "betti", spy)
-        assert clique_betti(g, PER_COMBINATION) == expected
-        assert dims == [shared]
-        monkeypatch.undo()
-        assert replay_betti(clique_multicomplex(g, PER_COMBINATION)) == expected
 
 
 def read_or_refusal(read, *args):
@@ -641,7 +676,7 @@ def ranked_nothing(*args, **kwargs):
     raise AssertionError("a complete split graph was ranked")
 
 
-NO_RANKS = dict.fromkeys(("_lowest_cofaces", "_face_rows", "_forest"), ranked_nothing)
+NO_RANKS = dict.fromkeys(("_ranked", "_face_rows", "_forest"), ranked_nothing)
 DOUBLED_K5_LESS_1_2 = [
     (u, v, "red", 2) for u, v in itertools.combinations(range(1, 6), 2) if (u, v) != (1, 2)
 ]

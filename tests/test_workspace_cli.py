@@ -938,3 +938,20 @@ class TestCliWiring:
         )
         assert done.returncode == EXIT_OK, done.stderr
         assert done.stdout.splitlines()[0] == "G | H"
+
+    def test_a_reader_closing_stdout_early_is_no_error(self):
+        # the read end is closed before the child starts, so its first write fails
+        src = str(Path(multihom.__file__).resolve().parents[1])
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "multihom", "lattice", *"ABCDEFGH"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
