@@ -49,7 +49,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Container, Iterable
+from collections.abc import Container, Iterable, Iterator
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Sequence
@@ -476,13 +476,26 @@ def enumerate_chains(
     Fixed order: the 2^(k-1) connective patterns.  With permutations:
     chains over every atom order, identified up to merge-commutativity
     (each merge block becomes a sorted group), i.e. ordered set
-    partitions of the atoms — 13 of them for k = 3.
+    partitions of the atoms — 13 of them for k = 3.  Each is made once,
+    from an ordered set partition of the atoms' positions; atoms named
+    more than once make some of them alike, and a set keeps one.
     """
     if not include_permutations:
         return all_chains(atoms)
-    seen: set[ChainExpr] = set()
-    for perm in itertools.permutations(atoms):
-        for x in all_chains(perm):
-            blocks = tuple(tuple(sorted(b)) for b in x.blocks())
-            seen.add(_chain_of_blocks(blocks))
-    return tuple(sorted(seen, key=lambda c: (merge_count(c), c.text())))
+    chains = set(map(_chain_of_blocks, _ordered_partitions(tuple(atoms))))
+    return tuple(sorted(chains, key=lambda c: (merge_count(c), c.text())))
+
+
+def _ordered_partitions(atoms: tuple[str, ...]) -> Iterator[tuple[Block, ...]]:
+    """The ordered set partitions of the atoms' positions, each block
+    given as its atoms, sorted."""
+    if not atoms:
+        yield ()
+        return
+    positions = range(len(atoms))
+    for r in range(1, len(atoms) + 1):
+        for block in itertools.combinations(positions, r):
+            head = tuple(sorted(atoms[i] for i in block))
+            rest = tuple(atoms[i] for i in positions if i not in block)
+            for tail in _ordered_partitions(rest):
+                yield (head, *tail)

@@ -108,13 +108,47 @@ by induction H~(K') and H~(L) lie in degree r - 1; the lemma puts H~(K)
 in degree r.  On a complete graph (r = n - 1) this says that a single
 multi-clique has reduced homology in its top degree alone.
 
+The lemma needs only a node linked to all others, not a complete split
+graph, so a graph that is not complete split is peeled node by node
+(``_peeled``) before it is ranked.  K(h; n, m) is read as:
+
+- no node: beta~_{-1} = 1;
+- h disconnected: the parts' beta~ add, and beta~_0 gains one for each
+  part after the first;
+- one node k: n_k points, beta~_0 = n_k - 1;
+- h connected with no triangle: beta~_0 = 0, beta~_1 = E - V + 1, with
+  V = sum of n_v and E = sum over pairs uv of n_u n_v m_uv;
+- h connected with a node linked to all others: the lemma;
+- anything else (a connected h with a triangle and no node linked to
+  all others): the graph is ranked as a whole.
+
+Proofs.  A cell lies in one part of h, so K of a disjoint union is the
+disjoint union of the parts' complexes: H~_d adds for d >= 1, and
+beta_0 counts components, so beta~_0 = sum of the parts' (beta~_0 + 1),
+less one.  With no triangle the cells are points and edges: V node
+copies, and an edge for each copy of u, of v and of the pair uv.  Each
+copy of u is joined to each copy of v, so along the paths of a connected
+h every point is joined to every other, and a connected graph has
+beta~_1 = E - V + 1.
+
+The lemma lowers the degree by one at each step, so the recursion reads
+beta~ only up to the top entry the complex or skeleton has, and stops
+when that entry is beta~_0, which is 0 on a connected part with two or
+more nodes.  So its calls on a connected h number at most the nonempty
+cliques of h with at most top + 1 nodes, by induction: a node k linked
+to all others costs one call and two calls on h - k one degree down,
+and the cliques of h are those of h - k, {k}, and k with each clique of
+h - k.  ``clique_cells`` has counted all of those cliques, with one
+cell or more each, so the recursion makes no more calls than the
+complex or skeleton has cells.
+
 The rank path stays beside both graph routes, and all three reduce
 ranks with ``_forest`` and ``_ranked``: the closed form adds only the
 multiplicity sums, the ``per-combination`` route differs only in where
-its face rows come from, and it ranks nothing on a complete split
-graph.  ``betti`` is the reference for built complexes and the Betti
-path for hand-built ones, which are the clique complex of no graph; no
-verb reads it, since every verb holds the graph and reads
+its face rows come from, and it ranks nothing on a complete split graph
+or one that peels.  ``betti`` is the reference for built complexes and
+the Betti path for hand-built ones, which are the clique complex of no
+graph; no verb reads it, since every verb holds the graph and reads
 ``clique_betti``.
 """
 
@@ -229,10 +263,11 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
     no cell counted.  Deeper vectors are counted against the cell budget as
     the complex or skeleton would be, and refused as it would be.  No
     complex is built: under ``canonical`` they come from S(g) in closed
-    form, under ``per-combination`` from ranks over the builder's face
-    rows, or, when S(g) is complete split, from the cell counts alone
-    (see the module docstring).  An unknown policy is refused at every
-    depth.
+    form.  Under ``per-combination`` they come from the cell counts alone
+    when S(g) is complete split, else by peeling S(g) node by node, and
+    from ranks over the builder's face rows only when a connected piece
+    with a triangle has no node linked to all others (see the module
+    docstring).  An unknown policy is refused at every depth.
     """
     check_policy(policy)
     if dim is not None and dim < 0:
@@ -256,7 +291,11 @@ def _cells_betti(
         counts = _cell_counts(g, mult, cliques)
         r = _split_top(len(g.nodes), pairs)
         if r is None:
-            return _per_combination_betti(g, mult, cliques, counts)
+            beta = _peeled(g.nodes, mult, len(counts) - 1)
+            if beta is None:
+                return _per_combination_betti(g, mult, cliques, counts)
+            beta[1] += 1  # beta_0 of a complex with a node
+            return tuple(beta[1:])
         # the reduced homology sits in degree r alone (see the module
         # docstring); a skeleton that stops below r has none
         beta = [1] + [0] * (len(counts) - 1)
@@ -293,6 +332,88 @@ def _split_top(n: int, pairs: Sequence[tuple[int, int]]) -> int | None:
     if len(pairs) != u * (u - 1) // 2 + u * (n - u):
         return None
     return min(u, n - 1)
+
+
+def _peeled(nodes: Set[int], mult: dict[tuple[int, int], int], top: int) -> list[int] | None:
+    """beta~_-1..beta~_top of K(h; 1, m), the ``per-combination`` complex
+    of the simple graph h on ``nodes`` whose pair e has m_e = ``mult[e]``
+    copies, by peeling nodes (see the module docstring), or None if a
+    connected piece of h with a triangle has no node linked to all others."""
+    order = sorted(nodes)
+    bit = {v: i for i, v in enumerate(order)}
+    adj = [0] * len(order)  # neighbours, as a bitset of node indices
+    weight: list[dict[int, int]] = [{} for _ in order]  # m_uv, by node index
+    for (u, v), m in mult.items():
+        i, j = bit[u], bit[v]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        weight[i][j] = weight[j][i] = m
+
+    def pieces(part: int) -> Iterable[tuple[int, list[int]]]:
+        """The connected pieces of h on ``part``: each as its node set and
+        the node indices in it."""
+        while part:  # the nodes not yet reached
+            piece = grown = part & -part
+            part ^= piece
+            members = []
+            while grown:
+                low = grown & -grown
+                grown ^= low
+                members.append(i := low.bit_length() - 1)
+                new = adj[i] & part
+                part ^= new
+                piece |= new
+                grown |= new
+            yield piece, members
+
+    def reduced(part: int, copies: dict[int, int], top: int) -> list[int] | None:
+        """beta~_-1..beta~_top of K(h on part; copies, m): the pieces' add,
+        and beta~_0 gains one for each piece after the first."""
+        beta = [int(not part)] + [0] * (top + 1)
+        if top < 0:
+            return beta
+        for n, (piece, members) in enumerate(pieces(part)):
+            more = connected(piece, members, copies, top)
+            if more is None:
+                return None
+            beta = [a + b for a, b in zip(beta, more)]
+            beta[1] += bool(n)
+        return beta
+
+    def connected(
+        piece: int, members: list[int], copies: dict[int, int], top: int
+    ) -> list[int] | None:
+        """``reduced`` of a connected piece."""
+        if len(members) == 1:  # the node's copies are points
+            return [0, copies[members[0]] - 1] + [0] * top
+        if top == 0:  # a connected complex
+            return [0, 0]
+        edges = graph_edges(piece, members, copies)
+        if edges is not None:  # no triangle: K is a connected graph
+            return [0, 0, edges - sum(copies[i] for i in members) + 1] + [0] * (top - 1)
+        for k in members:
+            if adj[k] & piece == piece ^ 1 << k:  # k is linked to all others
+                link = reduced(piece ^ 1 << k, copies, top - 1)
+                if link is None:
+                    return None
+                # the same pieces as link's, so it gives up only where link does
+                primed = {t: copies[t] * weight[k][t] for t in members if t != k}  # n'
+                star = reduced(piece ^ 1 << k, primed, top - 1)
+                return [0] + [copies[k] * s - l for s, l in zip(star, link)]
+        return None
+
+    def graph_edges(piece: int, members: list[int], copies: dict[int, int]) -> int | None:
+        """The edges of K on a piece with no triangle, else None."""
+        edges = 0
+        for i in members:
+            for j, m in weight[i].items():
+                if j > i and piece >> j & 1:
+                    if adj[i] & adj[j] & piece:
+                        return None
+                    edges += copies[i] * copies[j] * m
+        return edges
+
+    return reduced((1 << len(order)) - 1, dict.fromkeys(range(len(order)), 1), top)
 
 
 def _per_combination_betti(

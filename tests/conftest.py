@@ -78,6 +78,41 @@ def complete_split_multigraphs(draw, max_nodes: int = 6, max_mult: int = 3):
     return Multigraph.build(nodes, rows, PALETTE)
 
 
+@st.composite
+def peelable_multigraphs(draw, max_nodes: int = 6, max_mult: int = 3):
+    """Multigraphs on nodes 1..n whose ``per-combination`` Betti numbers
+    peel node by node (see ``homology``).  Each graph on two or more
+    nodes is a node joined to all of a smaller draw, the disjoint union
+    of two draws, or a connected triangle-free graph; each pair has
+    1..``max_mult`` copies."""
+
+    def shape(n: int) -> list[tuple[int, int]]:
+        """The pairs of a peelable simple graph on nodes 0..n-1."""
+        way = draw(st.sampled_from(("join", "union", "triangle-free"))) if n > 1 else "join"
+        if way == "join":  # node n - 1 linked to all the others
+            return shape(n - 1) + [(v, n - 1) for v in range(n - 1)] if n > 1 else []
+        if way == "union":
+            k = draw(st.integers(1, n - 1))
+            return shape(k) + [(u + k, v + k) for u, v in shape(n - k)]
+        # a tree, then pairs between nodes with no common neighbour
+        linked = {frozenset((draw(st.integers(0, v - 1)), v)) for v in range(1, n)}
+        for pair in map(frozenset, itertools.combinations(range(n), 2)):
+            u, v = pair
+            ends = [{w for p in linked if x in p for w in p - {x}} for x in (u, v)]
+            if pair not in linked and not ends[0] & ends[1] and draw(st.booleans()):
+                linked.add(pair)
+        return [tuple(sorted(p)) for p in linked]
+
+    n = draw(st.integers(1, max_nodes))
+    label = draw(st.permutations(range(1, n + 1)))
+    rows = [
+        (label[u], label[v], draw(st.sampled_from(PALETTE)))
+        for u, v in shape(n)
+        for _ in range(draw(st.integers(1, max_mult)))
+    ]
+    return Multigraph.build(range(1, n + 1), rows, PALETTE)
+
+
 def connectives(k: int):
     return st.tuples(
         *[st.sampled_from((Connective.TENSOR, Connective.MERGE)) for _ in range(k - 1)]

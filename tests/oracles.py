@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right, insort
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from multihom.chainlat import ChainEnv, ChainExpr, evaluate
+from multihom.chainlat import ChainEnv, ChainExpr, Connective, evaluate, merge_count
 from multihom.homology import Gf2Basis, boundary_matrix
 from multihom.mcomplex import Multicomplex, clique_multicomplex, complex_merge
 from multihom.mgraph import Multigraph, merge
@@ -123,6 +123,21 @@ def ordered_set_partitions(
             rest = pool - set(block)
             for tail in ordered_set_partitions(rest):
                 yield (tuple(block),) + tail
+
+
+def chains_by_permutation(atoms: Sequence[str]) -> tuple[ChainExpr, ...]:
+    """The permutation-identified chains over the atoms by brute force:
+    all 2^(k-1) chains over each of the k! atom orders, each merge block
+    sorted and each chain kept once, ordered by (merge count, text) as
+    ``enumerate_chains`` orders them.  Atoms may repeat."""
+    tensor, merge_ = Connective.TENSOR, Connective.MERGE
+    seen: set[ChainExpr] = set()
+    for perm in itertools.permutations(atoms):
+        for conns in itertools.product((tensor, merge_), repeat=len(atoms) - 1):
+            blocks = [sorted(b) for b in ChainExpr(perm, conns).blocks()]
+            sorted_conns = [c for b in blocks for c in [tensor] + [merge_] * (len(b) - 1)]
+            seen.add(ChainExpr(tuple(itertools.chain(*blocks)), tuple(sorted_conns[1:])))
+    return tuple(sorted(seen, key=lambda c: (merge_count(c), c.text())))
 
 
 def euler_from_counts(cell_counts: Sequence[int]) -> int:

@@ -49,7 +49,12 @@ from conftest import (
     path_graph,
     triangle,
 )
-from oracles import coarsening_classes, filtration_by_tuples, ordered_set_partitions
+from oracles import (
+    chains_by_permutation,
+    coarsening_classes,
+    filtration_by_tuples,
+    ordered_set_partitions,
+)
 
 DATA = REPO_ROOT / "tests" / "data"
 # k = 5 atoms that share vertices and carry same-colour parallel copies;
@@ -105,6 +110,12 @@ class TestEnumeration:
         expected = set(ordered_set_partitions(atoms))
         assert got == expected
         assert len(chains) == 13
+
+    @pytest.mark.parametrize("atoms", ["ABCDE", "AAB", "ABAB", "AABCC", "ABABAB", "AAAA"])
+    def test_matches_every_chain_over_every_order(self, atoms):
+        # each chain made once, from a partition of the atoms' positions
+        chains = enumerate_chains(tuple(atoms), include_permutations=True)
+        assert chains == chains_by_permutation(tuple(atoms))
 
     def test_k3_contains_the_displayed_chains(self):
         texts = {

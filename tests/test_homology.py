@@ -7,6 +7,7 @@ import itertools
 import random
 import sys
 import time
+from collections import Counter
 from collections.abc import Iterator, Set
 from contextlib import contextmanager
 from unittest import mock
@@ -39,7 +40,13 @@ from multihom import filtration, homology, mcomplex
 from multihom.cli import EXIT_OK, main
 from multihom.randgen import random_multigraph
 
-from conftest import PALETTE, REPO_ROOT, complete_split_multigraphs, multigraphs
+from conftest import (
+    PALETTE,
+    REPO_ROOT,
+    complete_split_multigraphs,
+    multigraphs,
+    peelable_multigraphs,
+)
 from test_mcomplex import simple_triangle_cells
 
 from oracles import (
@@ -641,6 +648,15 @@ class TestCofacesByArithmetic:
                 return
             assert beta == replay_betti(clique_multicomplex(g, PER_COMBINATION, top))[:top]
 
+    @given(multigraphs(max_nodes=5, max_mult=2))
+    def test_the_rank_path_matches_replay_on_any_graph(self, g):
+        # complete split and peeled graphs included, which clique_betti
+        # reads without it
+        mult, cliques = mcomplex.clique_cells(g, PER_COMBINATION)
+        counts = mcomplex._cell_counts(g, mult, cliques)
+        beta = homology._per_combination_betti(g, mult, cliques, counts)
+        assert beta == replay_betti(clique_multicomplex(g, PER_COMBINATION))
+
 
 def read_or_refusal(read, *args):
     """``read(*args)``, or the message of its ``CellBudgetExceeded``."""
@@ -673,7 +689,7 @@ def near_misses(draw):
 
 
 def ranked_nothing(*args, **kwargs):
-    raise AssertionError("a complete split graph was ranked")
+    raise AssertionError("a graph read without a rank was ranked")
 
 
 NO_RANKS = dict.fromkeys(("_ranked", "_face_rows", "_forest"), ranked_nothing)
@@ -682,10 +698,32 @@ DOUBLED_K5_LESS_1_2 = [
 ]
 
 
+@contextmanager
+def paths_taken() -> Iterator[set[str]]:
+    """The ``per-combination`` paths ``clique_betti`` takes in the block
+    besides the complete split one: "peeled" and "ranked"."""
+    taken: set[str] = set()
+    peel, rank = homology._peeled, homology._per_combination_betti
+
+    def peeled(*args):
+        beta = peel(*args)
+        if beta is not None:
+            taken.add("peeled")
+        return beta
+
+    def ranked(*args):
+        taken.add("ranked")
+        return rank(*args)
+
+    with mock.patch.multiple(homology, _peeled=peeled, _per_combination_betti=ranked):
+        yield taken
+
+
 class TestCompleteSplitGraphs:
     """Under ``per-combination`` the complex of a complete split graph has
     its reduced homology in one degree, so ``clique_betti`` reads it off
-    the cell counts and ranks nothing; every other graph is ranked."""
+    the cell counts and ranks nothing; every other graph is peeled node by
+    node (``TestPeeledGraphs``), or ranked where it does not peel."""
 
     @given(complete_split_multigraphs())
     def test_match_replay_at_every_depth_and_rank_nothing(self, g):
@@ -697,12 +735,12 @@ class TestCompleteSplitGraphs:
                     assert read_or_refusal(clique_betti, g, PER_COMBINATION, dim) == expected, dim
 
     @given(near_misses())
-    def test_near_misses_take_the_rank_path(self, g):
+    def test_near_misses_are_ranked_or_peeled(self, g):
         with cell_budget(3_000):
             expected = read_or_refusal(replayed, g, None)
-            with mock.patch.object(homology, "_forest", wraps=homology._forest) as forest:
+            with paths_taken() as taken:
                 assert read_or_refusal(clique_betti, g, PER_COMBINATION) == expected
-        assert forest.called or isinstance(expected, str)
+        assert len(taken) == 1 or isinstance(expected, str)
 
     @pytest.mark.parametrize(
         "g, expected",
@@ -719,6 +757,68 @@ class TestCompleteSplitGraphs:
             assert clique_betti(g, PER_COMBINATION) == expected
             if len(expected) > 2:  # the skeleton that stops just below degree r
                 assert clique_betti(g, PER_COMBINATION, len(expected) - 2) == expected[:-1]
+
+
+def every_graph(n: int, max_mult: int) -> Iterator[Multigraph]:
+    """Every multigraph on nodes 1..n with 0..``max_mult`` copies per pair."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for mults in itertools.product(range(max_mult + 1), repeat=len(pairs)):
+        yield G(range(1, n + 1), [(u, v, "red", m) for (u, v), m in zip(pairs, mults) if m])
+
+
+def doubled_k6_less(*missing: tuple[int, int]) -> Multigraph:
+    pairs = set(itertools.combinations(range(1, 7), 2)) - set(missing)
+    return G(range(1, 7), [(u, v, "red", 2) for u, v in sorted(pairs)])
+
+
+class TestPeeledGraphs:
+    """Under ``per-combination`` ``clique_betti`` peels a graph node by
+    node: pieces add, a node linked to all others splits the complex into
+    two smaller ones, and a connected triangle-free piece is a graph.  It
+    ranks only a graph with a connected piece that has a triangle and no
+    node linked to all others."""
+
+    @given(peelable_multigraphs())
+    def test_match_replay_at_every_depth_and_rank_nothing(self, g):
+        for dim in (None, *range(1, len(g.nodes) + 1)):
+            top = None if dim is None else dim + 1
+            with cell_budget(3_000):
+                expected = read_or_refusal(replayed, g, top)
+                with mock.patch.multiple(homology, **NO_RANKS):
+                    assert read_or_refusal(clique_betti, g, PER_COMBINATION, dim) == expected, dim
+
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            (doubled_k6_less((1, 2), (1, 3)), (1, 0, 0, 45, 768)),
+            (doubled_k6_less((1, 2), (3, 4)), (1, 0, 0, 181)),
+        ],
+        ids=["doubled-K6-less-a-path", "doubled-K6-less-a-matching-pair"],
+    )
+    def test_pinned_values(self, g, expected):
+        with mock.patch.multiple(homology, **NO_RANKS):
+            assert clique_betti(g, PER_COMBINATION) == expected
+            assert clique_betti(g, PER_COMBINATION, len(expected) - 2) == expected[:-1]
+
+    def test_an_octahedron_is_ranked(self):
+        # connected, with triangles, and no node linked to all others
+        g = doubled_k6_less((1, 2), (3, 4), (5, 6))
+        with mock.patch.object(homology, "_forest", wraps=homology._forest) as forest:
+            assert clique_betti(g, PER_COMBINATION) == (1, 0, 45)
+        assert forest.called
+
+    def test_every_small_graph_matches_replay(self):
+        # on nodes {1..4} with 0-2 copies per pair, and on {1..5} with 0-1
+        paths = Counter()
+        for g in itertools.chain(every_graph(4, 2), every_graph(5, 1)):
+            with paths_taken() as taken:
+                beta = clique_betti(g, PER_COMBINATION)
+            paths[next(iter(taken), "complete split")] += 1
+            assert beta == replay_betti(clique_multicomplex(g, PER_COMBINATION))
+            for dim in range(len(g.nodes)):
+                assert clique_betti(g, PER_COMBINATION, dim) == beta[: dim + 1], (g, dim)
+        assert sorted(paths) == ["complete split", "peeled", "ranked"]
+        assert sum(paths.values()) == 3**6 + 2**10
 
 
 # -- global invariants ---------------------------------------------------------------
