@@ -61,9 +61,9 @@ in no triangle adds m_e - 1 loops.  beta_2(A) then follows from A's
 Euler characteristic.  The 2-skeletons of the two policies are equal,
 so the beta_1 line holds under ``per-combination`` too.
 
-Under ``per-combination`` ``clique_betti`` builds no cell either.  It
-ranks the complex itself, with the same forest and column pass, over
-the face rows the builder makes (``mcomplex._face_rows``), d >= 2.
+Under ``per-combination`` ``clique_betti`` builds no cell either, and
+ranks none of the complex: each rank it takes is one of a flag complex,
+by the same forest and column pass (``_flag_betti``).
 
 Before it ranks, the ``per-combination`` route asks whether S(g) is
 complete split: with U the nodes linked to every other node, no pair
@@ -78,26 +78,36 @@ node outside it, or all n nodes, so the complex has dimension r, and a
 skeleton that stops below r has the homology of the complex below its
 top: (1, 0, ..., 0).
 
-Lemma.  Let K(h; n, m) be the ``per-combination`` complex of a simple
-graph h whose node v has n_v copies and pair e has m_e copies: a cell
-is a clique of h with a copy of each of its nodes and pairs, glued to
-the faces on which it agrees.  Then K_g = K(S(g); 1, m).  Let node k of
-h be linked to every other node, L = K(h - k; n, m) and
-K' = K(h - k; n', m) with n'_t = n_t m_tk.  In reduced homology, where
-the empty complex has beta~_{-1} = 1,
+Flattening identity.  Let K(h; n, m) be the ``per-combination`` complex
+of a simple graph h whose node v has n_v copies and pair e has m_e
+copies: a cell is a clique of h with a copy of each of its nodes and
+pairs, glued to the faces on which it agrees.  Then K_g = K(S(g); 1, m).
+Let node k of h have neighbours N, L = K(h - k; n, m), its subcomplex
+K_N = K(h[N]; n, m), and K' = K(h[N]; n', m) with n'_t = n_t m_tk.  Let
+K_1 be K with k flattened: n_k = 1, and m_tk = 1 for every t.  In
+reduced homology, where the empty complex has beta~_{-1} = 1,
 
-    beta~_d(K) = n_k beta~_{d-1}(K') - beta~_{d-1}(L).
+    beta~_d(K) = beta~_d(K_1) + n_k beta~_{d-1}(K') - beta~_{d-1}(K_N).
 
 Proof.  A cell through copy c of k is a cell of K' or the empty cell,
 one dimension up: the copy of each other node t and of the pair tk
 together are a copy of t in K'.  Faces through k correspond to faces,
 so H_d(K, L) is the sum over c <= n_k of H~_{d-1}(K').  The one face of
-such a cell that misses k lies in L, so on each summand the connecting
-map is induced by f: K' -> L, which forgets the copies of the pairs tk.
-Taking copy 1 of each such pair is a chain map s with f s = id, so f,
-and with it the connecting map, is onto in homology.  The long exact
-sequence of (K, L) then splits into short exact sequences
-0 -> H~_d(K) -> H_d(K, L) -> H~_{d-1}(L) -> 0.
+such a cell that misses k lies in K_N, so on each summand the connecting
+map is induced by f: K' -> K_N, which forgets the copies of the pairs
+tk, and then the inclusion into L.  Taking copy 1 of each such pair is
+a chain map s with f s = id, so f is onto in homology, and the image of
+the connecting map is that of H~(K_N) -> H~(L), of rank rho_d in degree
+d.  The long exact sequence of (K, L) then gives
+
+    beta~_d(K) = beta~_d(L) - rho_d + n_k beta~_{d-1}(K') - rho_{d-1}.
+
+K_1 is L with a cone on K_N glued on, so H~_d(K_1) = H_d(L, K_N) by
+excision, and the sequence of (L, K_N) gives beta~_d(K_1) =
+beta~_d(L) - rho_d + beta~_{d-1}(K_N) - rho_{d-1}.  Subtract the two.
+
+Lemma (the cone case).  If k is linked to every other node, K_N = L and
+K_1 is a cone, so beta~_d(K) = n_k beta~_{d-1}(K') - beta~_{d-1}(L).
 
 Theorem.  If S(g) is complete split, H~(K_g) lies in degree r alone, so
 beta~_r = (-1)^r (chi - 1).  Proof for K(h; n, m), h complete split,
@@ -108,9 +118,8 @@ by induction H~(K') and H~(L) lie in degree r - 1; the lemma puts H~(K)
 in degree r.  On a complete graph (r = n - 1) this says that a single
 multi-clique has reduced homology in its top degree alone.
 
-The lemma needs only a node linked to all others, not a complete split
-graph, so a graph that is not complete split is peeled node by node
-(``_peeled``) before it is ranked.  K(h; n, m) is read as:
+A graph that is not complete split is read node by node (``_peeled``),
+and K(h; n, m) is read as:
 
 - no node: beta~_{-1} = 1;
 - h disconnected: the parts' beta~ add, and beta~_0 gains one for each
@@ -119,8 +128,12 @@ graph, so a graph that is not complete split is peeled node by node
 - h connected with no triangle: beta~_0 = 0, beta~_1 = E - V + 1, with
   V = sum of n_v and E = sum over pairs uv of n_u n_v m_uv;
 - h connected with a node linked to all others: the lemma;
-- anything else (a connected h with a triangle and no node linked to
-  all others): the graph is ranked as a whole.
+- anything else: the identity at each node in a triangle in turn, read
+  with the nodes before it flat.  A node that is flat already (n_k = 1,
+  and m = 1 on its pairs to nodes not flat) adds nothing.  What is
+  left is S(h) with points and edges glued on: beta~_d is S(h)'s for
+  d >= 2, and beta~_1 = E - V + 1 - rank d_2(S(h)), where rank d_2(S(h))
+  = E_s - V_s + 1 - beta_1(S(h)) with S(h)'s pairs E_s and nodes V_s.
 
 Proofs.  A cell lies in one part of h, so K of a disjoint union is the
 disjoint union of the parts' complexes: H~_d adds for d >= 1, and
@@ -129,42 +142,47 @@ less one.  With no triangle the cells are points and edges: V node
 copies, and an edge for each copy of u, of v and of the pair uv.  Each
 copy of u is joined to each copy of v, so along the paths of a connected
 h every point is joined to every other, and a connected graph has
-beta~_1 = E - V + 1.
+beta~_1 = E - V + 1.  Once the nodes in a triangle are flat, a 2-cell
+has one copy of each of its nodes and pairs, so the cells of dimension
+2 and up are S(h)'s; the other cells are points and edges in no 2-cell.
+They change no boundary of a 2-cell, and K stays connected, so rank d_2
+and H_d for d >= 2 are S(h)'s, and beta~_1 follows from E and V.
 
-The lemma lowers the degree by one at each step, so the recursion reads
-beta~ only up to the top entry the complex or skeleton has, and stops
-when that entry is beta~_0, which is 0 on a connected part with two or
-more nodes.  So its calls on a connected h number at most the nonempty
-cliques of h with at most top + 1 nodes, by induction: a node k linked
-to all others costs one call and two calls on h - k one degree down,
-and the cliques of h are those of h - k, {k}, and k with each clique of
-h - k.  ``clique_cells`` has counted all of those cliques, with one
-cell or more each, so the recursion makes no more calls than the
-complex or skeleton has cells.
+Each step lowers the degree by one, so the recursion is at most top + 1
+calls deep, reads beta~ only up to the top entry the complex or skeleton
+has, and stops when that entry is beta~_0, which is 0 on a connected
+part with two or more nodes.  On a graph the lemma peels, its calls on
+a connected h number at most the nonempty cliques of h with at most
+top + 1 nodes, by induction: a node k linked to all others costs one
+call and two calls on h - k one degree down, and the cliques of h are
+those of h - k, {k}, and k with each clique of h - k.  ``clique_cells``
+has counted all of those cliques, with one cell or more each, so the
+recursion makes no more calls than the complex or skeleton has cells.
+A flattened node costs two calls on its neighbours, and no such bound
+is proved for them yet.
 
-The rank path stays beside both graph routes, and all three reduce
-ranks with ``_forest`` and ``_ranked``: the closed form adds only the
-multiplicity sums, the ``per-combination`` route differs only in where
-its face rows come from, and it ranks nothing on a complete split graph
-or one that peels.  ``betti`` is the reference for built complexes and
-the Betti path for hand-built ones, which are the clique complex of no
-graph; no verb reads it, since every verb holds the graph and reads
-``clique_betti``.
+So both graph routes rank flag complexes alone: the closed form ranks
+S(g) and adds the multiplicity sums, and the ``per-combination`` route
+ranks nothing on a complete split graph or one that peels, and
+otherwise S of its pieces once their nodes are flat, and of the
+neighbourhoods it reads.  ``betti`` ranks a built complex: it is the
+reference for built complexes and the Betti path for hand-built ones,
+which are the clique complex of no graph; no verb reads it, since every
+verb holds the graph and reads ``clique_betti``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence, Set
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence, Set
 from itertools import chain, combinations
 
 from .mcomplex import (
     CANONICAL,
-    PER_COMBINATION,
     Cliques,
     Multicomplex,
     _cell_counts,
-    _face_rows,
+    _higher_cliques,
     check_policy,
     clique_cells,
 )
@@ -184,6 +202,7 @@ __all__ = [
 ]
 
 BettiVector = tuple[int, ...]
+Clique = tuple[int, ...]
 
 
 class Gf2Basis:
@@ -265,9 +284,9 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
     complex is built: under ``canonical`` they come from S(g) in closed
     form.  Under ``per-combination`` they come from the cell counts alone
     when S(g) is complete split, else by peeling S(g) node by node, and
-    from ranks over the builder's face rows only when a connected piece
-    with a triangle has no node linked to all others (see the module
-    docstring).  An unknown policy is refused at every depth.
+    where a connected piece with a triangle has no node linked to all
+    others, by flattening its nodes and ranking flag complexes (see the
+    module docstring).  An unknown policy is refused at every depth.
     """
     check_policy(policy)
     if dim is not None and dim < 0:
@@ -292,8 +311,6 @@ def _cells_betti(
         r = _split_top(len(g.nodes), pairs)
         if r is None:
             beta = _peeled(g.nodes, mult, len(counts) - 1)
-            if beta is None:
-                return _per_combination_betti(g, mult, cliques, counts)
             beta[1] += 1  # beta_0 of a complex with a node
             return tuple(beta[1:])
         # the reduced homology sits in degree r alone (see the module
@@ -302,17 +319,7 @@ def _cells_betti(
         if r < len(counts):
             beta[r] += (-1) ** r * (sum((-1) ** d * c for d, c in enumerate(counts)) - 1)
         return tuple(beta)
-    forest = _forest({v: v for v in g.nodes}, pairs)
-    counts = [len(g.nodes)] + [len(pairs)] * bool(pairs)
-    counts += [len(cliques[d]) for d in range(2, 2 + len(cliques))]
-
-    def faces(d: int) -> tuple[Sequence[int], ...]:
-        """S's d-cells' face rows: the rows of their d-vertex subcliques."""
-        below = pairs if d == 2 else [tau for tau, _ in cliques[d - 1]]
-        row = dict(zip(below, range(len(below))))
-        return (map(row.__getitem__, combinations(tau, d)) for tau, _ in cliques[d])
-
-    beta = list(_ranked(counts, forest, faces))
+    beta = list(_flag_betti(g.nodes, pairs, {d: [tau for tau, _ in c] for d, c in cliques.items()}))
     triangles = cliques.get(2, ())
     tight = {p for tau, _ in triangles for p in combinations(tau, 2)}
     if len(beta) > 1:
@@ -320,6 +327,26 @@ def _cells_betti(
     if len(beta) > 2:
         beta[2] += sum(n - 1 for _, n in triangles) - sum(mult[p] - 1 for p in tight)
     return tuple(beta)
+
+
+def _flag_betti(
+    nodes: Collection[int], pairs: Sequence[Clique], cliques: Mapping[int, Sequence[Clique]]
+) -> BettiVector:
+    """beta_0..beta_D of the flag complex on ``nodes`` with the given
+    pairs and, by dimension d >= 2, its cliques of d + 1 nodes, each a
+    sorted tuple: the forest ranks the first boundary, and the column
+    pass the rest."""
+    simplices = [pairs, *(cliques[d] for d in range(2, 2 + len(cliques)))]
+    counts = [len(nodes), *(len(s) for s in simplices if s)]
+    forest = _forest({v: v for v in nodes}, pairs)
+    return _ranked(counts, forest, lambda d: _clique_faces(simplices[d - 2], simplices[d - 1]))
+
+
+def _clique_faces(below: Sequence[Clique], above: Iterable[Clique]) -> Iterator[Iterator[int]]:
+    """The face rows of each clique of ``above``: the indices in
+    ``below``, the cliques one node smaller, of its faces."""
+    row = dict(zip(below, range(len(below))))
+    return (map(row.__getitem__, combinations(tau, len(tau) - 1)) for tau in above)
 
 
 def _split_top(n: int, pairs: Sequence[tuple[int, int]]) -> int | None:
@@ -334,20 +361,16 @@ def _split_top(n: int, pairs: Sequence[tuple[int, int]]) -> int | None:
     return min(u, n - 1)
 
 
-def _peeled(nodes: Set[int], mult: dict[tuple[int, int], int], top: int) -> list[int] | None:
+def _peeled(nodes: Set[int], mult: dict[tuple[int, int], int], top: int) -> list[int]:
     """beta~_-1..beta~_top of K(h; 1, m), the ``per-combination`` complex
     of the simple graph h on ``nodes`` whose pair e has m_e = ``mult[e]``
-    copies, by peeling nodes (see the module docstring), or None if a
-    connected piece of h with a triangle has no node linked to all others."""
+    copies, by peeling and flattening nodes (see the module docstring)."""
     order = sorted(nodes)
     bit = {v: i for i, v in enumerate(order)}
-    adj = [0] * len(order)  # neighbours, as a bitset of node indices
     weight: list[dict[int, int]] = [{} for _ in order]  # m_uv, by node index
     for (u, v), m in mult.items():
-        i, j = bit[u], bit[v]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        weight[i][j] = weight[j][i] = m
+        weight[bit[u]][bit[v]] = weight[bit[v]][bit[u]] = m
+    adj = [sum(1 << j for j in w) for w in weight]  # neighbours, as a bitset of node indices
 
     def pieces(part: int) -> Iterable[tuple[int, list[int]]]:
         """The connected pieces of h on ``part``: each as its node set and
@@ -366,67 +389,69 @@ def _peeled(nodes: Set[int], mult: dict[tuple[int, int], int], top: int) -> list
                 grown |= new
             yield piece, members
 
-    def reduced(part: int, copies: dict[int, int], top: int) -> list[int] | None:
-        """beta~_-1..beta~_top of K(h on part; copies, m): the pieces' add,
+    def reduced(part: int, copies: dict[int, int], flat: int, top: int) -> list[int]:
+        """beta~_-1..beta~_top of K(h on part; copies, m), with m_e read as 1
+        on the pairs at the nodes of the bitset ``flat``: the pieces' add,
         and beta~_0 gains one for each piece after the first."""
         beta = [int(not part)] + [0] * (top + 1)
-        if top < 0:
-            return beta
         for n, (piece, members) in enumerate(pieces(part)):
-            more = connected(piece, members, copies, top)
-            if more is None:
-                return None
-            beta = [a + b for a, b in zip(beta, more)]
+            beta = [a + b for a, b in zip(beta, connected(piece, members, copies, flat, top))]
             beta[1] += bool(n)
         return beta
 
+    def flattened(
+        k: int, piece: int, copies: dict[int, int], flat: int, top: int, beta: list[int]
+    ) -> list[int]:
+        """``beta`` plus the identity's n_k beta~_{d-1}(K') - beta~_{d-1}(K_N)
+        for node k of a connected piece, or ``beta`` where flattening k
+        changes nothing."""
+        near = adj[k] & piece
+        mk = {t: 1 if flat >> t & 1 else m for t, m in weight[k].items() if near >> t & 1}
+        if not flat >> k & 1 and (copies[k] > 1 or max(mk.values()) > 1):
+            star = reduced(near, {t: copies[t] * m for t, m in mk.items()}, flat, top - 1)
+            link = reduced(near, copies, flat, top - 1)
+            beta = [0] + [b + copies[k] * s - l for b, s, l in zip(beta[1:], star, link)]
+        return beta
+
     def connected(
-        piece: int, members: list[int], copies: dict[int, int], top: int
-    ) -> list[int] | None:
+        piece: int, members: list[int], copies: dict[int, int], flat: int, top: int
+    ) -> list[int]:
         """``reduced`` of a connected piece."""
         if len(members) == 1:  # the node's copies are points
             return [0, copies[members[0]] - 1] + [0] * top
         if top == 0:  # a connected complex
             return [0, 0]
-        edges = graph_edges(piece, members, copies)
-        if edges is not None:  # no triangle: K is a connected graph
-            return [0, 0, edges - sum(copies[i] for i in members) + 1] + [0] * (top - 1)
-        for k in members:
-            if adj[k] & piece == piece ^ 1 << k:  # k is linked to all others
-                link = reduced(piece ^ 1 << k, copies, top - 1)
-                if link is None:
-                    return None
-                # the same pieces as link's, so it gives up only where link does
-                primed = {t: copies[t] * weight[k][t] for t in members if t != k}  # n'
-                star = reduced(piece ^ 1 << k, primed, top - 1)
-                return [0] + [copies[k] * s - l for s, l in zip(star, link)]
-        return None
+        pairs = [(i, j) for i in members for j in weight[i] if j > i and piece >> j & 1]
+        beta = [0] * (top + 2)
+        tri = 0  # the nodes in a triangle, as a bitset; a tree has none
+        if len(pairs) >= len(members):  # a cycle, so a triangle at a node linked to all others
+            for k in members:
+                if adj[k] & piece == piece ^ 1 << k:  # the lemma
+                    return flattened(k, piece, copies, flat, top, beta)
+            for i, j in pairs:
+                if common := adj[i] & adj[j] & piece:
+                    tri |= common | 1 << i | 1 << j
+        if tri:  # the identity at each node in a triangle, in turn
+            copies = {i: copies[i] for i in members}  # flattening writes to it
+            for k in [k for k in members if tri >> k & 1]:
+                beta = flattened(k, piece, copies, flat, top, beta)
+                copies[k], flat = 1, flat | 1 << k
+        # the nodes in a triangle are flat, so K is S(h on piece) with points
+        # and edges glued on in no 2-cell: K's beta~_1 is E - V + 1 less the
+        # rank of S's second boundary, which is E_s - V_s + 1 - beta_1(S)
+        for i, j in pairs:
+            beta[2] += copies[i] * copies[j] * (1 if (flat >> i | flat >> j) & 1 else weight[i][j])
+        beta[2] += 1 - sum(copies[i] for i in members)
+        if not tri:  # K is a connected graph
+            return beta
+        higher: dict[int, list[Clique]] = {}
+        for tau in _higher_cliques(members, pairs, top + 2):
+            higher.setdefault(len(tau) - 1, []).append(tau)
+        flag = _flag_betti(members, pairs, higher)
+        beta[2] += flag[1] - len(pairs) + len(members) - 1
+        return [b + f for b, f in zip(beta, [0, 0, 0, *flag[2:], *[0] * top])]
 
-    def graph_edges(piece: int, members: list[int], copies: dict[int, int]) -> int | None:
-        """The edges of K on a piece with no triangle, else None."""
-        edges = 0
-        for i in members:
-            for j, m in weight[i].items():
-                if j > i and piece >> j & 1:
-                    if adj[i] & adj[j] & piece:
-                        return None
-                    edges += copies[i] * copies[j] * m
-        return edges
-
-    return reduced((1 << len(order)) - 1, dict.fromkeys(range(len(order)), 1), top)
-
-
-def _per_combination_betti(
-    g: Multigraph, mult: dict[tuple[int, int], int], cliques: Cliques, counts: Sequence[int]
-) -> BettiVector:
-    """The Betti numbers of g's ``per-combination`` clique complex, from
-    its pair multiplicities ``mult``, cliques ``cliques`` and cell counts
-    ``counts`` (as ``clique_cells`` counts them): S(g)'s spanning forest
-    ranks the first boundary, as parallel copies never join two trees."""
-    forest = _forest({v: v for v in g.nodes}, mult)
-    return _ranked(
-        counts, forest, lambda d: zip(*_face_rows(g, PER_COMBINATION, mult, cliques, d))
-    )
+    return reduced((1 << len(order)) - 1, dict.fromkeys(range(len(order)), 1), 0, top)
 
 
 def _ranked(

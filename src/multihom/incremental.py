@@ -43,10 +43,12 @@ from __future__ import annotations
 
 import io
 import json
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NegativeBetti
-from .homology import BettiVector, Gf2Basis, _cells_betti, boundary_matrix
+from .homology import BettiVector, Gf2Basis, boundary_matrix
+from .homology import _cells_betti, _clique_faces, _column, _reduce
 from .mcomplex import CANONICAL, Cliques, Multicomplex, _cell_counts, clique_cells
 from .mgraph import Multigraph, merge
 
@@ -187,15 +189,11 @@ def _sides_rank(g: Multigraph, h: Multigraph, cliques: Cliques, e: int) -> int:
     """The rank of the ``canonical`` e-cells of K_{g.h}, e >= 3, whose
     clique lies in g's or in h's simple graph, as S(g.h)'s e-simplices
     over its (e-1)-cliques, with S(g.h)'s cliques ``cliques``."""
-    from itertools import combinations
-
-    row = {tau: i for i, (tau, _) in enumerate(cliques.get(e - 1, ()))}
-    basis = Gf2Basis()
+    below, sides = [tau for tau, _ in cliques.get(e - 1, ())], []
     for tau, _ in cliques.get(e, ()):
-        pairs = list(combinations(tau, 2))
-        if all(map(g.multiplicity, pairs)) or all(map(h.multiplicity, pairs)):
-            basis.add(sum(1 << row[face] for face in combinations(tau, e)))
-    return basis.rank
+        if any(all(map(x.multiplicity, combinations(tau, 2))) for x in (g, h)):
+            sides.append(tau)
+    return len(_reduce(map(_column, _clique_faces(below, sides))))
 
 
 def _extract(

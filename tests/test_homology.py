@@ -9,7 +9,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Iterator, Set
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import pytest
@@ -576,8 +576,9 @@ class TestCliqueBetti:
         def spy(*args, **kwargs):
             raise AssertionError("the Betti numbers were computed")
 
-        for name in ("betti0_of", "clique_cells", "_ranked", "_face_rows"):
+        for name in ("betti0_of", "clique_cells", "_flag_betti", "_ranked", "_forest"):
             monkeypatch.setattr(homology, name, spy)
+        monkeypatch.setattr(mcomplex, "_face_rows", spy)
         with pytest.raises(ValueError) as read:
             clique_betti(g, "bogus", dim)
         assert str(read.value) == str(built.value)
@@ -587,7 +588,7 @@ class TestCliqueBetti:
             clique_betti(doubled(3), CANONICAL, -1)
 
     def test_betti_verb_builds_no_complex_under_canonical(self, monkeypatch, capsys):
-        # nor under per-combination, whose ranks read the builder's face rows
+        # nor under per-combination, whose ranks are those of flag complexes
         def spy(*args, **kwargs):
             raise AssertionError("a complex was built or reduced")
 
@@ -631,31 +632,38 @@ class TestCliqueBetti:
 
 
 class TestCofacesByArithmetic:
-    """Under ``per-combination`` ``clique_betti`` ranks the builder's face
-    rows of each dimension, and no complex is built."""
+    """Under ``per-combination`` ``clique_betti`` ranks no cell of the
+    complex: every rank it takes is one of a flag complex, and no face
+    row is built."""
 
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([None, 1, 2, 3]))
-    def test_matches_replay_on_the_built_complex(self, seed, dim):
-        # replay_betti shares no rank code with the route
-        g = random_multigraph(random.Random(seed), 7, 3, PALETTE)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dense=st.booleans(),
+        dim=st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_matches_replay_on_the_built_complex(self, seed, dense, dim):
+        # replay_betti shares no rank code with the route; dense draws
+        # reach pieces with a triangle and no node linked to all others
+        rng = random.Random(seed)
+        g = dense_multigraph(rng) if dense else random_multigraph(rng, 7, 3, PALETTE)
         top = None if dim is None else dim + 1
         with cell_budget(3_000):
             try:
-                beta = clique_betti(g, PER_COMBINATION, dim)
+                with no_cell_ranks():
+                    beta = clique_betti(g, PER_COMBINATION, dim)
             except CellBudgetExceeded:
                 with pytest.raises(CellBudgetExceeded):
                     clique_multicomplex(g, PER_COMBINATION, top)
                 return
             assert beta == replay_betti(clique_multicomplex(g, PER_COMBINATION, top))[:top]
 
-    @given(multigraphs(max_nodes=5, max_mult=2))
-    def test_the_rank_path_matches_replay_on_any_graph(self, g):
-        # complete split and peeled graphs included, which clique_betti
-        # reads without it
-        mult, cliques = mcomplex.clique_cells(g, PER_COMBINATION)
-        counts = mcomplex._cell_counts(g, mult, cliques)
-        beta = homology._per_combination_betti(g, mult, cliques, counts)
-        assert beta == replay_betti(clique_multicomplex(g, PER_COMBINATION))
+
+def dense_multigraph(rng: random.Random) -> Multigraph:
+    """A graph on 1-7 nodes whose pairs are each linked with a drawn
+    probability of 0.5-0.97, by 1-3 copies."""
+    n, p = rng.randint(1, 7), rng.uniform(0.5, 0.97)
+    pairs = [pair for pair in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
+    return G(range(1, n + 1), [(u, v, rng.choice(PALETTE), rng.randint(1, 3)) for u, v in pairs])
 
 
 def read_or_refusal(read, *args):
@@ -692,7 +700,31 @@ def ranked_nothing(*args, **kwargs):
     raise AssertionError("a graph read without a rank was ranked")
 
 
-NO_RANKS = dict.fromkeys(("_ranked", "_face_rows", "_forest"), ranked_nothing)
+def ranked_a_cell(*args, **kwargs):
+    raise AssertionError("a face row was built, or a built complex ranked")
+
+
+@contextmanager
+def no_cell_ranks() -> Iterator[None]:
+    """Within the block, building face rows or ranking a built complex
+    raises, in every ``multihom`` module that binds them."""
+    reals = {"_face_rows": mcomplex._face_rows, "betti": homology.betti}
+    with ExitStack() as stack:
+        for module in [m for k, m in sys.modules.items() if k.startswith("multihom")]:
+            for name, real in reals.items():
+                if getattr(module, name, None) is real:
+                    stack.enter_context(mock.patch.object(module, name, ranked_a_cell))
+        yield
+
+
+@contextmanager
+def no_ranks() -> Iterator[None]:
+    """Within the block, any rank raises: of a flag complex, or of cells."""
+    names = dict.fromkeys(("_flag_betti", "_ranked", "_forest"), ranked_nothing)
+    with mock.patch.multiple(homology, **names), no_cell_ranks():
+        yield
+
+
 DOUBLED_K5_LESS_1_2 = [
     (u, v, "red", 2) for u, v in itertools.combinations(range(1, 6), 2) if (u, v) != (1, 2)
 ]
@@ -701,21 +733,18 @@ DOUBLED_K5_LESS_1_2 = [
 @contextmanager
 def paths_taken() -> Iterator[set[str]]:
     """The ``per-combination`` paths ``clique_betti`` takes in the block
-    besides the complete split one: "peeled" and "ranked"."""
+    besides the complete split one: "flattened" where a piece's nodes
+    are flattened and its flag complex ranked, else "peeled"."""
     taken: set[str] = set()
-    peel, rank = homology._peeled, homology._per_combination_betti
+    peel = homology._peeled
 
     def peeled(*args):
-        beta = peel(*args)
-        if beta is not None:
-            taken.add("peeled")
+        with mock.patch.object(homology, "_flag_betti", wraps=homology._flag_betti) as flag:
+            beta = peel(*args)
+        taken.add("flattened" if flag.called else "peeled")
         return beta
 
-    def ranked(*args):
-        taken.add("ranked")
-        return rank(*args)
-
-    with mock.patch.multiple(homology, _peeled=peeled, _per_combination_betti=ranked):
+    with mock.patch.object(homology, "_peeled", peeled):
         yield taken
 
 
@@ -723,7 +752,7 @@ class TestCompleteSplitGraphs:
     """Under ``per-combination`` the complex of a complete split graph has
     its reduced homology in one degree, so ``clique_betti`` reads it off
     the cell counts and ranks nothing; every other graph is peeled node by
-    node (``TestPeeledGraphs``), or ranked where it does not peel."""
+    node, or flattened where it does not peel (``TestPeeledGraphs``)."""
 
     @given(complete_split_multigraphs())
     def test_match_replay_at_every_depth_and_rank_nothing(self, g):
@@ -731,7 +760,7 @@ class TestCompleteSplitGraphs:
             top = None if dim is None else dim + 1
             with cell_budget(3_000):
                 expected = read_or_refusal(replayed, g, top)
-                with mock.patch.multiple(homology, **NO_RANKS):
+                with no_ranks():
                     assert read_or_refusal(clique_betti, g, PER_COMBINATION, dim) == expected, dim
 
     @given(near_misses())
@@ -753,7 +782,7 @@ class TestCompleteSplitGraphs:
         ids=["doubled-K6", "doubled-K5-less-a-pair", "one-node", "three-nodes"],
     )
     def test_pinned_values(self, g, expected):
-        with mock.patch.multiple(homology, **NO_RANKS):
+        with no_ranks():
             assert clique_betti(g, PER_COMBINATION) == expected
             if len(expected) > 2:  # the skeleton that stops just below degree r
                 assert clique_betti(g, PER_COMBINATION, len(expected) - 2) == expected[:-1]
@@ -771,12 +800,20 @@ def doubled_k6_less(*missing: tuple[int, int]) -> Multigraph:
     return G(range(1, 7), [(u, v, "red", 2) for u, v in sorted(pairs)])
 
 
+def less_a_matching(n: int, mult: int) -> Multigraph:
+    """K_n less the pairs (1, 2), (3, 4), ..., with ``mult`` copies of
+    each other pair: an octahedron at n = 6."""
+    matching = {(u, u + 1) for u in range(1, n, 2)}
+    pairs = [p for p in itertools.combinations(range(1, n + 1), 2) if p not in matching]
+    return G(range(1, n + 1), [(u, v, "red", mult) for u, v in pairs])
+
+
 class TestPeeledGraphs:
     """Under ``per-combination`` ``clique_betti`` peels a graph node by
     node: pieces add, a node linked to all others splits the complex into
-    two smaller ones, and a connected triangle-free piece is a graph.  It
-    ranks only a graph with a connected piece that has a triangle and no
-    node linked to all others."""
+    two smaller ones, and a connected triangle-free piece is a graph.  A
+    connected piece with a triangle and no node linked to all others is
+    flattened node by node, and then its flag complex is ranked."""
 
     @given(peelable_multigraphs())
     def test_match_replay_at_every_depth_and_rank_nothing(self, g):
@@ -784,7 +821,7 @@ class TestPeeledGraphs:
             top = None if dim is None else dim + 1
             with cell_budget(3_000):
                 expected = read_or_refusal(replayed, g, top)
-                with mock.patch.multiple(homology, **NO_RANKS):
+                with no_ranks():
                     assert read_or_refusal(clique_betti, g, PER_COMBINATION, dim) == expected, dim
 
     @pytest.mark.parametrize(
@@ -796,28 +833,44 @@ class TestPeeledGraphs:
         ids=["doubled-K6-less-a-path", "doubled-K6-less-a-matching-pair"],
     )
     def test_pinned_values(self, g, expected):
-        with mock.patch.multiple(homology, **NO_RANKS):
+        with no_ranks():
             assert clique_betti(g, PER_COMBINATION) == expected
             assert clique_betti(g, PER_COMBINATION, len(expected) - 2) == expected[:-1]
 
     def test_an_octahedron_is_ranked(self):
-        # connected, with triangles, and no node linked to all others
+        # connected, with triangles, and no node linked to all others: its
+        # nodes are flattened and its flag complex is ranked
         g = doubled_k6_less((1, 2), (3, 4), (5, 6))
-        with mock.patch.object(homology, "_forest", wraps=homology._forest) as forest:
+        with no_cell_ranks(), paths_taken() as taken:
             assert clique_betti(g, PER_COMBINATION) == (1, 0, 45)
-        assert forest.called
+        assert taken == {"flattened"}
+
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            (less_a_matching(6, 3), (1, 0, 185)),
+            (less_a_matching(10, 3), (1, 0, 0, 0, 1833297)),
+        ],
+        ids=["tripled-octahedron", "tripled-K10-less-a-perfect-matching"],
+    )
+    def test_pinned_flattened_values(self, g, expected):
+        # 1,950,178 cells for K10: read off flag complexes in milliseconds
+        with cell_budget(3_000_000), no_cell_ranks(), paths_taken() as taken:
+            assert clique_betti(g, PER_COMBINATION) == expected
+        assert taken == {"flattened"}
 
     def test_every_small_graph_matches_replay(self):
         # on nodes {1..4} with 0-2 copies per pair, and on {1..5} with 0-1
         paths = Counter()
         for g in itertools.chain(every_graph(4, 2), every_graph(5, 1)):
-            with paths_taken() as taken:
-                beta = clique_betti(g, PER_COMBINATION)
+            expected = replay_betti(clique_multicomplex(g, PER_COMBINATION))
+            with no_cell_ranks():
+                with paths_taken() as taken:
+                    assert clique_betti(g, PER_COMBINATION) == expected
+                for dim in range(len(g.nodes)):
+                    assert clique_betti(g, PER_COMBINATION, dim) == expected[: dim + 1], (g, dim)
             paths[next(iter(taken), "complete split")] += 1
-            assert beta == replay_betti(clique_multicomplex(g, PER_COMBINATION))
-            for dim in range(len(g.nodes)):
-                assert clique_betti(g, PER_COMBINATION, dim) == beta[: dim + 1], (g, dim)
-        assert sorted(paths) == ["complete split", "peeled", "ranked"]
+        assert sorted(paths) == ["complete split", "flattened", "peeled"]
         assert sum(paths.values()) == 3**6 + 2**10
 
 
