@@ -149,9 +149,14 @@ They change no boundary of a 2-cell, and K stays connected, so rank d_2
 and H_d for d >= 2 are S(h)'s, and beta~_1 follows from E and V.
 
 Each step lowers the degree by one, so the recursion is at most top + 1
-calls deep, reads beta~ only up to the top entry the complex or skeleton
-has, and stops when that entry is beta~_0, which is 0 on a connected
-part with two or more nodes.  On a graph the lemma peels, its calls on
+calls deep, reads beta~ only up to the top entry asked for (beta~_dim
+with a depth, else the complex's top), and stops when that entry is
+beta~_0, which is 0 on a connected part with two or more nodes.  A
+flag complex read to beta~_top is ranked on its cliques of at most
+top + 2 nodes, and a neighbourhood of k read one degree down on cliques
+that make such cliques with k, so every clique met has at most top + 2
+nodes: with a depth, a cell of the (dim+1)-skeleton, which
+``clique_cells`` has counted.  On a graph the lemma peels, its calls on
 a connected h number at most the nonempty cliques of h with at most
 top + 1 nodes, by induction: a node k linked to all others costs one
 call and two calls on h - k one degree down, and the cliques of h are
@@ -186,7 +191,7 @@ from .mcomplex import (
     check_policy,
     clique_cells,
 )
-from .mgraph import Multigraph
+from .mgraph import Multigraph, Pair
 from .value import Value
 
 __all__ = [
@@ -294,15 +299,17 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
     if dim == 0:
         return betti0_of(g.nodes, g.pairs())
     top = None if dim is None else dim + 1
-    return _cells_betti(g, policy, *clique_cells(g, policy, top))[:top]
+    return _cells_betti(g, policy, *clique_cells(g, policy, top), top)[:top]
 
 
 def _cells_betti(
-    g: Multigraph, policy: str, mult: dict[tuple[int, int], int], cliques: Cliques
+    g: Multigraph, policy: str, mult: dict[Pair, int], cliques: Cliques, top: int | None = None
 ) -> BettiVector:
-    """``clique_betti`` of g's complex or skeleton, uncut, from its pair
-    multiplicities ``mult`` and cliques ``cliques`` as ``clique_cells``
-    counts them."""
+    """``clique_betti`` of g's complex, uncut, or with ``top`` of its
+    top-skeleton, from its pair multiplicities ``mult`` and cliques
+    ``cliques`` as ``clique_cells`` counts them.  A skeleton's beta_top,
+    which ``clique_betti`` cuts off, may be missing: the peel stops below
+    it, so that it meets no clique ``clique_cells`` did not count."""
     if not g.nodes:
         return ()
     pairs = list(mult)  # in g.pairs() order, which numbers S's 1-cells
@@ -310,7 +317,7 @@ def _cells_betti(
         counts = _cell_counts(g, mult, cliques)
         r = _split_top(len(g.nodes), pairs)
         if r is None:
-            beta = _peeled(g.nodes, mult, len(counts) - 1)
+            beta = _peeled(g.nodes, mult, len(counts[:top]) - 1)
             beta[1] += 1  # beta_0 of a complex with a node
             return tuple(beta[1:])
         # the reduced homology sits in degree r alone (see the module
@@ -407,10 +414,11 @@ def _peeled(nodes: Set[int], mult: dict[tuple[int, int], int], top: int) -> list
         changes nothing."""
         near = adj[k] & piece
         mk = {t: 1 if flat >> t & 1 else m for t, m in weight[k].items() if near >> t & 1}
-        if not flat >> k & 1 and (copies[k] > 1 or max(mk.values()) > 1):
-            star = reduced(near, {t: copies[t] * m for t, m in mk.items()}, flat, top - 1)
+        if not flat >> k & 1 and ((heavy := max(mk.values()) > 1) or copies[k] > 1):
             link = reduced(near, copies, flat, top - 1)
-            beta = [0] + [b + copies[k] * s - l for b, s, l in zip(beta[1:], star, link)]
+            # with m = 1 on every pair at k, K' is K_N, and one read serves both
+            star = heavy and reduced(near, {t: copies[t] * m for t, m in mk.items()}, flat, top - 1)
+            beta = [0] + [b + copies[k] * s - l for b, s, l in zip(beta[1:], star or link, link)]
         return beta
 
     def connected(

@@ -4,6 +4,7 @@ count, and the closed form that reads Betti numbers off a graph."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 import time
@@ -858,6 +859,24 @@ class TestPeeledGraphs:
         with cell_budget(3_000_000), no_cell_ranks(), paths_taken() as taken:
             assert clique_betti(g, PER_COMBINATION) == expected
         assert taken == {"flattened"}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_depth_read_meets_no_clique_it_did_not_count(self, dim):
+        # K10 less a perfect matching, one copy a pair, is the boundary of a
+        # 5-cross-polytope: k of its 5 antipodal pairs give C(5, k) 2^k cliques
+        # of k nodes.  The (dim+1)-skeleton's cells fill the budget, and the
+        # read ranks no clique of more than dim + 2 nodes.
+        cells = sum(math.comb(5, k) * 2**k for k in range(1, dim + 3))
+        sizes, real = [], homology._higher_cliques
+
+        def spied(*args):
+            for tau in real(*args):
+                sizes.append(len(tau))
+                yield tau
+
+        with cell_budget(cells), mock.patch.object(homology, "_higher_cliques", spied):
+            assert clique_betti(less_a_matching(10, 1), PER_COMBINATION, dim) == (1,) + (0,) * dim
+        assert sizes and max(sizes) == dim + 2
 
     def test_every_small_graph_matches_replay(self):
         # on nodes {1..4} with 0-2 copies per pair, and on {1..5} with 0-1
