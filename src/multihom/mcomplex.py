@@ -21,12 +21,13 @@ what those faces reach at dimension 1.
 A complex stores its cells as integer rows.  Each dimension is a
 ``Grade``: the cells' keys in sorted order, and each cell's faces as
 row indices into the grade below (at dimension 1 also each cell's
-colour).  The builder writes those rows by arithmetic: a face's row is
-its clique's first row plus the rank of the restricted assignment.  One
-table per dimension says which pairs each face position omits, and a
-face's rows over its clique's cells grow from its first row, last pair
-first: a pair the face omits repeats the block, one it keeps appends it
-shifted by each further copy's rank step.  ``Multicell`` is the value
+colour).  The builder writes those rows by one rank rule at every
+dimension d >= 1: a face's row is its clique's first row plus the
+cell's copy digits (copy - 1 of each pair), each weighted by its place
+in the face's mixed radix, the last pair least significant.  A pair the
+face omits weighs 0, and so does every pair of a single ``canonical``
+face (d >= 4); the single cell above dimension 2 takes as each pair's
+digit its copy first in (colour, copy) order.  ``Multicell`` is the value
 type of one cell; ``cells``, ``find`` and ``all_cells`` build it on
 demand as a view of a row, and ``Multicomplex.from_cells`` is the door
 for hand-built cells, which it converts into the same rows.
@@ -56,7 +57,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cached_property
 from math import prod
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .errors import CellBudgetExceeded, ComplexStructureError, PaletteMismatch
 from .mgraph import Multigraph, merge
@@ -292,8 +293,6 @@ class Multicomplex:
                 # two faces must agree on their shared subface
                 for r1, r2 in itertools.combinations(rows, 2):
                     shared = tuple(sorted(set(below.vertices[r1]) & set(below.vertices[r2])))
-                    if not shared:
-                        continue
                     q1, q2 = subfaces[r1].get(shared), subfaces[r2].get(shared)
                     if q1 != q2:
                         raise ComplexStructureError(
@@ -547,63 +546,25 @@ def clique_multicomplex(
     ``CellBudgetExceeded``.
     """
     mult, cliques = clique_cells(g, policy, dim)
-    if not g.nodes:
-        return Multicomplex(g.palette, (), policy)
-
-    nodes = sorted(g.nodes)
-    grades = [Grade(None, [(v,) for v in nodes], [1] * len(nodes))]
-    if mult:
-        row = {v: i for i, v in enumerate(nodes)}
-        vertices = [p for p, m in mult.items() for _ in range(m)]  # (pair, copy) order
-        grades.append(
-            Grade(
-                grades[0],
-                vertices,
-                [copy for m in mult.values() for copy in range(1, m + 1)],
-                ([row[u] for u, _ in vertices], [row[v] for _, v in vertices]),
-                [color for p in mult for color in g.colors(p)],
-            )
-        )
-    for d in range(2, max(cliques, default=1) + 1):
+    grades: list[Grade] = []
+    for d in range(bool(g.nodes) + bool(mult) + len(cliques)):
         vertices, copies = [], []
-        for tau, n in cliques[d]:  # tau is sorted, and cliques come sorted
+        for tau, n in _shapes(g, mult, cliques, d):  # tau is sorted, and shapes come sorted
             vertices += [tau] * n
             copies += range(1, n + 1)
-        faces = _face_rows(g, policy, mult, cliques, d)
-        grades.append(Grade(grades[-1], vertices, copies, faces))
+        faces = _face_rows(g, policy, mult, cliques, d) if d else ()
+        colors = [color for p in mult for color in g.colors(p)] if d == 1 else None
+        grades.append(Grade(grades[-1] if d else None, vertices, copies, faces, colors))
     return Multicomplex(g.palette, tuple(grades), policy)
 
 
-def _first_rows(
-    mult: Mapping[tuple[int, int], int], cliques: Cliques, d: int
-) -> dict[tuple[int, ...], int]:
-    """Each d-clique's first row in grade d >= 1: its cells are the rows
-    from there, one per copy."""
-    counts = mult if d == 1 else dict(cliques[d])
-    return dict(zip(counts, itertools.accumulate(counts.values(), initial=0)))
-
-
-def _omitted_pairs(d: int) -> list[list[bool]]:
-    """For a d-clique's faces in lexicographic order (face k omits vertex
-    d - k), whether face k omits the clique's j-th pair."""
-    positions = list(itertools.combinations(range(d + 1), 2))
-    return [[d - k in p for p in positions] for k in range(d + 1)]
-
-
-def _doubled(
-    mult: Mapping[tuple[int, int], int], pairs: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """(j, m) for a clique's j-th pair of m > 1 copies, last pair first:
-    the digits of a copy rank, least significant first."""
-    return [(j, m) for j in reversed(range(len(pairs))) if (m := mult[pairs[j]]) > 1]
-
-
-def _spread(block: list[int], r: int, step: int) -> None:
-    """Grow ``block`` by a digit of radix r above its own: append r - 1
-    copies of it, the t-th shifted by t * step."""
-    head = block[:]
-    for t in range(step, r * step, step):
-        block += map(add, head, itertools.repeat(t))
+def _shapes(
+    g: Multigraph, mult: Mapping[tuple[int, int], int], cliques: Cliques, d: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """The d-cliques of g's complex in sorted order, each with its cell count."""
+    if d == 0:
+        return [((v,), 1) for v in sorted(g.nodes)]
+    return list(mult.items()) if d == 1 else cliques[d]
 
 
 def _face_rows(
@@ -611,44 +572,34 @@ def _face_rows(
 ) -> tuple[list[int], ...]:
     """The d-cells' face rows, one list per face position, for g's clique
     complex with pair multiplicities ``mult`` and cliques ``cliques`` (as
-    ``clique_cells`` counts them), d >= 2: a face's row is its clique's
-    first row plus the rank of the restricted assignment."""
+    ``clique_cells`` counts them), d >= 1: a face's row is its clique's
+    first row plus the cell's copy digits weighted by the face's radix.
+    Cliques whose pairs have the same copies and digits share the sums."""
     single = d >= 3 and policy == CANONICAL
-    below_first = _first_rows(mult, cliques, d - 1)
-    omits = _omitted_pairs(d)
+    # each (d-1)-clique's first row: its cells are the rows from there, one per copy
+    taus, counts = zip(*_shapes(g, mult, cliques, d - 1))
+    first = dict(zip(taus, itertools.accumulate(counts, initial=0)))
     faces = tuple([] for _ in range(d + 1))
-    for tau, n in cliques[d]:
-        bases = map(below_first.__getitem__, itertools.combinations(tau, d))
-        if n == 1 and (not single or d >= 4):
-            # one cell, or a single cell whose faces are single cells
-            for rows, base in zip(faces, bases):
-                rows.append(base)
-            continue
-        # a face's copy is the rank of the restricted assignment, the last
-        # pair least significant: walk the pairs of several copies from it
-        pairs = list(itertools.combinations(tau, 2))
-        doubled = _doubled(mult, pairs)
-        for rows, base, skip in zip(faces, bases, omits):
-            stride = 1
-            if single:
-                # a canonical 3-cell is glued along each pair's copy first
-                # in (colour, copy) order, which re-indexing copies keeps
-                for j, r in doubled:
-                    if not skip[j]:
-                        colors = g.colors(pairs[j])
-                        base += colors.index(min(colors)) * stride
-                        stride *= r
-                rows.append(base)
-                continue
-            # the face's row under each of the clique's cells, in cell order
-            block = [base]
-            for j, r in doubled:
-                if skip[j]:
-                    block *= r
-                else:
-                    _spread(block, r, stride)
-                    stride *= r
-            rows += block
+    positions = list(itertools.combinations(range(d + 1), 2))[::-1]  # least significant first
+    sums: dict[tuple, list[list[int]]] = {}  # by copies and digits: face rows less first rows
+    for tau, _ in _shapes(g, mult, cliques, d):
+        pairs = list(itertools.combinations(tau, 2))[::-1]
+        ms = tuple(map(mult.__getitem__, pairs))
+        # the one cell's digit of each pair is its copy first in (colour, copy)
+        # order; otherwise a pair's digits are all its copies, which ``ms`` gives
+        digits = tuple((c.index(min(c)),) for c in map(g.colors, pairs)) if single else ms
+        offsets = sums.setdefault((ms, digits), [])
+        if not offsets:
+            for gone in reversed(range(d + 1)):  # face k omits vertex d - k
+                # the faces of a single cell above dimension 3 are single cells
+                weighted, place = [], 0 if single and d >= 4 else 1
+                for (i, j), m, ds in zip(positions, ms, digits):
+                    weight = 0 if gone in (i, j) else place
+                    weighted.append([t * weight for t in (ds if single else range(m))])
+                    place *= m if weight else 1
+                offsets.append(list(map(sum, itertools.product(*reversed(weighted)))))
+        for rows, face, offset in zip(faces, itertools.combinations(tau, d), offsets):
+            rows += map(first[face].__add__, offset)
     return faces
 
 

@@ -69,6 +69,10 @@ class TestChainExpr:
         with pytest.raises(Exception):
             ChainExpr(("G", "H"), ())
 
+    def test_no_atoms_rejected(self):
+        with pytest.raises(ValueError, match="^a chain needs at least one atom$"):
+            ChainExpr(())
+
 
 # -- order -----------------------------------------------------------------------
 

@@ -83,6 +83,11 @@ class TestIncrementalStep:
         with pytest.raises(NegativeBetti):
             incremental_step((0, 0), 1, closes_cycle=False)
 
+    @pytest.mark.parametrize("closes_cycle", [True, False])
+    def test_negative_dimension_rejected(self, closes_cycle):
+        with pytest.raises(ValueError, match="^cell dimension must be >= 0, got -1$"):
+            incremental_step((1,), -1, closes_cycle)
+
 
 # -- replay vs direct ranks -----------------------------------------------------------
 

@@ -24,6 +24,7 @@ from multihom import (
     Multicell,
     Multicomplex,
     Multigraph,
+    PaletteMismatch,
     betti,
     boundary_squares_to_zero,
     cell_budget,
@@ -288,13 +289,24 @@ def mixed_k6() -> Multigraph:
 
 class TestFaceRows:
     """Every grade's rows equal those of a cell-by-cell build that finds
-    each face by its vertices and restricted copy assignment."""
+    each face by its vertices and restricted copy assignment, in the whole
+    complex and in every skeleton, and each edge copy has its colour."""
 
     @staticmethod
     def check(g, policy):
-        x = clique_multicomplex(g, policy)
-        got = [(grade.vertices, grade.copies, grade.faces) for grade in x.grades]
-        assert got == reference_grades(g, policy)
+        reference = reference_grades(g, policy)
+        colours = [
+            ((p, copy), colour)
+            for p in sorted(g.multiplicities())
+            for copy, colour in enumerate(g.colors(p), 1)
+        ]
+        for dim in (None, *range(len(reference) + 1)):
+            x = clique_multicomplex(g, policy, dim)
+            got = [(grade.vertices, grade.copies, grade.faces) for grade in x.grades]
+            assert got == reference[: None if dim is None else dim + 1]
+            if len(x.grades) > 1:
+                edges = x.grade(1)
+                assert list(zip(edges.keys(), edges.colors)) == colours
 
     @given(g=multigraphs(max_nodes=6, max_mult=3), policy=st.sampled_from(POLICIES))
     @settings(max_examples=150)
@@ -370,6 +382,41 @@ class TestFromCells:
         bad = Multicell((1, 2, 3), 2, faces=(((1, 2), 1), ((1, 3), 2), ((2, 3), 1)))
         with pytest.raises(ComplexStructureError):
             Multicomplex.from_cells(("black",), cells + [bad], coloring)
+
+    def test_faces_reaching_two_copies_of_one_edge_rejected(self):
+        # each face of the 3-cell is a cell, one per face subset, but (1,2,3)
+        # is glued to copy 1 of (1,2) and (1,2,4) to copy 2
+        cells = [Multicell((v,), 1) for v in (1, 2, 3, 4)]
+        edges = [(p, 1) for p in itertools.combinations(range(1, 5), 2)] + [((1, 2), 2)]
+        cells += [Multicell((u, v), copy, faces=(((u,), 1), ((v,), 1))) for (u, v), copy in edges]
+        triangles = {(1, 2, 3): 1, (1, 2, 4): 2, (1, 3, 4): 1, (2, 3, 4): 1}  # copy of (1, 2)
+        for t, copy in triangles.items():
+            faces = tuple((p, copy if p == (1, 2) else 1) for p in itertools.combinations(t, 2))
+            cells.append(Multicell(t, 1, faces=faces))
+        cells.append(Multicell((1, 2, 3, 4), 1, faces=tuple((t, 1) for t in triangles)))
+        coloring = {c.key: "black" for c in cells if c.dim == 1}
+        x = Multicomplex.from_cells(("black",), cells, coloring, validate=False)
+        assert assignment_through_faces(x, x.find(((1, 2, 3), 1)))[(1, 2)] == 1
+        assert assignment_through_faces(x, x.find(((1, 2, 4), 1)))[(1, 2)] == 2
+        with pytest.raises(ComplexStructureError) as refused:
+            x.validate()
+        assert str(refused.value) == (
+            "gluing of ((1, 2, 3, 4), 1) inconsistent over (1, 2): "
+            "((1, 2, 3), 1) -> ((1, 2), 1) vs ((1, 2, 4), 1) -> ((1, 2), 2)"
+        )
+
+    def test_colour_outside_the_palette_rejected(self):
+        cells, coloring = simple_triangle_cells()
+        coloring = {**coloring, ((1, 3), 1): "red"}
+        with pytest.raises(PaletteMismatch, match=r"^1-cell \(\(1, 3\), 1\) coloured outside"):
+            Multicomplex.from_cells(("black",), cells, coloring)
+        Multicomplex.from_cells(("black", "red"), cells, coloring)
+
+    def test_vertex_with_faces_rejected(self):
+        cells, coloring = simple_triangle_cells()
+        cells[0] = Multicell((1,), 1, faces=(((2,), 1),))
+        with pytest.raises(ComplexStructureError, match=r"^0-cell \(\(1,\), 1\) has faces$"):
+            Multicomplex.from_cells(("black",), cells, coloring, validate=False)
 
     def test_cell_glued_twice_to_one_face_rejected(self):
         # its boundary is (2,3) alone, so the boundary of that is not zero
@@ -644,6 +691,14 @@ class TestComplexMerge:
         assert complex_merge(
             clique_multicomplex(g), clique_multicomplex(h)
         ) == clique_multicomplex(merge(g, h))
+
+    def test_palette_and_policy_must_agree(self):
+        g = G([1, 2], [(1, 2, "red")])
+        a = clique_multicomplex(g)
+        with pytest.raises(PaletteMismatch, match="^complexes disagree on the palette$"):
+            complex_merge(a, clique_multicomplex(G([1, 2], [(1, 2, "red")], ("red",))))
+        with pytest.raises(ValueError, match="^policy mismatch: canonical vs per-combination$"):
+            complex_merge(a, clique_multicomplex(g, PER_COMBINATION))
 
     def test_unit(self):
         x = clique_multicomplex(G([1, 2], [(1, 2, "red")]))

@@ -237,6 +237,28 @@ class TestCliMergeBetti:
         payload = json.loads(capsys.readouterr().out)
         assert payload["nodes"] == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize(
+        "path, text",
+        [
+            (
+                REPO_ROOT / "workspaces" / "three_paths.json",
+                "nodes: [1, 2, 3, 4, 5]\n"
+                "edges: 4 copies over 4 coloured pairs\n"
+                "colours used: ['black']\n",
+            ),
+            (
+                REPO_ROOT / "tests" / "data" / "doubled_k5.json",
+                "nodes: [1, 2, 3, 4, 5, 6]\n"
+                "edges: 15 copies over 14 coloured pairs\n"
+                "colours used: ['black', 'red']\n",
+            ),
+        ],
+        ids=["three_paths", "doubled_k5"],
+    )
+    def test_merge_text(self, capsys, path, text):
+        assert main(["--workspace", str(path), "merge", "G", "H"]) == EXIT_OK
+        assert capsys.readouterr().out == text
+
     def test_merge_emit_complex(self, three_paths_path, capsys):
         code = main(
             ["--workspace", str(three_paths_path), "merge", "G", "K", "--emit-complex"]
@@ -483,6 +505,31 @@ class TestCliLattice:
         assert payload["count"] == 13
         assert len(payload["minimals"]) == 6
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (
+                [],
+                "4 chains over ('G', 'H', 'K') (fixed order)\n"
+                "  grade 0: G | H | K\n"
+                "  grade 1: G | H . K, G . H | K\n"
+                "  grade 2: G . H . K\n",
+            ),
+            (
+                ["--permutations"],
+                "13 chains over ('G', 'H', 'K') (permutation-identified)\n"
+                "  grade 0: G | H | K, G | K | H, H | G | K, H | K | G, K | G | H, K | H | G\n"
+                "  grade 1: G . H | K, G . K | H, G | H . K, H . K | G, H | G . K, K | G . H\n"
+                "  grade 2: G . H . K\n",
+            ),
+        ],
+        ids=["fixed", "permutations"],
+    )
+    def test_text(self, capsys, argv, text):
+        assert main(["lattice", "G", "H", "K", *argv]) == EXIT_OK
+        minimals = "G | H | K, G | K | H, H | G | K, H | K | G, K | G | H, K | H | G"
+        assert capsys.readouterr().out == text + f"top: G . H . K\nminimals (6): {minimals}\n"
+
     @pytest.mark.parametrize("atom", ["G | H", "", "G.H", "(G)", "1G", "G H", " G"])
     def test_atoms_outside_the_grammar_refused(self, capsys, atom):
         # each printed chain must parse back to itself, so atoms are identifiers
@@ -535,6 +582,15 @@ class TestCliLaws:
         assert main(["check-laws", "--k", "2"]) == EXIT_LAW
         assert "law violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, k", [([], 3), (["--workspace", "three_paths"], 2)], ids=["built-in", "workspace"]
+    )
+    def test_json(self, capsys, three_paths_path, argv, k):
+        argv = [str(three_paths_path) if a == "three_paths" else a for a in argv]
+        assert main([*argv, "--json", "check-laws", "--k", str(k)]) == EXIT_OK
+        text = f'{{\n  "k_max": {k},\n  "violations": [],\n  "ok": true\n}}\n'
+        assert capsys.readouterr().out == text
+
     def test_workspace_graphs_are_used(self, three_paths_path, capsys):
         code = main(["--workspace", str(three_paths_path), "check-laws", "--k", "2"])
         assert code == EXIT_OK
@@ -566,31 +622,32 @@ class TestCliLaws:
             assert len(checked) == 3 and all(g.palette == {"red", "black"} for g in checked)
 
 
-    def test_laws_build_one_complex_per_graph_and_merge_none(
+    def test_laws_count_each_graph_once_and_build_no_complex(
         self, three_paths_path, capsys, monkeypatch
     ):
         from multihom import mcomplex
 
-        built, real = [], mcomplex.clique_multicomplex
+        counted, real = [], mcomplex.clique_cells
 
         def spy(g, *args, **kwargs):
-            built.append(g)
+            counted.append(g)
             return real(g, *args, **kwargs)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a complex was merged or compared")
+            raise AssertionError("a complex was built, merged or compared")
 
-        monkeypatch.setattr(mcomplex, "clique_multicomplex", spy)
+        monkeypatch.setattr(mcomplex, "clique_cells", spy)
+        monkeypatch.setattr(mcomplex, "clique_multicomplex", refuse)
         monkeypatch.setattr(mcomplex, "complex_merge", refuse)
         monkeypatch.setattr(mcomplex.Multicomplex, "canonical_form", refuse)
         workspace = list(load_workspace(str(three_paths_path)).graphs.values())
         for policy in POLICIES:
             for argv, count in (([], 3), (["--workspace", str(three_paths_path)], len(workspace))):
-                built.clear()
+                counted.clear()
                 assert main([*argv, "--policy", policy, "check-laws", "--k", "2"]) == EXIT_OK
                 assert "all hold" in capsys.readouterr().out
-                assert len(built) == count
-            assert built == workspace
+                assert len(counted) == count
+            assert counted == workspace
 
     def test_only_each_graph_meets_the_budget(self, tmp_path, capsys):
         # each doubled triangle has 3 + 6 + 8 = 17 per-combination cells and
@@ -787,6 +844,37 @@ class TestCliFuzz:
         assert summary.read_text().startswith("dimension,agree,total,rate")
         out = capsys.readouterr().out
         assert "beta1" in out
+
+    @pytest.mark.parametrize(
+        "policy, count, rows",
+        [
+            ("canonical", 3, ((1, 0.3333), (1, 0.3333))),
+            ("per-combination", 5, ((3, 0.6), (3, 0.6))),
+        ],
+    )
+    def test_json_summary(self, capsys, policy, count, rows):
+        argv = ["--seed", "11", "--policy", policy, "--json", "fuzz", "--count", str(count)]
+        assert main(argv) == EXIT_OK
+        (agree1, rate1), (agree2, rate2) = rows
+        assert capsys.readouterr().out == (
+            "{\n"
+            f'  "count": {count},\n'
+            '  "summary": [\n'
+            "    {\n"
+            '      "dimension": "beta1",\n'
+            f'      "agree": {agree1},\n'
+            f'      "total": {count},\n'
+            f'      "rate": {rate1}\n'
+            "    },\n"
+            "    {\n"
+            '      "dimension": "beta2",\n'
+            f'      "agree": {agree2},\n'
+            f'      "total": {count},\n'
+            f'      "rate": {rate2}\n'
+            "    }\n"
+            "  ]\n"
+            "}\n"
+        )
 
     @pytest.mark.parametrize("bad", ["jsonl", "summary"])
     def test_unwritable_output_is_refused_before_the_fuzz(
