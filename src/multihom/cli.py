@@ -2,7 +2,8 @@
 
 Verbs: parse | merge | betti | filtrate | lattice | check-laws |
 incremental | fuzz.  Exit codes: 0 success (also when the reader of
-stdout closes it early), 1 usage, 2 domain error, 3 law violation.
+stdout closes it early), 1 usage, 2 domain error (also when memory runs
+out), 3 law violation.
 """
 
 from __future__ import annotations
@@ -87,24 +88,30 @@ def _resolve_chain(args, ws: Workspace | None) -> ChainExpr:
     raise UsageError("no chain given and the workspace declares no default 'chain'")
 
 
+def _print_json(payload) -> None:
+    """Print ``payload`` as JSON indented by 2, streamed in batches: a
+    joined string would hold it all, and a write per chunk is slow."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    for batch in iter(lambda: "".join(itertools.islice(chunks, 8192)), ""):
+        sys.stdout.write(batch)
+    print()
+
+
 # -- verbs -------------------------------------------------------------------
 
 
 def cmd_parse(args) -> int:
     x = parse_chain(args.chain)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "text": x.text(),
-                    "pretty": x.pretty(),
-                    "atoms": list(x.atoms),
-                    "connectives": [c.value for c in x.connectives],
-                    "blocks": [list(b) for b in x.blocks()],
-                    "grade": chainlat.merge_count(x),
-                },
-                indent=2,
-            )
+        _print_json(
+            {
+                "text": x.text(),
+                "pretty": x.pretty(),
+                "atoms": list(x.atoms),
+                "connectives": [c.value for c in x.connectives],
+                "blocks": [list(b) for b in x.blocks()],
+                "grade": chainlat.merge_count(x),
+            }
         )
     else:
         print(x.text())
@@ -120,7 +127,7 @@ def cmd_merge(args) -> int:
         if args.json:
             payload = mcomplex.clique_multicomplex(merged, args.policy).to_json_dict()
             payload["betti"] = list(homology.clique_betti(merged, args.policy))
-            print(json.dumps(payload, indent=2))
+            _print_json(payload)
         else:
             counts = mcomplex._cell_counts(merged, *mcomplex.clique_cells(merged, args.policy))
             print(f"cells per dimension: {counts}")
@@ -129,7 +136,7 @@ def cmd_merge(args) -> int:
     payload = merged.to_json_dict()
     payload["colors_used"] = sorted(merged.colors_used())
     if args.json:
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(
             f"nodes: {payload['nodes']}\n"
@@ -145,7 +152,7 @@ def cmd_betti(args) -> int:
     x = _resolve_chain(args, ws)
     beta = filtration.chain_betti(x, ws.env(), args.policy)
     if args.json:
-        print(json.dumps({"chain": x.text(), "betti": list(beta)}, indent=2))
+        _print_json({"chain": x.text(), "betti": list(beta)})
     else:
         print(f"{x.text()}  ->  betti {tuple(beta)}")
     return EXIT_OK
@@ -159,11 +166,7 @@ def cmd_filtrate(args) -> int:
         print(poset.to_dot())
         return EXIT_OK
     if args.json:
-        # streamed in batches: dumps joins it all, a write per chunk is slow
-        chunks = json.JSONEncoder(indent=2).iterencode(poset.to_json_dict())
-        for batch in iter(lambda: "".join(itertools.islice(chunks, 8192)), ""):
-            sys.stdout.write(batch)
-        print()
+        _print_json(poset.to_json_dict())
         return EXIT_OK
     lines = [f"interaction filtration of {x.text()} ({len(poset.nodes)} nodes)"]
     lines += [
@@ -218,7 +221,7 @@ def cmd_lattice(args) -> int:
         ],
     }
     if args.json:
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"{len(chains)} chains over {atoms}" + (" (permutation-identified)" if args.permutations else " (fixed order)"))
         for grade in range(len(atoms)):
@@ -258,7 +261,7 @@ def cmd_check_laws(args) -> int:
     violations.extend(_monoid_law_witnesses(graphs, args.policy))
     payload = {"k_max": args.k, "violations": violations, "ok": not violations}
     if args.json:
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(
             f"laws over fixed-order chains (k=2..{args.k}) and complex merges: "
@@ -297,7 +300,7 @@ def cmd_incremental(args) -> int:
     if args.known_cases:
         findings = incremental.known_case_findings()
         if args.json:
-            print(json.dumps(findings, indent=2))
+            _print_json(findings)
         else:
             for f in findings:
                 status = "ok" if f["agrees"] else "FLAGGED DISCREPANCY"
@@ -312,7 +315,7 @@ def cmd_incremental(args) -> int:
     env = ws.env()
     report = incremental.validate(env.resolve(args.left), env.resolve(args.right), args.policy)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        _print_json(report.to_json_dict())
     else:
         for d, formula, oracle, ok in (
             (1, report.formula_beta1, report.oracle_beta1, report.agrees_beta1),
@@ -363,7 +366,7 @@ def cmd_fuzz(args) -> int:
     if args.summary:
         Path(args.summary).write_text(incremental.summary_csv(rows), encoding="utf-8")
     if args.json:
-        print(json.dumps({"count": len(records), "summary": rows}, indent=2))
+        _print_json({"count": len(records), "summary": rows})
     else:
         for row in rows:
             print(
@@ -466,6 +469,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_LAW
     except MultihomError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError:
+        # a complex inside the cell budget can still outgrow the memory
+        print(
+            "error: out of memory; a lower --max-cells refuses inputs this large up front",
+            file=sys.stderr,
+        )
         return EXIT_DOMAIN
 
 

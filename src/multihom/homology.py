@@ -298,35 +298,37 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
         raise ValueError(f"Betti numbers need dim >= 0, got {dim}")
     if dim == 0:
         return betti0_of(g.nodes, g.pairs())
-    top = None if dim is None else dim + 1
-    return _cells_betti(g, policy, *clique_cells(g, policy, top), top)[:top]
+    return _cells_betti(g, policy, *clique_cells(g, policy, None if dim is None else dim + 1), dim)
 
 
 def _cells_betti(
-    g: Multigraph, policy: str, mult: dict[Pair, int], cliques: Cliques, top: int | None = None
+    g: Multigraph, policy: str, mult: dict[Pair, int], cliques: Cliques, dim: int | None
 ) -> BettiVector:
-    """``clique_betti`` of g's complex, uncut, or with ``top`` of its
-    top-skeleton, from its pair multiplicities ``mult`` and cliques
-    ``cliques`` as ``clique_cells`` counts them.  A skeleton's beta_top,
-    which ``clique_betti`` cuts off, may be missing: the peel stops below
-    it, so that it meets no clique ``clique_cells`` did not count."""
+    """``clique_betti(g, policy, dim)``, from g's pair multiplicities
+    ``mult`` and cliques ``cliques`` as ``clique_cells`` counts them for
+    the complex, or with ``dim`` for its (dim+1)-skeleton.  The peel
+    stops at beta_dim, so that it meets no clique ``clique_cells`` did
+    not count."""
     if not g.nodes:
         return ()
     pairs = list(mult)  # in g.pairs() order, which numbers S's 1-cells
+    end = None if dim is None else dim + 1
     if policy != CANONICAL:
-        counts = _cell_counts(g, mult, cliques)
+        counts = _cell_counts(g, mult, cliques)[:end]
         r = _split_top(len(g.nodes), pairs)
         if r is None:
-            beta = _peeled(g.nodes, mult, len(counts[:top]) - 1)
+            beta = _peeled(g.nodes, mult, len(counts) - 1)
             beta[1] += 1  # beta_0 of a complex with a node
             return tuple(beta[1:])
         # the reduced homology sits in degree r alone (see the module
-        # docstring); a skeleton that stops below r has none
+        # docstring); a read that stops below r has none, and one that
+        # reaches r counts the whole complex
         beta = [1] + [0] * (len(counts) - 1)
         if r < len(counts):
             beta[r] += (-1) ** r * (sum((-1) ** d * c for d, c in enumerate(counts)) - 1)
         return tuple(beta)
-    beta = list(_flag_betti(g.nodes, pairs, {d: [tau for tau, _ in c] for d, c in cliques.items()}))
+    flag = _flag_betti(g.nodes, pairs, {d: [tau for tau, _ in c] for d, c in cliques.items()})
+    beta = list(flag[:end])
     triangles = cliques.get(2, ())
     tight = {p for tau, _ in triangles for p in combinations(tau, 2)}
     if len(beta) > 1:

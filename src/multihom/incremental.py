@@ -31,6 +31,12 @@ pairs, its cliques of e + 1 vertices), c_e - s_e counts K_x's e-cells
 beyond one per vertex set, and dup at d is that of g.h at e = d - 1,
 less g's and h's.  No reading depends on colours or operand order.
 
+Up to d = top, the ledger needs c_e and beta_e for e <= top (so r_0..
+r_{top+1}), s_{top-1}, and under ``canonical`` the (top+1)-cliques: all
+of it lies in the (top+1)-skeleton.  So each of g, h and g.h is counted
+and read to that skeleton alone, as ``clique_betti(x, policy, top)``
+reads it, and a cell budget refuses only where such a skeleton passes it.
+
 ``formula_beta1``/``formula_beta2`` are transcriptions of a closed-form
 conjecture for the Betti numbers of a merge.  They are implemented
 exactly as stated and treated as hypotheses: ``validate`` reports formula
@@ -159,7 +165,9 @@ def extract_params(
         dup = (c_e - s_e)(m) - (c_e - s_e)(g) - (c_e - s_e)(h),  e = d - 1
 
     except that under ``canonical`` at d >= 2 cl is r_{d+1}(m) less the
-    rank of g's and h's (d+1)-cells taken together.
+    rank of g's and h's (d+1)-cells taken together.  Each graph is read to
+    its (d+1)-skeleton, which holds every cell these need, so a cell budget
+    refuses g, h or g.h only where that skeleton passes it.
     """
     if d < 1:
         raise ValueError(f"extraction is defined for d >= 1, got {d}")
@@ -172,10 +180,11 @@ def _ranks(
 ) -> tuple[list[int], list[int], list[int], list[int], Cliques]:
     """x's Betti numbers, cell counts c_e and simplex counts s_e to
     dimension ``top``, its boundary ranks r_0..r_{top+1}, zero above its
-    dimension, and its cliques: one ``clique_cells`` read, from which
-    the Betti numbers come as ``clique_betti`` gives them."""
-    mult, cliques = clique_cells(x, policy)
-    beta = [*_cells_betti(x, policy, mult, cliques), *[0] * (top + 1)]
+    dimension, and its cliques of up to top + 2 nodes: one ``clique_cells``
+    read of its (top+1)-skeleton, from which the Betti numbers come as
+    ``clique_betti(x, policy, top)`` gives them."""
+    mult, cliques = clique_cells(x, policy, top + 1)
+    beta = [*_cells_betti(x, policy, mult, cliques, top), *[0] * (top + 1)]
     cells = [*_cell_counts(x, mult, cliques), *[0] * (top + 1)]
     simplices = [len(x.nodes), len(mult)]
     simplices += [len(cliques[e]) for e in sorted(cliques)] + [0] * top
@@ -251,7 +260,7 @@ class IncrementalReport(NamedTuple):
 
 def validate(g: Multigraph, h: Multigraph, policy: str = CANONICAL) -> IncrementalReport:
     """Extract parameters, apply the formulas, and compare against the
-    direct Betti numbers of the merged complex."""
+    direct Betti numbers of the merged complex, read off its 3-skeleton."""
     (p1, p2), oracle = _extract(g, h, policy, dims=(1, 2))
     return IncrementalReport(
         params_d1=p1,

@@ -47,7 +47,9 @@ class Value:
 
 
 class OrderedValue(Value):
-    """A ``Value`` ordered by the tuple of its fields, within its class."""
+    """A ``Value`` ordered by the tuple of its fields, within its class.
+    Python answers ``a > b`` and ``a >= b`` with the reflected ``b < a``
+    and ``b <= a``."""
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
@@ -58,13 +60,3 @@ class OrderedValue(Value):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._astuple() <= other._astuple()
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() > other._astuple()
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() >= other._astuple()

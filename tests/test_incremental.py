@@ -28,6 +28,7 @@ from multihom import (
     betti,
     boundary_matrix,
     cell_budget,
+    clique_betti,
     clique_multicomplex,
     extract_params,
     formula_beta1,
@@ -56,10 +57,16 @@ def complete(nodes):
     return G(nodes, [(u, v, "red") for u, v in combinations(nodes, 2)])
 
 
+def copied(n, copies):
+    """K_n on nodes 1..n with ``copies`` copies of each pair."""
+    return G(range(1, n + 1), [(u, v, "red", copies) for u, v in combinations(range(1, n + 1), 2)])
+
+
 K4 = complete((1, 2, 3, 4))
-# K5 with three copies per pair: merged with itself, per-combination
-# passes the default cell budget
-K5_TRIPLED = G(range(1, 6), [(u, v, "red", 3) for u, v in combinations(range(1, 6), 2)])
+# merged with itself, per-combination: K5 at three copies a pair has a
+# whole complex past the default cell budget, but a 3-skeleton of about
+# 235,000 cells inside it; K7's 3-skeleton, about 1.6 million cells, passes it
+K5_TRIPLED, K7_TRIPLED = copied(5, 3), copied(7, 3)
 EMPTY = Multigraph.empty(PALETTE)
 
 
@@ -214,12 +221,51 @@ class TestExtractParams:
 class TestValidate:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_refuses_g_then_h_then_the_merge(self, policy):
-        # K5 has 31 cells, K6 63 and K7 127, and the merge of two K5 on 7
-        # nodes more than 60
+        # the budget counts 3-skeletons: K5's has 30 cells, K6's 56 and
+        # K7's 98, and that of the merge of two K5 on 7 nodes more than 50
         k5, k6, k7 = (complete(range(n)) for n in (5, 6, 7))
         for g, h, nodes in [(k6, k7, 6), (k5, k7, 7), (k5, complete(range(2, 7)), 7)]:
-            with cell_budget(60), pytest.raises(CellBudgetExceeded, match=f"on {nodes} nodes"):
+            with cell_budget(50), pytest.raises(CellBudgetExceeded, match=f"on {nodes} nodes"):
                 validate(g, h, policy)
+
+    def test_reads_a_merge_whose_whole_complex_passes_the_budget(self):
+        # doubled K7 has 2,350,601 per-combination cells, and its merge with
+        # one more copy of a pair more: beta_1 and beta_2 need the 3-skeleton
+        g, h = copied(7, 2), G([1, 2], [(1, 2, "black")])
+        report = validate(g, h, PER_COMBINATION)
+        want = clique_betti(merge(g, h), PER_COMBINATION, 2)[1:3]
+        assert (report.oracle_beta1, report.oracle_beta2) == want == (0, 0)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_meets_no_clique_above_the_3_skeleton(self, policy):
+        # the ledger at d <= 2 reads the 3-skeletons of g, h and g.h, in the
+        # count and in the peel alike: no clique of more than 4 nodes.  K10
+        # less a perfect matching has cliques of 5 and no node linked to all
+        # others, so the peel flattens its nodes and ranks flag complexes
+        sizes: dict[str, list[int]] = {}
+
+        def spy(name, real):
+            def recording(*args, **kwargs):
+                for tau in real(*args, **kwargs):
+                    sizes.setdefault(name, []).append(len(tau))
+                    yield tau
+
+            return recording
+
+        matching = G(
+            range(10), [(u, v, "red", 2) for u, v in combinations(range(10), 2) if u // 2 != v // 2]
+        )
+        with contextlib.ExitStack() as stack:
+            for module in (multihom.mcomplex, multihom.homology):
+                real = module._higher_cliques
+                stack.enter_context(
+                    mock.patch.object(module, "_higher_cliques", spy(module.__name__, real))
+                )
+            for g, h in [(matching, copied(7, 2)), (copied(7, 2), K4), (K7_TRIPLED, K4)]:
+                validate(g, h, policy)
+        assert max(map(max, sizes.values())) == 4
+        peel = {"multihom.homology"} if policy == PER_COMBINATION else set()
+        assert set(sizes) == {"multihom.mcomplex"} | peel
 
     def test_report_fields_and_flags(self):
         g = G([1, 2], [(1, 2, "red")])
@@ -247,6 +293,7 @@ class TestValidate:
     @example(EMPTY, EMPTY, CANONICAL)
     @example(EMPTY, K4, PER_COMBINATION)
     @example(K5_TRIPLED, K5_TRIPLED, PER_COMBINATION)
+    @example(K7_TRIPLED, K7_TRIPLED, PER_COMBINATION)
     @settings(max_examples=30)
     def test_builds_no_complex(self, g, h, policy):
         # every field is read off the graphs of g, h and g.h: no complex is
@@ -354,6 +401,14 @@ class TestFuzz:
         golden = REPO_ROOT / "tests" / "data" / f"fuzz.seed7.{policy}.jsonl.gz"
         want = gzip.decompress(golden.read_bytes()).decode()
         assert out.read_text().splitlines() == want.splitlines()
+
+    @pytest.mark.parametrize("seed", [9, 18, 19, 31, 35])
+    def test_reads_pairs_whose_whole_complexes_pass_the_budget(self, seed, capsys):
+        # each of these seeds draws a pair whose per-combination merge has
+        # more than 1,000,000 cells, and a 3-skeleton far inside the budget
+        argv = ["--seed", str(seed), "--policy", PER_COMBINATION, "fuzz", "--count", "200"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_summary_csv_header(self):
         from multihom.incremental import summary_csv

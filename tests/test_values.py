@@ -147,3 +147,26 @@ def test_sorted_follows_the_field_tuples(name, values):
     assert sorted(values, reverse=True) == sorted(values)[::-1]
     low, high = sorted(values)[:2]
     assert low < high and low <= high and high > low and high >= low
+    assert not (low > high or low >= high or high < low or high <= low)
+    assert low <= low and low >= low and not (low < low or low > low)
+    assert max(values) == sorted(values)[-1] and min(values) == low
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (EdgeCopy(1, 2, 1, "red"), Multicell((2,), 1)),
+        (Multicell((1,), 1), ChainExpr(("G",))),
+        (ChainExpr(("G",)), EdgeCopy(1, 2, 1, "red")),
+        (EdgeCopy(1, 2, 1, "red"), (1, 2, 1, "red")),
+    ],
+    ids=["EdgeCopy-Multicell", "Multicell-ChainExpr", "ChainExpr-EdgeCopy", "EdgeCopy-tuple"],
+)
+def test_values_of_different_classes_do_not_order(a, b):
+    for x, y in [(a, b), (b, a)]:
+        for compare in (
+            lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y,
+            lambda: sorted([x, y]),
+        ):
+            with pytest.raises(TypeError):
+                compare()

@@ -26,7 +26,7 @@ from multihom import (
     merge,
     parse_workspace,
 )
-from multihom.cli import EXIT_DOMAIN, EXIT_LAW, EXIT_OK, EXIT_USAGE, build_parser, main
+from multihom.cli import EXIT_DOMAIN, EXIT_LAW, EXIT_OK, EXIT_USAGE, _print_json, build_parser, main
 from multihom.errors import CellBudgetExceeded
 from multihom.incremental import replay_betti
 from multihom.mcomplex import POLICIES, cell_budget, clique_multicomplex
@@ -448,6 +448,19 @@ class TestCliCellBudget:
         assert main([*argv, "--json", "filtrate", "G"]) == EXIT_DOMAIN
         assert main([*argv, "filtrate", "G", "--dot"]) == EXIT_DOMAIN
         assert "1000000 cells" in capsys.readouterr().err
+
+    def test_running_out_of_memory_is_a_domain_exit(self, three_paths_path, capsys, monkeypatch):
+        # a complex inside the cell budget can still outgrow the memory
+        from multihom import filtration
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(filtration, "chain_betti", exhausted)
+        assert main(["--workspace", str(three_paths_path), "betti"]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--max-cells" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "mult, budget", [(100_000_000, []), (4, ["--max-cells", "3"])], ids=["default", "flag"]
@@ -984,6 +997,21 @@ class TestCliRanges:
 
 
 class TestCliWiring:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            [],
+            {"a": [], "b": {}, "c": [1, [2, {"d": None}]], "e": True, "f": 0.5},
+            ["ä → ∂", "\x00", 'a "quoted" \\ line\n'],
+            {str(i): list(range(i % 7)) for i in range(3000)},  # more than one batch
+        ],
+        ids=["empty-object", "empty-list", "nested", "escapes", "batched"],
+    )
+    def test_json_output_is_what_dumps_writes(self, capsys, payload):
+        _print_json(payload)
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
     def test_unknown_verb_is_usage(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 
