@@ -129,9 +129,9 @@ def cmd_merge(args) -> int:
             payload["betti"] = list(homology.clique_betti(merged, args.policy))
             _print_json(payload)
         else:
-            counts = mcomplex._cell_counts(merged, *mcomplex.clique_cells(merged, args.policy))
-            print(f"cells per dimension: {counts}")
-            print(f"betti: {homology.clique_betti(merged, args.policy)}")
+            shape = mcomplex.clique_cells(merged, args.policy)  # one count serves both lines
+            print(f"cells per dimension: {mcomplex._cell_counts(shape)}")
+            print(f"betti: {homology._cells_betti(shape, args.policy, None)}")
         return EXIT_OK
     payload = merged.to_json_dict()
     payload["colors_used"] = sorted(merged.colors_used())

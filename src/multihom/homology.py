@@ -184,8 +184,8 @@ from itertools import chain, combinations
 
 from .mcomplex import (
     CANONICAL,
-    Cliques,
     Multicomplex,
+    Shape,
     _cell_counts,
     _higher_cliques,
     check_policy,
@@ -298,26 +298,23 @@ def clique_betti(g: Multigraph, policy: str = CANONICAL, dim: int | None = None)
         raise ValueError(f"Betti numbers need dim >= 0, got {dim}")
     if dim == 0:
         return betti0_of(g.nodes, g.pairs())
-    return _cells_betti(g, policy, *clique_cells(g, policy, None if dim is None else dim + 1), dim)
+    return _cells_betti(clique_cells(g, policy, None if dim is None else dim + 1), policy, dim)
 
 
-def _cells_betti(
-    g: Multigraph, policy: str, mult: dict[Pair, int], cliques: Cliques, dim: int | None
-) -> BettiVector:
-    """``clique_betti(g, policy, dim)``, from g's pair multiplicities
-    ``mult`` and cliques ``cliques`` as ``clique_cells`` counts them for
-    the complex, or with ``dim`` for its (dim+1)-skeleton.  The peel
-    stops at beta_dim, so that it meets no clique ``clique_cells`` did
-    not count."""
-    if not g.nodes:
+def _cells_betti(shape: Shape, policy: str, dim: int | None) -> BettiVector:
+    """``clique_betti(g, policy, dim)``, from the shape ``clique_cells``
+    counts for g's complex, or with ``dim`` for its (dim+1)-skeleton.
+    The peel stops at beta_dim, so that it meets no clique
+    ``clique_cells`` did not count."""
+    if not shape:
         return ()
-    pairs = list(mult)  # in g.pairs() order, which numbers S's 1-cells
+    mult = shape[1] if len(shape) > 1 else {}
     end = None if dim is None else dim + 1
     if policy != CANONICAL:
-        counts = _cell_counts(g, mult, cliques)[:end]
-        r = _split_top(len(g.nodes), pairs)
+        counts = _cell_counts(shape)[:end]
+        r = _split_top(len(shape[0]), mult)
         if r is None:
-            beta = _peeled(g.nodes, mult, len(counts) - 1)
+            beta = _peeled(shape[0], mult, len(counts) - 1)
             beta[1] += 1  # beta_0 of a complex with a node
             return tuple(beta[1:])
         # the reduced homology sits in degree r alone (see the module
@@ -327,38 +324,34 @@ def _cells_betti(
         if r < len(counts):
             beta[r] += (-1) ** r * (sum((-1) ** d * c for d, c in enumerate(counts)) - 1)
         return tuple(beta)
-    flag = _flag_betti(g.nodes, pairs, {d: [tau for tau, _ in c] for d, c in cliques.items()})
-    beta = list(flag[:end])
-    triangles = cliques.get(2, ())
-    tight = {p for tau, _ in triangles for p in combinations(tau, 2)}
+    beta = list(_flag_betti(shape)[:end])
+    triangles = shape[2] if len(shape) > 2 else {}
+    tight = {p for tau in triangles for p in combinations(tau, 2)}
     if len(beta) > 1:
         beta[1] += sum(m - 1 for p, m in mult.items() if p not in tight)
     if len(beta) > 2:
-        beta[2] += sum(n - 1 for _, n in triangles) - sum(mult[p] - 1 for p in tight)
+        beta[2] += sum(n - 1 for n in triangles.values()) - sum(mult[p] - 1 for p in tight)
     return tuple(beta)
 
 
-def _flag_betti(
-    nodes: Collection[int], pairs: Sequence[Clique], cliques: Mapping[int, Sequence[Clique]]
-) -> BettiVector:
-    """beta_0..beta_D of the flag complex on ``nodes`` with the given
-    pairs and, by dimension d >= 2, its cliques of d + 1 nodes, each a
-    sorted tuple: the forest ranks the first boundary, and the column
-    pass the rest."""
-    simplices = [pairs, *(cliques[d] for d in range(2, 2 + len(cliques)))]
-    counts = [len(nodes), *(len(s) for s in simplices if s)]
-    forest = _forest({v: v for v in nodes}, pairs)
-    return _ranked(counts, forest, lambda d: _clique_faces(simplices[d - 2], simplices[d - 1]))
+def _flag_betti(simplices: Sequence[Collection[Clique]]) -> BettiVector:
+    """beta_0..beta_D of the flag complex whose simplices of dimension d
+    are ``simplices[d]``, for d = 0..D, each a sorted tuple of d + 1
+    nodes: the forest ranks the first boundary, and the column pass the
+    rest."""
+    counts = [len(s) for s in simplices]
+    forest = _forest({v: v for (v,) in simplices[0]}, simplices[1] if len(simplices) > 1 else ())
+    return _ranked(counts, forest, lambda d: _clique_faces(simplices[d - 1], simplices[d]))
 
 
-def _clique_faces(below: Sequence[Clique], above: Iterable[Clique]) -> Iterator[Iterator[int]]:
+def _clique_faces(below: Collection[Clique], above: Iterable[Clique]) -> Iterator[Iterator[int]]:
     """The face rows of each clique of ``above``: the indices in
     ``below``, the cliques one node smaller, of its faces."""
     row = dict(zip(below, range(len(below))))
     return (map(row.__getitem__, combinations(tau, len(tau) - 1)) for tau in above)
 
 
-def _split_top(n: int, pairs: Sequence[tuple[int, int]]) -> int | None:
+def _split_top(n: int, pairs: Collection[Pair]) -> int | None:
     """r for a graph on n >= 1 nodes with the given pairs if it is
     complete split, else None: with U the nodes linked to every other
     node, no pair joins two nodes outside U, and r is |U|, or n - 1 when
@@ -370,11 +363,12 @@ def _split_top(n: int, pairs: Sequence[tuple[int, int]]) -> int | None:
     return min(u, n - 1)
 
 
-def _peeled(nodes: Set[int], mult: dict[tuple[int, int], int], top: int) -> list[int]:
+def _peeled(nodes: Iterable[Clique], mult: Mapping[Pair, int], top: int) -> list[int]:
     """beta~_-1..beta~_top of K(h; 1, m), the ``per-combination`` complex
-    of the simple graph h on ``nodes`` whose pair e has m_e = ``mult[e]``
-    copies, by peeling and flattening nodes (see the module docstring)."""
-    order = sorted(nodes)
+    of the simple graph h on ``nodes``, a shape's grade 0, whose pair e
+    has m_e = ``mult[e]`` copies, by peeling and flattening nodes (see
+    the module docstring)."""
+    order = [v for (v,) in nodes]
     bit = {v: i for i, v in enumerate(order)}
     weight: list[dict[int, int]] = [{} for _ in order]  # m_uv, by node index
     for (u, v), m in mult.items():
@@ -454,10 +448,12 @@ def _peeled(nodes: Set[int], mult: dict[tuple[int, int], int], top: int) -> list
         beta[2] += 1 - sum(copies[i] for i in members)
         if not tri:  # K is a connected graph
             return beta
-        higher: dict[int, list[Clique]] = {}
+        simplices = [[(i,) for i in members], pairs]
         for tau in _higher_cliques(members, pairs, top + 2):
-            higher.setdefault(len(tau) - 1, []).append(tau)
-        flag = _flag_betti(members, pairs, higher)
+            if len(tau) > len(simplices):  # the clique it grows from came just before it
+                simplices.append([])
+            simplices[len(tau) - 1].append(tau)
+        flag = _flag_betti(simplices)
         beta[2] += flag[1] - len(pairs) + len(members) - 1
         return [b + f for b, f in zip(beta, [0, 0, 0, *flag[2:], *[0] * top])]
 

@@ -36,6 +36,10 @@ r_{top+1}), s_{top-1}, and under ``canonical`` the (top+1)-cliques: all
 of it lies in the (top+1)-skeleton.  So each of g, h and g.h is counted
 and read to that skeleton alone, as ``clique_betti(x, policy, top)``
 reads it, and a cell budget refuses only where such a skeleton passes it.
+One shape of that skeleton (``mcomplex.clique_cells``) gives all of it:
+grade e's cell counts sum to c_e, its cliques number s_e, and its keys
+are the cliques that ``_sides_rank`` ranks; the Betti numbers are read
+off the same shape.
 
 ``formula_beta1``/``formula_beta2`` are transcriptions of a closed-form
 conjecture for the Betti numbers of a merge.  They are implemented
@@ -55,7 +59,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import NegativeBetti
 from .homology import BettiVector, Gf2Basis, boundary_matrix
 from .homology import _cells_betti, _clique_faces, _column, _reduce
-from .mcomplex import CANONICAL, Cliques, Multicomplex, _cell_counts, clique_cells
+from .mcomplex import CANONICAL, Multicomplex, Shape, _cell_counts, clique_cells
 from .mgraph import Multigraph, merge
 
 __all__ = [
@@ -177,32 +181,32 @@ def extract_params(
 
 def _ranks(
     x: Multigraph, policy: str, top: int
-) -> tuple[list[int], list[int], list[int], list[int], Cliques]:
+) -> tuple[list[int], list[int], list[int], list[int], Shape]:
     """x's Betti numbers, cell counts c_e and simplex counts s_e to
     dimension ``top``, its boundary ranks r_0..r_{top+1}, zero above its
-    dimension, and its cliques of up to top + 2 nodes: one ``clique_cells``
-    read of its (top+1)-skeleton, from which the Betti numbers come as
-    ``clique_betti(x, policy, top)`` gives them."""
-    mult, cliques = clique_cells(x, policy, top + 1)
-    beta = [*_cells_betti(x, policy, mult, cliques, top), *[0] * (top + 1)]
-    cells = [*_cell_counts(x, mult, cliques), *[0] * (top + 1)]
-    simplices = [len(x.nodes), len(mult)]
-    simplices += [len(cliques[e]) for e in sorted(cliques)] + [0] * top
+    dimension, and its shape to dimension top + 1, padded with empty
+    grades: one ``clique_cells`` read of its (top+1)-skeleton, from which
+    the Betti numbers come as ``clique_betti(x, policy, top)`` gives them."""
+    shape = clique_cells(x, policy, top + 1)
+    beta = [*_cells_betti(shape, policy, top), *[0] * (top + 1)]
+    shape += [{}] * (top + 2 - len(shape))
+    cells = _cell_counts(shape)
+    simplices = [len(cliques) for cliques in shape]
     ranks = [0]
     for e in range(top + 1):
         ranks.append(cells[e] - beta[e] - ranks[e])
-    return beta, cells, simplices, ranks, cliques
+    return beta, cells, simplices, ranks, shape
 
 
-def _sides_rank(g: Multigraph, h: Multigraph, cliques: Cliques, e: int) -> int:
+def _sides_rank(g: Multigraph, h: Multigraph, shape: Shape, e: int) -> int:
     """The rank of the ``canonical`` e-cells of K_{g.h}, e >= 3, whose
     clique lies in g's or in h's simple graph, as S(g.h)'s e-simplices
-    over its (e-1)-cliques, with S(g.h)'s cliques ``cliques``."""
-    below, sides = [tau for tau, _ in cliques.get(e - 1, ())], []
-    for tau, _ in cliques.get(e, ()):
-        if any(all(map(x.multiplicity, combinations(tau, 2))) for x in (g, h)):
-            sides.append(tau)
-    return len(_reduce(map(_column, _clique_faces(below, sides))))
+    over its (e-1)-cliques, with g.h's shape ``shape``."""
+    sides = [
+        tau for tau in shape[e]
+        if any(all(map(x.multiplicity, combinations(tau, 2))) for x in (g, h))
+    ]
+    return len(_reduce(map(_column, _clique_faces(shape[e - 1], sides))))
 
 
 def _extract(
@@ -214,14 +218,14 @@ def _extract(
     top = max(dims)
     (bg, cg, sg, rg, _), (bh, ch, sh, rh, _) = _ranks(g, policy, top), _ranks(h, policy, top)
     m = merge(g, h)
-    bm, cm, sm, rm, cliques = _ranks(m, policy, top)
+    bm, cm, sm, rm, shape = _ranks(m, policy, top)
     out = []
     for d in dims:
         p_g, p_h = rm[d] - rh[d], rm[d] - rg[d]
         # g's and h's (d+1)-cells share no face but canonical ones above dimension 2
         sides = rg[d + 1] + rh[d + 1]
         if policy == CANONICAL and d >= 2:
-            sides = _sides_rank(g, h, cliques, d + 1)
+            sides = _sides_rank(g, h, shape, d + 1)
         # the merge's parallel copies one dimension down, beyond g's and h's
         e = d - 1
         dup = cm[e] - sm[e] - (cg[e] - sg[e]) - (ch[e] - sh[e])

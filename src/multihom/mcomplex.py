@@ -33,13 +33,20 @@ demand as a view of a row, and ``Multicomplex.from_cells`` is the door
 for hand-built cells, which it converts into the same rows.
 
 ``clique_cells`` counts the cells in closed form from the cliques before
-any is made, for ``clique_multicomplex`` and for the Betti numbers that
-``homology.clique_betti`` reads off a graph without building its
-complex.  It refuses a complex larger than the cell budget
-(``MAX_CELLS`` unless ``cell_budget`` sets another).  It refuses as soon
-as the count passes the budget, or a clique of k vertices appears with
-2^k - 1 > budget (each subclique gives at least one cell), keeping only
-each clique and its cell count until then.
+any is made, and returns them as the complex's ``Shape``: a list by
+dimension d = 0..D, no grade empty, whose grade d maps each (d+1)-clique
+(a sorted vertex tuple) to its cell count, in lexicographic order.
+Grade 0 maps each ``(v,)`` to 1, and grade 1 is the pair
+multiplicities.  The shape is all that ``clique_multicomplex`` builds
+from (a clique's cells are rows in order, so its first row is the sum
+of the counts before it), and all that the Betti reads of
+``homology.clique_betti`` and the merge ledger of ``incremental`` read:
+S(g)'s simplices are a grade's keys, and the cells its values.  It
+refuses a complex larger than the cell budget (``MAX_CELLS`` unless
+``cell_budget`` sets another).  It refuses as soon as the count passes
+the budget, or a clique of k vertices appears with 2^k - 1 > budget
+(each subclique gives at least one cell), keeping only each clique and
+its cell count until then.
 
 With ``dim`` it builds the ``dim``-skeleton: cliques stop growing at
 dim + 1 vertices, and the budget counts only the cells built.  Each cell
@@ -86,16 +93,20 @@ POLICIES = (CANONICAL, PER_COMBINATION)
 MAX_CELLS = 1_000_000
 
 CellKey = tuple[tuple[int, ...], int]
-# cliques of three or more vertices by dimension, each with its cell count
-Cliques = dict[int, list[tuple[tuple[int, ...], int]]]
+# by dimension d, each (d+1)-clique as a sorted vertex tuple with its cell count
+Shape = list[dict[tuple[int, ...], int]]
 
 _max_cells: ContextVar[int] = ContextVar("max_cells", default=MAX_CELLS)
 
 
 @contextmanager
 def cell_budget(max_cells: int) -> Iterator[None]:
-    """Within the block, ``clique_multicomplex`` refuses a complex of
-    more than ``max_cells`` cells."""
+    """Within the block, ``clique_cells`` refuses a complex or skeleton of
+    more than ``max_cells`` cells, and so does everything that counts
+    through it: ``clique_multicomplex``, every Betti read of a graph
+    beyond beta_0 (``clique_betti`` and the verbs that read it),
+    ``check-laws``, and ``incremental`` and ``fuzz``.  The workspace
+    loader refuses a graph with more than ``max_cells`` edge copies."""
     token = _max_cells.set(max_cells)
     try:
         yield
@@ -488,24 +499,23 @@ def _higher_cliques(
                     clique, cand = tau, cand & up[k]
 
 
-def clique_cells(
-    g: Multigraph, policy: str = CANONICAL, dim: int | None = None
-) -> tuple[dict[tuple[int, int], int], Cliques]:
-    """The cells ``clique_multicomplex(g, policy, dim)`` would build,
-    counted clique by clique before any is made: g's pair multiplicities
-    (none for a 0-skeleton), and its cliques of three or more vertices
-    by dimension, each with its cell count, in lexicographic order.
-    A count above the cell budget is refused with ``CellBudgetExceeded``
-    (see the module docstring).
+def clique_cells(g: Multigraph, policy: str = CANONICAL, dim: int | None = None) -> Shape:
+    """The shape of ``clique_multicomplex(g, policy, dim)``, counted clique
+    by clique before any cell is made: grade d maps each (d+1)-clique of
+    g, a sorted vertex tuple, to its cell count, in lexicographic order,
+    for d = 0..D with no grade empty.  Grade 0 maps each ``(v,)`` to 1,
+    and grade 1 is g's pair multiplicities.  A count above the cell
+    budget is refused with ``CellBudgetExceeded`` (see the module
+    docstring).
     """
     check_policy(policy)
     if dim is not None and dim < 0:
         raise ValueError(f"a skeleton needs dim >= 0, got {dim}")
     mult = g.multiplicities() if dim != 0 else {}  # a 0-skeleton has no edges
     budget = current_cell_budget()
+    shape: Shape = [dict.fromkeys(zip(sorted(g.nodes)), 1)] * bool(g.nodes) + [mult] * bool(mult)
 
     # a skeleton below dimension 2 is its nodes and edge copies, and needs no clique
-    cliques: Cliques = {}
     total = len(g.nodes) + sum(mult.values())
     over = False
     size = None if dim is None else dim + 1
@@ -518,19 +528,20 @@ def clique_cells(
         single = d >= 3 and policy == CANONICAL
         n = 1 if single else prod(map(mult.__getitem__, itertools.combinations(tau, 2)))
         total += n
-        cliques.setdefault(d, []).append((tau, n))
+        if d == len(shape):  # the clique it grows from came just before it
+            shape.append({})
+        shape[d][tau] = n
     if over or total > budget:
         raise CellBudgetExceeded(
             f"the {policy} clique complex of a graph on {len(g.nodes)} nodes "
             f"has more than {budget} cells"
         )
-    return mult, cliques
+    return shape
 
 
-def _cell_counts(g: Multigraph, mult: dict[tuple[int, int], int], cliques: Cliques) -> list[int]:
-    """The cells per grade of g's complex, from what ``clique_cells`` returns for g."""
-    counts = [len(g.nodes)] * bool(g.nodes) + [sum(mult.values())] * bool(mult)
-    return counts + [sum(n for _, n in cliques[d]) for d in range(2, 2 + len(cliques))]
+def _cell_counts(shape: Shape) -> list[int]:
+    """The cells per grade of a complex of shape ``shape``."""
+    return [sum(cliques.values()) for cliques in shape]
 
 
 def clique_multicomplex(
@@ -545,44 +556,33 @@ def clique_multicomplex(
     is made, and a complex above the cell budget is refused with
     ``CellBudgetExceeded``.
     """
-    mult, cliques = clique_cells(g, policy, dim)
+    shape = clique_cells(g, policy, dim)
     grades: list[Grade] = []
-    for d in range(bool(g.nodes) + bool(mult) + len(cliques)):
+    for d, cliques in enumerate(shape):
         vertices, copies = [], []
-        for tau, n in _shapes(g, mult, cliques, d):  # tau is sorted, and shapes come sorted
+        for tau, n in cliques.items():  # tau is sorted, and cliques come sorted
             vertices += [tau] * n
             copies += range(1, n + 1)
-        faces = _face_rows(g, policy, mult, cliques, d) if d else ()
-        colors = [color for p in mult for color in g.colors(p)] if d == 1 else None
+        faces = _face_rows(g, policy, shape, d) if d else ()
+        colors = [color for p in cliques for color in g.colors(p)] if d == 1 else None
         grades.append(Grade(grades[-1] if d else None, vertices, copies, faces, colors))
     return Multicomplex(g.palette, tuple(grades), policy)
 
 
-def _shapes(
-    g: Multigraph, mult: Mapping[tuple[int, int], int], cliques: Cliques, d: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """The d-cliques of g's complex in sorted order, each with its cell count."""
-    if d == 0:
-        return [((v,), 1) for v in sorted(g.nodes)]
-    return list(mult.items()) if d == 1 else cliques[d]
-
-
-def _face_rows(
-    g: Multigraph, policy: str, mult: Mapping[tuple[int, int], int], cliques: Cliques, d: int
-) -> tuple[list[int], ...]:
+def _face_rows(g: Multigraph, policy: str, shape: Shape, d: int) -> tuple[list[int], ...]:
     """The d-cells' face rows, one list per face position, for g's clique
-    complex with pair multiplicities ``mult`` and cliques ``cliques`` (as
-    ``clique_cells`` counts them), d >= 1: a face's row is its clique's
-    first row plus the cell's copy digits weighted by the face's radix.
-    Cliques whose pairs have the same copies and digits share the sums."""
+    complex of shape ``shape`` (as ``clique_cells`` counts it), d >= 1: a
+    face's row is its clique's first row plus the cell's copy digits
+    weighted by the face's radix.  Cliques whose pairs have the same
+    copies and digits share the sums."""
     single = d >= 3 and policy == CANONICAL
+    mult = shape[1]
     # each (d-1)-clique's first row: its cells are the rows from there, one per copy
-    taus, counts = zip(*_shapes(g, mult, cliques, d - 1))
-    first = dict(zip(taus, itertools.accumulate(counts, initial=0)))
+    first = dict(zip(shape[d - 1], itertools.accumulate(shape[d - 1].values(), initial=0)))
     faces = tuple([] for _ in range(d + 1))
     positions = list(itertools.combinations(range(d + 1), 2))[::-1]  # least significant first
     sums: dict[tuple, list[list[int]]] = {}  # by copies and digits: face rows less first rows
-    for tau, _ in _shapes(g, mult, cliques, d):
+    for tau in shape[d]:
         pairs = list(itertools.combinations(tau, 2))[::-1]
         ms = tuple(map(mult.__getitem__, pairs))
         # the one cell's digit of each pair is its copy first in (colour, copy)

@@ -37,7 +37,7 @@ from multihom import (
 
 from multihom.cli import EXIT_OK, main
 from multihom.incremental import _ranks
-from multihom.mcomplex import _higher_cliques
+from multihom.mcomplex import _higher_cliques, clique_cells
 
 from conftest import PALETTE, REPO_ROOT, multigraphs
 from oracles import (
@@ -664,6 +664,28 @@ class TestCliqueEnumeration:
         ]
         # each clique once, in lexicographic order
         assert got == sorted(expected)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @given(
+        g=st.one_of(
+            multigraphs(max_nodes=6, max_mult=2),
+            multigraphs(max_nodes=7, max_mult=1, sparse_labels=True),
+        ),
+        dim=st.one_of(st.none(), st.integers(0, 4)),
+    )
+    @settings(max_examples=60)
+    def test_clique_cells_is_the_built_shape(self, policy, g, dim):
+        # grade d maps the (d+1)-cliques, in lexicographic order, to their
+        # cells in the built complex or skeleton, and no grade is empty
+        shape = clique_cells(g, policy, dim)
+        x = clique_multicomplex(g, policy, dim)
+        cliques = cliques_bruteforce(g.nodes, g.pairs())
+        top = max(map(len, cliques)) - 1
+        assert all(shape)
+        assert len(shape) == len(x.grades) == 1 + (top if dim is None else min(dim, top))
+        for d, grade in enumerate(shape):
+            assert list(grade.items()) == list(Counter(x.grade(d).vertices).items())
+            assert list(grade) == [tau for tau in cliques if len(tau) == d + 1]
 
     def test_deep_cliques_need_no_recursion(self):
         # depth-first growth of K_1050 nests 1050 cliques, past Python's

@@ -266,12 +266,10 @@ class TestCliMergeBetti:
         assert code == EXIT_OK
         assert "betti" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_merge_emit_complex_text_matches_the_built_complex(self, capsys, monkeypatch, policy):
-        # the cells per dimension and Betti numbers printed are the built
-        # complex's, and the text form builds none
-        from multihom import mcomplex
-
+    @staticmethod
+    def emit_complex_texts(policy: str) -> dict[tuple[Path, str, str], str]:
+        """The text ``merge --emit-complex`` should print for every pair of
+        graphs of four workspaces, read off the built complex."""
         workspaces, data = REPO_ROOT / "workspaces", REPO_ROOT / "tests" / "data"
         paths = [workspaces / "three_paths.json", workspaces / "disjoint_triangles.json"]
         paths += [data / "doubled_k5.json", data / "sharing_k5.json"]
@@ -284,6 +282,15 @@ class TestCliMergeBetti:
                 expected[path, left, right] = (
                     f"cells per dimension: {counts}\nbetti: {replay_betti(x)}\n"
                 )
+        return expected
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_merge_emit_complex_text_matches_the_built_complex(self, capsys, monkeypatch, policy):
+        # the cells per dimension and Betti numbers printed are the built
+        # complex's, and the text form builds none
+        from multihom import mcomplex
+
+        expected = self.emit_complex_texts(policy)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a complex was built")
@@ -293,6 +300,28 @@ class TestCliMergeBetti:
             argv = ["--workspace", str(path), "--policy", policy]
             assert main([*argv, "merge", left, right, "--emit-complex"]) == EXIT_OK
             assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_merge_emit_complex_text_enumerates_the_cliques_once(
+        self, capsys, monkeypatch, policy
+    ):
+        # the cell counts and the Betti vector are read off one shape
+        from multihom import mcomplex
+
+        expected = self.emit_complex_texts(policy)
+        calls, real = [], mcomplex._higher_cliques
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mcomplex, "_higher_cliques", spy)
+        for (path, left, right), out in expected.items():
+            calls.clear()
+            argv = ["--workspace", str(path), "--policy", policy]
+            assert main([*argv, "merge", left, right, "--emit-complex"]) == EXIT_OK
+            assert capsys.readouterr().out == out
+            assert len(calls) == 1
 
     def test_merge_emit_complex_text_keeps_the_budget_refusal(self, capsys):
         # doubled K5 merged with itself: 5 + 20 + 80 + 256 = 361 cells
